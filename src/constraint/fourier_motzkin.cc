@@ -43,6 +43,66 @@ size_t EliminationCost(const Conjunction& input, const std::string& var) {
   return lowers * uppers;
 }
 
+/// True when no value lies at or below `upper` and at or above `lower`.
+bool Separated(const std::optional<Bound>& upper,
+               const std::optional<Bound>& lower) {
+  if (!upper || !lower) return false;
+  int cmp = upper->value.Compare(lower->value);
+  return cmp < 0 || (cmp == 0 && (upper->strict || lower->strict));
+}
+
+/// Keeps the tighter of `*lower` and `bound`; at equal values the strict
+/// bound is the tighter one.
+void TightenLower(std::optional<Bound>* lower, const Bound& bound) {
+  if (!*lower || bound.value > (*lower)->value ||
+      (bound.value == (*lower)->value && bound.strict)) {
+    *lower = bound;
+  }
+}
+
+void TightenUpper(std::optional<Bound>* upper, const Bound& bound) {
+  if (!*upper || bound.value < (*upper)->value ||
+      (bound.value == (*upper)->value && bound.strict)) {
+    *upper = bound;
+  }
+}
+
+/// Narrows `interval` by `c`, a member whose only variable is `var`.
+void Narrow(const Constraint& c, const std::string& var, Interval* interval) {
+  const Rational& a = c.expr().Coeff(var);
+  assert(!a.IsZero() && "member does not mention the variable");
+  // a·v + k op 0  =>  v op' -k/a  (op' flips direction when a < 0).
+  Bound bound{-c.expr().constant() / a, c.op() == ConstraintOp::kLt};
+  if (c.op() == ConstraintOp::kEq) {
+    TightenLower(&interval->lower, bound);  // v = bound: both bounds
+    TightenUpper(&interval->upper, bound);
+  } else if (a.Sign() > 0) {
+    TightenUpper(&interval->upper, bound);
+  } else {
+    TightenLower(&interval->lower, bound);
+  }
+}
+
+Interval EmptyInterval() {
+  Interval interval;
+  interval.empty = true;
+  return interval;
+}
+
+/// Collapses `interval` to empty when its bounds admit no value; returns
+/// whether it is empty.
+bool Settle(Interval* interval) {
+  if (Separated(interval->upper, interval->lower)) *interval = EmptyInterval();
+  return interval->empty;
+}
+
+bool EveryMemberSingleVariable(const Conjunction& input) {
+  for (const Constraint& c : input.constraints()) {
+    if (c.expr().terms().size() != 1) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool Interval::Contains(const Rational& v) const {
@@ -54,6 +114,20 @@ bool Interval::Contains(const Rational& v) const {
   if (upper) {
     int cmp = v.Compare(upper->value);
     if (cmp > 0 || (cmp == 0 && upper->strict)) return false;
+  }
+  return true;
+}
+
+bool Interval::Overlaps(const Interval& other) const {
+  return !empty && !other.empty && !Separated(upper, other.lower) &&
+         !Separated(other.upper, lower);
+}
+
+bool Overlaps(const Box& a, const Box& b) {
+  assert(a.size() == b.size());
+  auto other = b.begin();
+  for (const auto& [var, interval] : a) {
+    if (!interval.Overlaps((other++)->second)) return false;
   }
   return true;
 }
@@ -211,62 +285,50 @@ Conjunction RemoveRedundant(const Conjunction& input) {
 }
 
 Interval VariableInterval(const Conjunction& input, const std::string& var) {
-  Interval interval;
+  if (EveryMemberSingleVariable(input)) {
+    return SingleVariableBounds(input, {var}).at(var);
+  }
   Conjunction onto = Project(input, {var});
-  if (onto.IsKnownFalse()) {
-    interval.empty = true;
-    return interval;
-  }
-  for (const Constraint& c : onto.constraints()) {
-    const Rational& a = c.expr().Coeff(var);
-    assert(!a.IsZero() && "projection left a ground constraint");
-    // a·v + k op 0  =>  v op' -k/a  (op' flips direction when a < 0).
-    Rational bound = -c.expr().constant() / a;
-    if (c.op() == ConstraintOp::kEq) {
-      // v = bound: acts as both bounds.
-      if (!interval.lower || bound > interval.lower->value ||
-          (bound == interval.lower->value && interval.lower->strict)) {
-        interval.lower = Bound{bound, false};
-      }
-      if (!interval.upper || bound < interval.upper->value ||
-          (bound == interval.upper->value && interval.upper->strict)) {
-        interval.upper = Bound{bound, false};
-      }
-      continue;
-    }
-    bool strict = c.op() == ConstraintOp::kLt;
-    if (a.Sign() > 0) {
-      // v <(=) bound: upper bound.
-      if (!interval.upper || bound < interval.upper->value ||
-          (bound == interval.upper->value && strict &&
-           !interval.upper->strict)) {
-        interval.upper = Bound{bound, strict};
-      }
-    } else {
-      // v >(=) bound: lower bound.
-      if (!interval.lower || bound > interval.lower->value ||
-          (bound == interval.lower->value && strict &&
-           !interval.lower->strict)) {
-        interval.lower = Bound{bound, strict};
-      }
-    }
-  }
-  if (interval.lower && interval.upper) {
-    int cmp = interval.lower->value.Compare(interval.upper->value);
-    if (cmp > 0 ||
-        (cmp == 0 && (interval.lower->strict || interval.upper->strict))) {
-      interval = Interval{};
-      interval.empty = true;
-    }
-  }
+  if (onto.IsKnownFalse()) return EmptyInterval();
+  Interval interval;
+  // A governance bail leaves other variables in `onto`; the caller's
+  // CheckGovernance() discards whatever is returned.
+  if (obs::GovernanceAborting()) return interval;
+  for (const Constraint& c : onto.constraints()) Narrow(c, var, &interval);
+  Settle(&interval);
   return interval;
 }
 
-std::map<std::string, Interval> BoundingBox(
-    const Conjunction& input, const std::set<std::string>& vars) {
-  std::map<std::string, Interval> box;
+Box BoundingBox(const Conjunction& input, const std::set<std::string>& vars) {
+  if (EveryMemberSingleVariable(input)) {
+    return SingleVariableBounds(input, vars);
+  }
+  Box box;
   for (const std::string& var : vars) {
     box.emplace(var, VariableInterval(input, var));
+  }
+  return box;
+}
+
+Box SingleVariableBounds(const Conjunction& input,
+                         const std::set<std::string>& vars) {
+  Box box;
+  for (const std::string& var : vars) {
+    box.emplace_hint(box.end(), var, Interval{});
+  }
+  Box others;  // variables outside `vars`, read only to detect emptiness
+  for (const Constraint& c : input.constraints()) {
+    if (c.expr().terms().size() != 1) continue;
+    const std::string& var = c.expr().terms().begin()->first;
+    auto it = box.find(var);
+    Narrow(c, var, it != box.end() ? &it->second : &others[var]);
+  }
+  bool empty = input.IsKnownFalse();
+  for (Box* read : {&box, &others}) {
+    for (auto& [var, interval] : *read) empty = Settle(&interval) || empty;
+  }
+  if (empty) {
+    for (auto& [var, interval] : box) interval = EmptyInterval();
   }
   return box;
 }

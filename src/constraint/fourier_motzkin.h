@@ -19,7 +19,10 @@
 ///    outputs small (important after joins, whose naive outputs accumulate
 ///    redundant members).
 ///  - `VariableInterval` / `BoundingBox` extract the attribute ranges that
-///    the index layer (§5) uses as R*-tree keys.
+///    the index layer (§5) uses as R*-tree keys. `SingleVariableBounds`
+///    reads ranges off single-variable members without eliminating
+///    anything: the filter step of the CQA operators' filter-and-refine,
+///    and the exact fast path of `BoundingBox` for box-shaped stores.
 ///
 /// Equalities are eliminated by Gaussian substitution before inequality
 /// pairing, which both preserves exactness and avoids the quadratic blowup
@@ -59,9 +62,22 @@ struct Interval {
   /// True if `v` lies inside the interval.
   bool Contains(const Rational& v) const;
 
+  /// True when some value lies in both intervals. Closed bounds that touch
+  /// (`[1, 2]` and `[2, 3]`) share their endpoint; an empty interval
+  /// shares nothing.
+  bool Overlaps(const Interval& other) const;
+
   /// Renders like "[1, 3)" / "(-inf, 2]" / "empty".
   std::string ToString() const;
 };
+
+/// Per-attribute intervals, keyed by variable name.
+using Box = std::map<std::string, Interval>;
+
+/// True when, on every attribute of `a` and `b` (which must cover the same
+/// attributes), the intervals overlap. False proves that no point lies in
+/// both boxes.
+bool Overlaps(const Box& a, const Box& b);
 
 /// Existentially eliminates `var`: the result is satisfied by exactly the
 /// assignments (to the remaining variables) that extend to a satisfying
@@ -89,13 +105,23 @@ Conjunction RemoveRedundant(const Conjunction& input);
 
 /// Tightest interval containing the projection of `input`'s solution set
 /// onto `var`. An unsatisfiable input yields an empty interval; a variable
-/// that is unconstrained yields (-inf, +inf).
+/// that is unconstrained yields (-inf, +inf). When every member mentions
+/// one variable this is `SingleVariableBounds`, and no FM runs.
 Interval VariableInterval(const Conjunction& input, const std::string& var);
 
 /// `VariableInterval` for each of `vars` in one call (the per-attribute
 /// bounding box used for R*-tree keys, §5 of the paper).
-std::map<std::string, Interval> BoundingBox(const Conjunction& input,
-                                            const std::set<std::string>& vars);
+Box BoundingBox(const Conjunction& input, const std::set<std::string>& vars);
+
+/// The interval of each of `vars` read off the members of `input` that
+/// mention exactly one variable; members over several variables are
+/// skipped and nothing is eliminated. The result is the exact
+/// `BoundingBox` when every member mentions one variable, and a sound
+/// outer box otherwise. Every interval is empty when `input` is known
+/// false or the single-variable members of any variable, listed in `vars`
+/// or not, admit no value.
+Box SingleVariableBounds(const Conjunction& input,
+                         const std::set<std::string>& vars);
 
 }  // namespace ccdb::fm
 

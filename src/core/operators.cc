@@ -11,6 +11,13 @@
 // with a typed status; any constraint math the current iteration computed
 // past the trip is discarded with the loop), and breaks out early under
 // budget truncation so a partial result is a sound prefix subset.
+//
+// Filter and refine: Select and NaturalJoin compare per-attribute boxes
+// (fm::Box) over the constraint attributes they test before any
+// Fourier–Motzkin work, and skip a tuple or pair whose boxes are disjoint
+// on some attribute — no point can satisfy both stores there. The rest
+// are refined by exact satisfiability as before. Pruning needs proof only:
+// boxes may be outer boxes, and touching closed bounds overlap.
 
 namespace ccdb::cqa {
 
@@ -80,6 +87,19 @@ bool StringAtomHolds(const StringAtom& atom, const Tuple& tuple) {
 
 Result<Relation> Select(const Relation& input, const Predicate& pred) {
   CCDB_RETURN_IF_ERROR(ValidatePredicate(input.schema(), pred));
+  // Filter box: the predicate's single-variable atoms over constraint
+  // attributes. Tuples are boxed by their single-variable members only, so
+  // the filter itself never runs FM.
+  Conjunction filter_atoms;
+  std::set<std::string> filtered;
+  for (const Constraint& c : pred.linear) {
+    if (c.expr().terms().size() != 1) continue;
+    const std::string& var = c.expr().terms().begin()->first;
+    if (input.schema().Find(var)->kind != AttributeKind::kConstraint) continue;
+    filter_atoms.Add(c);
+    filtered.insert(var);
+  }
+  const fm::Box filter = fm::SingleVariableBounds(filter_atoms, filtered);
   Relation out(input.schema());
   for (const Tuple& tuple : input.tuples()) {
     CCDB_RETURN_IF_ERROR(obs::CheckGovernance());
@@ -92,6 +112,13 @@ Result<Relation> Select(const Relation& input, const Predicate& pred) {
       }
     }
     if (!keep) continue;
+    if (!filtered.empty() &&
+        !fm::Overlaps(
+            fm::SingleVariableBounds(tuple.constraints(), filtered),
+            filter)) {
+      obs::NoteBoxPrune();
+      continue;
+    }
 
     Conjunction store = tuple.constraints();
     obs::NoteConjunction();
@@ -165,10 +192,35 @@ Result<Relation> NaturalJoin(const Relation& lhs, const Relation& rhs) {
       shared_relational.push_back(attr.name);
     }
   }
+  // Filter boxes: exact (FM only for stores with a multi-variable member)
+  // over the shared constraint attributes, one per input tuple per call.
+  std::set<std::string> shared_constraint;
+  for (const Attribute& attr : lhs.schema().attributes()) {
+    if (rhs.schema().Has(attr.name) &&
+        attr.kind == AttributeKind::kConstraint) {
+      shared_constraint.insert(attr.name);
+    }
+  }
+  const bool filter = !shared_constraint.empty();
+  std::vector<fm::Box> rhs_boxes;
+  if (filter) {
+    rhs_boxes.reserve(rhs.size());
+    for (const Tuple& right : rhs.tuples()) {
+      CCDB_RETURN_IF_ERROR(obs::CheckGovernance());
+      rhs_boxes.push_back(
+          fm::BoundingBox(right.constraints(), shared_constraint));
+    }
+  }
   Relation out(schema);
   for (const Tuple& left : lhs.tuples()) {
     if (obs::GovernanceTruncating()) break;
-    for (const Tuple& right : rhs.tuples()) {
+    fm::Box left_box;
+    if (filter) {
+      CCDB_RETURN_IF_ERROR(obs::CheckGovernance());
+      left_box = fm::BoundingBox(left.constraints(), shared_constraint);
+    }
+    for (size_t r = 0; r < rhs.size(); ++r) {
+      const Tuple& right = rhs.tuples()[r];
       CCDB_RETURN_IF_ERROR(obs::CheckGovernance());
       if (obs::GovernanceTruncating()) break;
       bool match = true;
@@ -179,6 +231,10 @@ Result<Relation> NaturalJoin(const Relation& lhs, const Relation& rhs) {
         }
       }
       if (!match) continue;
+      if (filter && !fm::Overlaps(left_box, rhs_boxes[r])) {
+        obs::NoteBoxPrune();
+        continue;
+      }
       Conjunction store =
           Conjunction::And(left.constraints(), right.constraints());
       obs::NoteConjunction();

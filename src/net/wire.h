@@ -43,7 +43,8 @@ namespace ccdb::net {
 /// v2: leader-term fencing — HELLO carries the client's highest seen
 /// term, HELLO_OK / SHIP_END / SNAPSHOT carry the server's term, and the
 /// PROMOTE/PROMOTED pair exists.
-inline constexpr uint32_t kProtocolVersion = 2;
+/// v3: FETCH_TRACE nodes carry the box-prune counter after conjunctions.
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Upper bound on a frame's payload. Large enough for a bootstrap
 /// snapshot of any disk the tests or benches build (16 Ki pages), small

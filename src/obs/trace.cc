@@ -10,6 +10,7 @@ thread_local LayerCounters* g_active = nullptr;
 
 LayerCounters& LayerCounters::operator+=(const LayerCounters& other) {
   conjunctions += other.conjunctions;
+  box_prunes += other.box_prunes;
   fm_eliminations += other.fm_eliminations;
   redundancy_culls += other.redundancy_culls;
   index_node_visits += other.index_node_visits;
@@ -22,6 +23,7 @@ LayerCounters& LayerCounters::operator+=(const LayerCounters& other) {
 LayerCounters LayerCounters::operator-(const LayerCounters& other) const {
   LayerCounters out;
   out.conjunctions = conjunctions - other.conjunctions;
+  out.box_prunes = box_prunes - other.box_prunes;
   out.fm_eliminations = fm_eliminations - other.fm_eliminations;
   out.redundancy_culls = redundancy_culls - other.redundancy_culls;
   out.index_node_visits = index_node_visits - other.index_node_visits;
@@ -32,17 +34,19 @@ LayerCounters LayerCounters::operator-(const LayerCounters& other) const {
 }
 
 bool LayerCounters::IsZero() const {
-  return conjunctions == 0 && fm_eliminations == 0 && redundancy_culls == 0 &&
-         index_node_visits == 0 && index_leaf_hits == 0 && pages_read == 0 &&
-         pool_hits == 0;
+  return conjunctions == 0 && box_prunes == 0 && fm_eliminations == 0 &&
+         redundancy_culls == 0 && index_node_visits == 0 &&
+         index_leaf_hits == 0 && pages_read == 0 && pool_hits == 0;
 }
 
 std::string LayerCounters::ToString() const {
-  char buf[192];
+  char buf[224];
   std::snprintf(
       buf, sizeof(buf),
-      "conj %llu, fm %llu, culls %llu, idx %llu/%llu, io %llu/%llu",
+      "conj %llu, pruned %llu, fm %llu, culls %llu, idx %llu/%llu, "
+      "io %llu/%llu",
       static_cast<unsigned long long>(conjunctions),
+      static_cast<unsigned long long>(box_prunes),
       static_cast<unsigned long long>(fm_eliminations),
       static_cast<unsigned long long>(redundancy_culls),
       static_cast<unsigned long long>(index_node_visits),
@@ -115,16 +119,17 @@ std::string TraceNode::ToString(int indent) const {
 }
 
 std::string TraceNode::ToJson() const {
-  char buf[352];
+  char buf[384];
   std::snprintf(
       buf, sizeof(buf),
       "\"wall_us\":%.3f,\"self_us\":%.3f,\"in\":%llu,\"out\":%llu,"
-      "\"conjunctions\":%llu,\"fm_eliminations\":%llu,"
+      "\"conjunctions\":%llu,\"box_prunes\":%llu,\"fm_eliminations\":%llu,"
       "\"redundancy_culls\":%llu,\"index_node_visits\":%llu,"
       "\"index_leaf_hits\":%llu,\"pages_read\":%llu,\"pool_hits\":%llu",
       wall_us, self_us, static_cast<unsigned long long>(tuples_in),
       static_cast<unsigned long long>(tuples_out),
       static_cast<unsigned long long>(counters.conjunctions),
+      static_cast<unsigned long long>(counters.box_prunes),
       static_cast<unsigned long long>(counters.fm_eliminations),
       static_cast<unsigned long long>(counters.redundancy_culls),
       static_cast<unsigned long long>(counters.index_node_visits),

@@ -12,8 +12,9 @@
 ///  - `LayerCounters` is the set of work counters every engine layer
 ///    publishes: the constraint layer counts Fourier–Motzkin eliminations
 ///    and redundancy culls, the CQA operators count constraint stores
-///    materialized, the R*-tree counts node visits and leaf hits, and the
-///    buffer pool counts page reads and cache hits.
+///    materialized (refine) and tuples or pairs their box test rejected
+///    before any FM (filter), the R*-tree counts node visits and leaf
+///    hits, and the buffer pool counts page reads and cache hits.
 ///  - A *thread-local trace context* makes publication cheap and
 ///    race-free: `Note*` helpers bump plain (non-atomic) fields of the
 ///    thread's active `LayerCounters`, or do nothing when tracing is off
@@ -38,6 +39,7 @@ namespace ccdb::obs {
 /// thread that installed it (see CounterScope).
 struct LayerCounters {
   uint64_t conjunctions = 0;       ///< constraint stores materialized (CQA)
+  uint64_t box_prunes = 0;         ///< tuples/pairs a box test rejected (CQA)
   uint64_t fm_eliminations = 0;    ///< Fourier–Motzkin variable eliminations
   uint64_t redundancy_culls = 0;   ///< members dropped by RemoveRedundant
   uint64_t index_node_visits = 0;  ///< R*-tree nodes loaded
@@ -50,7 +52,7 @@ struct LayerCounters {
   bool IsZero() const;
 
   /// Compact one-line rendering, e.g.
-  /// "conj 12, fm 8, culls 2, idx 3/1, io 4/2".
+  /// "conj 12, pruned 40, fm 8, culls 2, idx 3/1, io 4/2".
   std::string ToString() const;
 };
 
@@ -72,6 +74,9 @@ inline LayerCounters ActiveSnapshot() {
 
 inline void NoteConjunction() {
   if (internal::g_active != nullptr) ++internal::g_active->conjunctions;
+}
+inline void NoteBoxPrune() {
+  if (internal::g_active != nullptr) ++internal::g_active->box_prunes;
 }
 inline void NoteFmElimination() {
   if (internal::g_active != nullptr) ++internal::g_active->fm_eliminations;
@@ -135,8 +140,8 @@ struct TraceNode {
   LayerCounters TotalCounters() const;
 
   /// EXPLAIN ANALYZE-style annotated tree, one node per line:
-  ///   Join  (wall 12.3ms, self 9.1ms, in 120, out 45 | conj 5400, fm
-  ///   2100, culls 30, idx 0/0, io 0/0)
+  ///   Join  (wall 12.3ms, self 9.1ms, in 120, out 45 | conj 540,
+  ///   pruned 4860, fm 2100, culls 30, idx 0/0, io 0/0)
   std::string ToString(int indent = 0) const;
 
   /// Compact JSON object (one line; used by TraceSink).

@@ -42,6 +42,7 @@ struct ServiceMetrics {
   // Engine work totals over all executed queries (drained from per-query
   // trace contexts; see obs/trace.h).
   uint64_t conjunctions = 0;       ///< constraint stores materialized
+  uint64_t box_prunes = 0;         ///< tuples/pairs rejected before FM
   uint64_t fm_eliminations = 0;    ///< Fourier–Motzkin variable eliminations
   uint64_t redundancy_culls = 0;   ///< constraints dropped as redundant
   uint64_t index_node_visits = 0;  ///< R*-tree nodes loaded

@@ -127,6 +127,7 @@ QueryService::QueryService(Database* base, ServiceOptions options)
       slow_(registry_.GetCounter(obs::names::kQueriesSlow)),
       traced_(registry_.GetCounter(obs::names::kQueriesTraced)),
       conjunctions_(registry_.GetCounter(obs::names::kCqaConjunctions)),
+      box_prunes_(registry_.GetCounter(obs::names::kCqaBoxPrunes)),
       fm_eliminations_(registry_.GetCounter(obs::names::kFmEliminations)),
       redundancy_culls_(registry_.GetCounter(obs::names::kFmRedundancyCulls)),
       index_node_visits_(registry_.GetCounter(obs::names::kIndexNodeVisits)),
@@ -539,6 +540,7 @@ void QueryService::RecordGovernanceOutcome(const obs::ExecContext& ctx,
 void QueryService::DrainCounters(const obs::LayerCounters& counters) {
   if (counters.IsZero()) return;
   conjunctions_->Add(counters.conjunctions);
+  box_prunes_->Add(counters.box_prunes);
   fm_eliminations_->Add(counters.fm_eliminations);
   redundancy_culls_->Add(counters.redundancy_culls);
   index_node_visits_->Add(counters.index_node_visits);
@@ -1054,6 +1056,7 @@ ServiceMetrics QueryService::Metrics() const {
   m.slow_queries = slow_->Value();
   m.traced_queries = traced_->Value();
   m.conjunctions = conjunctions_->Value();
+  m.box_prunes = box_prunes_->Value();
   m.fm_eliminations = fm_eliminations_->Value();
   m.redundancy_culls = redundancy_culls_->Value();
   m.index_node_visits = index_node_visits_->Value();

@@ -484,6 +484,7 @@ class QueryService {
   obs::Counter* slow_;
   obs::Counter* traced_;
   obs::Counter* conjunctions_;
+  obs::Counter* box_prunes_;
   obs::Counter* fm_eliminations_;
   obs::Counter* redundancy_culls_;
   obs::Counter* index_node_visits_;

@@ -318,5 +318,121 @@ TEST(FourierMotzkinTest, BoundingBoxOfTriangle) {
   EXPECT_EQ(box.at("y").upper->value, Rational(2));
 }
 
+TEST(FourierMotzkinTest, IntervalEqualityMeetsStrictBound) {
+  // x = 3 AND x > 3 is empty however the members are ordered; the x - y
+  // member with a free y sends the same store through the FM path.
+  Conjunction fast({Constraint::Eq(V("x"), C(3)),
+                    Constraint::Gt(V("x"), C(3))});
+  EXPECT_TRUE(fm::VariableInterval(fast, "x").empty);
+  Conjunction via_fm = fast;
+  via_fm.Add(Constraint::Le(V("x") - V("y"), C(0)));
+  EXPECT_TRUE(fm::VariableInterval(via_fm, "x").empty);
+  Conjunction below({Constraint::Eq(V("x"), C(3)),
+                     Constraint::Lt(V("x"), C(3))});
+  EXPECT_TRUE(fm::VariableInterval(below, "x").empty);
+}
+
+TEST(FourierMotzkinTest, IntervalOverlapAtSharedEndpoint) {
+  auto interval = [](const Conjunction& c) {
+    return fm::VariableInterval(c, "x");
+  };
+  fm::Interval closed_low =
+      interval(Conjunction({Constraint::Le(V("x"), C(2))}));
+  fm::Interval closed_high =
+      interval(Conjunction({Constraint::Ge(V("x"), C(2))}));
+  fm::Interval strict_high =
+      interval(Conjunction({Constraint::Gt(V("x"), C(2))}));
+  fm::Interval free = interval(Conjunction());
+  fm::Interval empty = interval(Conjunction(
+      {Constraint::Ge(V("x"), C(1)), Constraint::Lt(V("x"), C(1))}));
+  // Closed bounds that touch share their endpoint: both stores hold x = 2.
+  EXPECT_TRUE(closed_low.Overlaps(closed_high));
+  EXPECT_TRUE(closed_high.Overlaps(closed_low));
+  // A strict bound at the same value leaves nothing in common.
+  EXPECT_FALSE(closed_low.Overlaps(strict_high));
+  EXPECT_FALSE(strict_high.Overlaps(closed_low));
+  EXPECT_TRUE(free.Overlaps(strict_high));
+  EXPECT_FALSE(empty.Overlaps(free));
+  EXPECT_FALSE(free.Overlaps(empty));
+
+  fm::Box a{{"x", closed_low}, {"y", free}};
+  fm::Box b{{"x", closed_high}, {"y", free}};
+  fm::Box c{{"x", strict_high}, {"y", free}};
+  EXPECT_TRUE(fm::Overlaps(a, b));
+  EXPECT_FALSE(fm::Overlaps(a, c));
+}
+
+TEST(FourierMotzkinTest, SingleVariableBoundsAreAnOuterBox) {
+  // x in [0, 4], y in [0, 4], x + y <= 2: the x + y member is skipped, so
+  // the read box is the outer box [0, 4]^2, not the exact [0, 2]^2.
+  Conjunction c({Constraint::Ge(V("x"), C(0)), Constraint::Le(V("x"), C(4)),
+                 Constraint::Ge(V("y"), C(0)), Constraint::Le(V("y"), C(4)),
+                 Constraint::Le(V("x") + V("y"), C(2))});
+  fm::Box outer = fm::SingleVariableBounds(c, {"x"});
+  ASSERT_EQ(outer.size(), 1u);
+  EXPECT_EQ(outer.at("x").ToString(), "[0, 4]");
+  EXPECT_EQ(fm::BoundingBox(c, {"x"}).at("x").ToString(), "[0, 2]");
+  // Contradicting bounds on a variable that was not asked for still
+  // empty the whole box.
+  c.Add(Constraint::Gt(V("y"), C(4)));
+  EXPECT_TRUE(fm::SingleVariableBounds(c, {"x"}).at("x").empty);
+  EXPECT_TRUE(
+      fm::SingleVariableBounds(Conjunction::False(), {"x"}).at("x").empty);
+}
+
+void ExpectSameInterval(const fm::Interval& fast, const fm::Interval& exact,
+                        const std::string& context) {
+  EXPECT_EQ(fast.empty, exact.empty) << context;
+  EXPECT_EQ(fast.lower, exact.lower) << context;
+  EXPECT_EQ(fast.upper, exact.upper) << context;
+}
+
+TEST(FourierMotzkinTest, SingleVariableFastPathMatchesFm) {
+  // Random stores whose members each mention one of x, y, z, with small
+  // constants so that bounds often meet at an endpoint and some stores
+  // are empty. The exact reference is FM's VariableInterval on the same
+  // store plus u + w <= 0 over two otherwise-free variables: that member
+  // forces the elimination path and changes no interval of x, y or z.
+  Rng rng(2003);
+  const std::vector<std::string> vars = {"x", "y", "z"};
+  const std::set<std::string> var_set(vars.begin(), vars.end());
+  int empties = 0;
+  int strict_ends = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    Conjunction store;
+    const int members = static_cast<int>(rng.UniformInt(0, 6));
+    for (int i = 0; i < members; ++i) {
+      const std::string& var = vars[rng.UniformInt(0, 2)];
+      Rational coeff(rng.UniformInt(1, 3) * (rng.UniformInt(0, 1) ? 1 : -1));
+      const int op = static_cast<int>(rng.UniformInt(0, 4));
+      LinearExpr e = V(var) * coeff + C(rng.UniformInt(-4, 4));
+      store.Add(Constraint(std::move(e), op == 0   ? ConstraintOp::kEq
+                                         : op <= 2 ? ConstraintOp::kLe
+                                                   : ConstraintOp::kLt));
+    }
+    Conjunction forced = store;
+    forced.Add(Constraint::Le(V("u") + V("w"), C(0)));
+
+    const fm::Box fast = fm::BoundingBox(store, var_set);
+    ASSERT_EQ(fast.size(), vars.size());
+    for (const std::string& var : vars) {
+      const std::string context = store.ToString() + " on " + var;
+      const fm::Interval exact = fm::VariableInterval(forced, var);
+      ExpectSameInterval(fast.at(var), exact, context);
+      ExpectSameInterval(fm::VariableInterval(store, var), exact, context);
+      ExpectSameInterval(fm::SingleVariableBounds(store, {var}).at(var),
+                         exact, context);
+      if (exact.empty) ++empties;
+      if ((exact.lower && exact.lower->strict) ||
+          (exact.upper && exact.upper->strict)) {
+        ++strict_ends;
+      }
+    }
+    EXPECT_EQ(fast.at("x").empty, !fm::IsSatisfiable(store));
+  }
+  EXPECT_GT(empties, 50) << "the sweep must cover empty stores";
+  EXPECT_GT(strict_ends, 50) << "the sweep must cover strict endpoints";
+}
+
 }  // namespace
 }  // namespace ccdb

@@ -38,6 +38,19 @@ Relation BoxRelation(size_t count, uint64_t seed) {
   return BoxesToConstraintRelation(GenerateDataBoxes(seed, params));
 }
 
+/// Boxes that all contain the point (2000, 1000): corners in [1000, 2000]
+/// and extents in [1000, 2000]. Every pair overlaps, so a join over them
+/// cannot be pruned by a box test and FM refines every pair.
+Relation OverlappingBoxRelation(size_t count, uint64_t seed) {
+  WorkloadParams params;
+  params.coord_min = 1000;
+  params.coord_max = 2000;
+  params.extent_min = 1000;
+  params.extent_max = 2000;
+  params.data_count = count;
+  return BoxesToConstraintRelation(GenerateDataBoxes(seed, params));
+}
+
 // --- ExecContext unit mechanics (no service, no threads) ---
 
 TEST(ExecContextTest, UngovernedThreadIsFree) {
@@ -131,15 +144,15 @@ TEST(ExecContextTest, TripAtCheckInjectsCancellation) {
 
 TEST(GovernanceServiceTest, DeadlineOnExplosiveJoinReturnsTyped) {
   Database base;
-  ASSERT_TRUE(base.Create("Boxes", BoxRelation(400, 7)).ok());
+  ASSERT_TRUE(base.Create("Boxes", OverlappingBoxRelation(400, 7)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 0;
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
 
-  // A selection pair plus a join: quadratic constraint pairing, far more
-  // than 50 ms of work on this relation.
+  // A selection pair plus a join over pairwise-overlapping boxes:
+  // quadratic constraint pairing, far more than 50 ms of work.
   const std::string script =
       "R0 = select x >= 0, x <= 2900 from Boxes\n"
       "R1 = select y >= 0, y <= 2900 from Boxes\n"

@@ -294,6 +294,7 @@ TEST(Wire, TraceNodeRoundTrips) {
   root.tuples_in = 80;
   root.tuples_out = 17;
   root.counters.conjunctions = 99;
+  root.counters.box_prunes = 41;
   root.counters.fm_eliminations = 7;
   root.counters.pages_read = 3;
   obs::TraceNode child;
@@ -317,6 +318,8 @@ TEST(Wire, TraceNodeRoundTrips) {
   EXPECT_EQ(back.tuples_in, root.tuples_in);
   EXPECT_EQ(back.tuples_out, root.tuples_out);
   EXPECT_EQ(back.counters.conjunctions, root.counters.conjunctions);
+  EXPECT_EQ(back.counters.box_prunes, root.counters.box_prunes);
+  EXPECT_EQ(back.counters.fm_eliminations, root.counters.fm_eliminations);
   EXPECT_EQ(back.counters.pages_read, root.counters.pages_read);
   ASSERT_EQ(back.children.size(), size_t{2});
   EXPECT_EQ(back.children[0].label, root.children[0].label);

@@ -183,6 +183,36 @@ TEST(TraceTest, ExecStatsExcludeRootFromIntermediates) {
   EXPECT_EQ(stats.intermediate_tuples, root.SumTuplesOut() - root.tuples_out);
 }
 
+TEST(TraceTest, FilterAndRefineShowSideBySide) {
+  // The selections and the join each prune boxes before FM; the spans
+  // carry the pruned count beside the refined conjunctions.
+  Database db = BoxDatabase(60);
+  auto compiled = lang::CompileScript(kJoinScript, db);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  std::unique_ptr<cqa::PlanNode> plan =
+      cqa::Optimize(std::move(compiled->plan), db);
+  obs::TraceNode root;
+  ASSERT_TRUE(cqa::ExecuteTraced(*plan, db, &root).ok());
+
+  const obs::LayerCounters total = root.TotalCounters();
+  EXPECT_GT(total.box_prunes, uint64_t{0});
+  EXPECT_GT(total.conjunctions, uint64_t{0});
+  for (const obs::TraceNode& child : root.children) {
+    // Each selection tests every one of the 60 boxes: pruned or refined.
+    EXPECT_EQ(child.counters.box_prunes + child.counters.conjunctions,
+              uint64_t{60})
+        << child.label;
+  }
+  EXPECT_NE(root.ToString().find(", pruned "), std::string::npos);
+  EXPECT_NE(root.ToJson().find("\"box_prunes\":"), std::string::npos);
+
+  service::QueryService svc(&db);
+  const service::SessionId session = svc.OpenSession();
+  ASSERT_TRUE(svc.Execute(session, kJoinScript).ok());
+  EXPECT_EQ(svc.Metrics().box_prunes, total.box_prunes);
+  EXPECT_NE(svc.Metrics().ToString().find("box prunes"), std::string::npos);
+}
+
 TEST(TraceTest, JsonOutputIsWellFormed) {
   Database db = BoxDatabase(30);
   auto compiled = lang::CompileScript(kJoinScript, db);

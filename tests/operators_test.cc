@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "constraint/fourier_motzkin.h"
+#include "obs/trace.h"
 #include "util/random.h"
 
 namespace ccdb::cqa {
@@ -521,6 +522,30 @@ TEST(OperatorSemanticsTest, RandomizedPointSemantics) {
       }
     }
   }
+}
+
+// --- Filter and refine -------------------------------------------------------------
+
+TEST(FilterRefineTest, EveryTestedTupleIsPrunedOrRefined) {
+  // Select with linear atoms only: each input tuple is either rejected
+  // by the box test or materialized for FM, never both.
+  Relation r = MustRelation(
+      TwoConstraintAttrs(),
+      {ConstraintTuple({Constraint::Ge(V("x"), C(0)),
+                        Constraint::Le(V("x"), C(2))}),
+       ConstraintTuple({Constraint::Ge(V("x"), C(2)),
+                        Constraint::Le(V("x"), C(4))}),
+       ConstraintTuple({Constraint::Gt(V("x"), C(4)),
+                        Constraint::Le(V("x"), C(6))}),
+       ConstraintTuple({Constraint::Le(V("x") + V("y"), C(1))})});
+  obs::CounterScope scope;
+  // x <= 4 touches the second box at 4 but not the strict third one.
+  auto out = Select(r, LinearPred({Constraint::Ge(V("x"), C(2)),
+                                   Constraint::Le(V("x"), C(4))}));
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->size(), 3u);  // [0,2] touches at 2; x + y <= 1 survives
+  EXPECT_EQ(scope.counters().box_prunes, 1u);
+  EXPECT_EQ(scope.counters().conjunctions, 3u);
 }
 
 }  // namespace

@@ -237,10 +237,68 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- CQA operators: closure semantics over seeds ---------------------------------
 
+/// Random constraint members over attributes `a` and `b`, in every shape
+/// the operators' box test meets: random multi-variable members,
+/// single-variable boxes, boxes pinned by an equality, and boxes with one
+/// multi-variable member. Box ends lie on an integer grid, so closed and
+/// strict ends of different stores (and of predicates) often meet at a
+/// shared endpoint; a side is sometimes left unbounded.
+class MemberGenerator {
+ public:
+  explicit MemberGenerator(uint64_t seed) : rng_(seed) {}
+
+  std::vector<Constraint> Members(const std::string& a, const std::string& b) {
+    std::vector<Constraint> members;
+    const int shape = static_cast<int>(rng_.UniformInt(0, 3));
+    if (shape == 0) {
+      int m = static_cast<int>(rng_.UniformInt(1, 3));
+      for (int j = 0; j < m; ++j) members.push_back(Mixed(a, b));
+      return members;
+    }
+    for (const std::string& var : {a, b}) {
+      const int64_t lo = rng_.UniformInt(-4, 3);
+      const int64_t hi = lo + rng_.UniformInt(0, 3);
+      if (rng_.UniformInt(0, 4) != 0) members.push_back(Bound(var, lo, true));
+      if (rng_.UniformInt(0, 4) != 0) members.push_back(Bound(var, hi, false));
+    }
+    if (shape == 2) {
+      members.push_back(Constraint::Eq(V(rng_.UniformInt(0, 1) ? a : b),
+                                       C(rng_.UniformInt(-3, 3))));
+    }
+    if (shape == 3) members.push_back(Mixed(a, b));
+    return members;
+  }
+
+  Rng& rng() { return rng_; }
+
+ private:
+  /// `var >= at` / `var > at` (lower) or `var <= at` / `var < at`.
+  Constraint Bound(const std::string& var, int64_t at, bool lower) {
+    const bool strict = rng_.UniformInt(0, 1) == 1;
+    if (lower) {
+      return strict ? Constraint::Gt(V(var), C(at))
+                    : Constraint::Ge(V(var), C(at));
+    }
+    return strict ? Constraint::Lt(V(var), C(at))
+                  : Constraint::Le(V(var), C(at));
+  }
+
+  Constraint Mixed(const std::string& a, const std::string& b) {
+    LinearExpr e = V(a) * Rational(rng_.UniformInt(-2, 2)) +
+                   V(b) * Rational(rng_.UniformInt(-2, 2)) +
+                   C(rng_.UniformInt(-5, 5));
+    return Constraint(std::move(e), rng_.UniformInt(0, 1) ? ConstraintOp::kLe
+                                                          : ConstraintOp::kLt);
+  }
+
+  Rng rng_;
+};
+
 class OperatorClosureProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OperatorClosureProperty, AlgebraMatchesPointSemantics) {
-  Rng rng(GetParam());
+  MemberGenerator gen(GetParam());
+  Rng& rng = gen.rng();
   Schema schema = Schema::Make({Schema::ConstraintRational("x"),
                                 Schema::ConstraintRational("y")})
                       .value();
@@ -249,41 +307,195 @@ TEST_P(OperatorClosureProperty, AlgebraMatchesPointSemantics) {
     int n = static_cast<int>(rng.UniformInt(1, 4));
     for (int i = 0; i < n; ++i) {
       Tuple t;
-      int m = static_cast<int>(rng.UniformInt(1, 3));
-      for (int j = 0; j < m; ++j) {
-        LinearExpr e = V("x") * Rational(rng.UniformInt(-2, 2)) +
-                       V("y") * Rational(rng.UniformInt(-2, 2)) +
-                       C(rng.UniformInt(-5, 5));
-        t.AddConstraint(Constraint(
-            std::move(e), rng.UniformInt(0, 1) ? ConstraintOp::kLe
-                                               : ConstraintOp::kLt));
+      for (Constraint& c : gen.Members("x", "y")) {
+        t.AddConstraint(std::move(c));
       }
       EXPECT_TRUE(rel.Insert(std::move(t)).ok());
     }
     return rel;
   };
-  for (int iter = 0; iter < 15; ++iter) {
+  for (int iter = 0; iter < 30; ++iter) {
     Relation r1 = random_relation();
     Relation r2 = random_relation();
+    Predicate pred;
+    pred.linear = gen.Members("x", "y");
     auto joined = cqa::NaturalJoin(r1, r2);
     auto united = cqa::Union(r1, r2);
     auto diffed = cqa::Difference(r1, r2);
-    ASSERT_TRUE(joined.ok() && united.ok() && diffed.ok());
+    auto selected = cqa::Select(r1, pred);
+    ASSERT_TRUE(joined.ok() && united.ok() && diffed.ok() && selected.ok());
+    // Random points, plus every integer point around the boxes: box ends
+    // are integers, so the grid lands exactly on shared endpoints.
+    std::vector<PointRow> points;
     for (int s = 0; s < 20; ++s) {
-      PointRow p{{},
-                 {{"x", Rational(rng.UniformInt(-7, 7), rng.UniformInt(1, 2))},
-                  {"y", Rational(rng.UniformInt(-7, 7),
-                                 rng.UniformInt(1, 2))}}};
+      points.push_back(
+          {{},
+           {{"x", Rational(rng.UniformInt(-7, 7), rng.UniformInt(1, 2))},
+            {"y", Rational(rng.UniformInt(-7, 7), rng.UniformInt(1, 2))}}});
+    }
+    for (int64_t x = -5; x <= 7; ++x) {
+      for (int64_t y = -5; y <= 7; ++y) {
+        points.push_back({{}, {{"x", Rational(x)}, {"y", Rational(y)}}});
+      }
+    }
+    for (const PointRow& p : points) {
       bool in1 = r1.ContainsPoint(p);
       bool in2 = r2.ContainsPoint(p);
+      bool in_pred = true;
+      for (const Constraint& c : pred.linear) {
+        in_pred = in_pred && c.IsSatisfiedBy(p.constraint);
+      }
       EXPECT_EQ(joined->ContainsPoint(p), in1 && in2);
       EXPECT_EQ(united->ContainsPoint(p), in1 || in2);
       EXPECT_EQ(diffed->ContainsPoint(p), in1 && !in2);
+      EXPECT_EQ(selected->ContainsPoint(p), in1 && in_pred);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedSweep, OperatorClosureProperty,
+                         ::testing::Values(101, 202, 303, 404, 505),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// --- CQA operators: the box test changes no output ------------------------------
+
+/// Select with no box test: every tuple's store, conjoined with the
+/// grounded predicate, goes through FM satisfiability.
+std::vector<Tuple> RefineEveryTuple(const Relation& input,
+                                    const Predicate& pred) {
+  std::vector<Tuple> out;
+  for (const Tuple& tuple : input.tuples()) {
+    Conjunction store = tuple.constraints();
+    bool grounded = true;
+    for (const Constraint& c : pred.linear) {
+      Constraint atom = c;
+      for (const std::string& var : c.Variables()) {
+        if (input.schema().Find(var)->kind != AttributeKind::kRelational) {
+          continue;
+        }
+        const Value& value = tuple.GetValue(var);
+        if (value.IsNull()) {
+          grounded = false;
+          break;
+        }
+        atom = atom.Substitute(var, LinearExpr::Constant(value.AsNumber()));
+      }
+      store.Add(std::move(atom));
+    }
+    if (!grounded || !fm::IsSatisfiable(store)) continue;
+    Tuple kept = tuple;
+    kept.SetConstraints(std::move(store));
+    out.push_back(std::move(kept));
+  }
+  return out;
+}
+
+/// NaturalJoin with no box test: FM satisfiability on every pair whose
+/// shared relational attributes match.
+std::vector<Tuple> RefineEveryPair(const Relation& lhs, const Relation& rhs) {
+  std::vector<Tuple> out;
+  for (const Tuple& left : lhs.tuples()) {
+    for (const Tuple& right : rhs.tuples()) {
+      bool match = true;
+      for (const Attribute& attr : lhs.schema().attributes()) {
+        if (attr.kind == AttributeKind::kRelational &&
+            rhs.schema().Has(attr.name) &&
+            !left.GetValue(attr.name).EqualsForQuery(
+                right.GetValue(attr.name))) {
+          match = false;
+        }
+      }
+      if (!match) continue;
+      Conjunction store =
+          Conjunction::And(left.constraints(), right.constraints());
+      if (!fm::IsSatisfiable(store)) continue;
+      Tuple joined;
+      for (const auto& [name, value] : left.values()) {
+        joined.SetValue(name, value);
+      }
+      for (const auto& [name, value] : right.values()) {
+        joined.SetValue(name, value);
+      }
+      joined.SetConstraints(std::move(store));
+      out.push_back(std::move(joined));
+    }
+  }
+  return out;
+}
+
+void ExpectSameTuples(const Relation& got, const std::vector<Tuple>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(got.tuples()[i] == want[i])
+        << what << " tuple " << i << ": " << got.tuples()[i].ToString()
+        << " vs " << want[i].ToString();
+  }
+}
+
+class FilterRefineProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FilterRefineProperty, SelectAndJoinMatchRefiningEveryTupleAndPair) {
+  // k is relational (sometimes null); x, y, z are constraint attributes.
+  // The join shares k and y, Intersect shares k, x and y.
+  const Schema left_schema =
+      Schema::Make({Schema::RelationalRational("k"),
+                    Schema::ConstraintRational("x"),
+                    Schema::ConstraintRational("y")})
+          .value();
+  const Schema right_schema =
+      Schema::Make({Schema::RelationalRational("k"),
+                    Schema::ConstraintRational("y"),
+                    Schema::ConstraintRational("z")})
+          .value();
+  MemberGenerator gen(GetParam());
+  Rng& rng = gen.rng();
+  auto relation = [&](const Schema& schema, const std::string& a,
+                      const std::string& b) {
+    Relation rel(schema);
+    for (int i = 0, n = static_cast<int>(rng.UniformInt(1, 8)); i < n; ++i) {
+      Tuple t;
+      if (rng.UniformInt(0, 5) != 0) {
+        t.SetValue("k", Value::Number(Rational(rng.UniformInt(0, 1))));
+      }
+      for (Constraint& c : gen.Members(a, b)) t.AddConstraint(std::move(c));
+      EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+    }
+    return rel;
+  };
+
+  obs::LayerCounters work;
+  for (int iter = 0; iter < 30; ++iter) {
+    Relation lhs = relation(left_schema, "x", "y");
+    Relation other = relation(left_schema, "x", "y");
+    Relation rhs = relation(right_schema, "y", "z");
+    Predicate pred;
+    pred.linear = gen.Members("x", "y");
+    if (rng.UniformInt(0, 3) == 0) {
+      pred.linear.push_back(Constraint::Le(V("x"), V("k")));  // grounded
+    }
+
+    obs::CounterScope scope;
+    auto selected = cqa::Select(lhs, pred);
+    ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+    ExpectSameTuples(*selected, RefineEveryTuple(lhs, pred),
+                     "select " + pred.ToString());
+    auto joined = cqa::NaturalJoin(lhs, rhs);
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    ExpectSameTuples(*joined, RefineEveryPair(lhs, rhs), "join");
+    auto intersected = cqa::Intersect(lhs, other);
+    ASSERT_TRUE(intersected.ok()) << intersected.status().ToString();
+    ExpectSameTuples(*intersected, RefineEveryPair(lhs, other), "intersect");
+    work += scope.counters();
+  }
+  // The sweep exercised both sides: pruned and refined tuples and pairs.
+  EXPECT_GT(work.box_prunes, 20u);
+  EXPECT_GT(work.conjunctions, 20u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedSweep, FilterRefineProperty,
                          ::testing::Values(101, 202, 303, 404, 505),
                          [](const auto& info) {
                            return "seed" + std::to_string(info.param);
