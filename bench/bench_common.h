@@ -15,15 +15,26 @@
 ///    widened to the domain, §5.4); the separate strategy searches both
 ///    1-D trees and intersects, paying the sum of the two searches.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ccdb.h"
+
+// Set per bench target by bench/CMakeLists.txt.
+#ifndef CCDB_BENCH_BUILD_TYPE
+#define CCDB_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef CCDB_BENCH_COMPILER
+#define CCDB_BENCH_COMPILER "unknown"
+#endif
 
 namespace ccdb::bench {
 
@@ -32,9 +43,10 @@ namespace ccdb::bench {
 // Every non-gbench harness accepts a `--json` flag. With it, results are
 // emitted via `EmitResult` as one JSON object per line —
 //   {"bench":"bench_service","name":"throughput_w4","value":123.4,
-//    "unit":"qps","params":{"workers":4}}
+//    "unit":"qps","params":{"workers":4},"env":{"nproc":4,
+//    "build_type":"Release","compiler":"GNU 13.2.0","git_describe":"..."}}
 // — so CI can append them to the BENCH_*.json trajectory files without
-// scraping tables.
+// scraping tables, and every line says what machine and build made it.
 
 /// Whether --json output is on (set by ParseBenchFlags).
 inline bool& JsonOutputEnabled() {
@@ -47,6 +59,24 @@ inline void ParseBenchFlags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) JsonOutputEnabled() = true;
   }
+}
+
+/// The `"env"` object stamped on every --json line: online cores, build
+/// type, compiler, and git describe. Git describe is read at run time from
+/// CCDB_GIT_DESCRIBE (tools/record_bench.sh exports it); without it the
+/// configure-time value is used, which goes stale once the tree moves on.
+inline const std::string& EnvStamp() {
+  static const std::string stamp = [] {
+    const char* describe = std::getenv("CCDB_GIT_DESCRIBE");
+    if (describe == nullptr || *describe == '\0') {
+      describe = obs::BuildVersion();
+    }
+    return "{\"nproc\":" + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+           ",\"build_type\":\"" + obs::JsonEscape(CCDB_BENCH_BUILD_TYPE) +
+           "\",\"compiler\":\"" + obs::JsonEscape(CCDB_BENCH_COMPILER) +
+           "\",\"git_describe\":\"" + obs::JsonEscape(describe) + "\"}";
+  }();
+  return stamp;
 }
 
 /// One (key, numeric value) parameter attached to a result.
@@ -84,7 +114,7 @@ inline void EmitResult(const char* bench, const char* name, double value,
       }
       line += '}';
     }
-    line += '}';
+    line += ",\"env\":" + EnvStamp() + "}";
     std::printf("%s\n", line.c_str());
   } else {
     std::printf("  %-28s %12.4g %s", name, value, unit);

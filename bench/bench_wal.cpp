@@ -6,7 +6,10 @@
 //   2. the checkpoint-interval ablation: frequent truncation keeps the log
 //      chain short at the cost of extra header/zeroing writes;
 //   3. recovery: wall-clock time for `DurableStore::Open` to replay N
-//      committed batches after a simulated crash.
+//      committed batches after a simulated crash;
+//   4. the catalog-size sweep: replacing a 1-tuple relation beside N
+//      untouched 300-box relations. Commits are incremental, so the cost
+//      per commit should not grow with N.
 //
 // With --json each result is one machine-readable line (see
 // bench_common.h), recorded in CI as the BENCH_* trajectory.
@@ -80,6 +83,51 @@ CommitRun RunCommits(size_t boxes, int commits, int checkpoint_every) {
   return out;
 }
 
+struct SweepRun {
+  double commits_per_sec = 0;
+  double wal_kb_per_commit = 0;
+  double pages_on_disk = 0;
+};
+
+/// Commits `untouched` 300-box relations once (untimed), then times
+/// `commits` commits that each replace a 1-tuple relation beside them.
+SweepRun RunUntouched(size_t untouched, int commits) {
+  PageManager disk;
+  auto store = DurableStore::Create(&disk);
+  if (!store.ok()) {
+    std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
+    return {};
+  }
+  Database db;
+  for (size_t i = 0; i < untouched; ++i) {
+    db.CreateOrReplace("U" + std::to_string(i), BoxRelation(300, 100 + i));
+  }
+  db.CreateOrReplace("Live", BoxRelation(1, 1));
+  Status seeded = (*store)->CommitCatalog(db);
+  if (!seeded.ok()) {
+    std::fprintf(stderr, "%s\n", seeded.ToString().c_str());
+    return {};
+  }
+  const uint64_t bytes0 = (*store)->stats().bytes_appended;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < commits; ++i) {
+    db.CreateOrReplace("Live", BoxRelation(1, static_cast<uint64_t>(i + 2)));
+    Status committed = (*store)->CommitCatalog(db);
+    if (!committed.ok()) {
+      std::fprintf(stderr, "%s\n", committed.ToString().c_str());
+      return {};
+    }
+  }
+  const double seconds = SecondsSince(start);
+  SweepRun out;
+  out.commits_per_sec = commits / seconds;
+  out.wal_kb_per_commit =
+      static_cast<double>((*store)->stats().bytes_appended - bytes0) /
+      1024.0 / commits;
+  out.pages_on_disk = static_cast<double>(disk.num_pages());
+  return out;
+}
+
 }  // namespace
 }  // namespace ccdb::bench
 
@@ -148,6 +196,17 @@ int main(int argc, char** argv) {
         {{"batches",
           static_cast<double>((*reopened)->stats().batches_recovered)},
          {"batches_per_sec", seconds > 0 ? batches / seconds : 0}});
+  }
+
+  // 4. Catalog-size sweep: one small replace beside N untouched relations.
+  for (size_t untouched : {1u, 4u, 16u}) {
+    SweepRun r = RunUntouched(untouched, kCommits);
+    const std::string name =
+        "commit_untouched_n" + std::to_string(untouched);
+    EmitResult(kBench, name.c_str(), r.commits_per_sec, "commits/s",
+               {{"untouched", static_cast<double>(untouched)},
+                {"wal_kb_per_commit", r.wal_kb_per_commit},
+                {"pages_on_disk", r.pages_on_disk}});
   }
   return 0;
 }

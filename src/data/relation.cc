@@ -1,12 +1,31 @@
 #include "data/relation.h"
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <utility>
 
 #include "constraint/fourier_motzkin.h"
 #include "obs/governance.h"
 
 namespace ccdb {
+
+uint64_t Relation::MintStamp() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+Relation::Relation(Relation&& other) noexcept
+    : schema_(std::move(other.schema_)),
+      tuples_(std::move(other.tuples_)),
+      stamp_(std::exchange(other.stamp_, MintStamp())) {}
+
+Relation& Relation::operator=(Relation&& other) noexcept {
+  schema_ = std::move(other.schema_);
+  tuples_ = std::move(other.tuples_);
+  stamp_ = std::exchange(other.stamp_, MintStamp());
+  return *this;
+}
 
 Status Relation::Insert(Tuple tuple) {
   for (const auto& [name, value] : tuple.values()) {
@@ -46,6 +65,7 @@ Status Relation::Insert(Tuple tuple) {
   // exactly what the budget exists to bound).
   obs::GovernTuples(1);
   tuples_.push_back(std::move(tuple));
+  stamp_ = MintStamp();
   return Status::OK();
 }
 
@@ -69,6 +89,7 @@ void Relation::Deduplicate() {
     if (seen.insert(t).second) unique.push_back(std::move(t));
   }
   tuples_ = std::move(unique);
+  stamp_ = MintStamp();
 }
 
 void Relation::Normalize() {
@@ -80,7 +101,7 @@ void Relation::Normalize() {
     kept.push_back(std::move(t));
   }
   tuples_ = std::move(kept);
-  Deduplicate();
+  Deduplicate();  // mints the new stamp
 }
 
 void Relation::RemoveSubsumed() {
@@ -109,6 +130,7 @@ void Relation::RemoveSubsumed() {
     if (!dead[i]) kept.push_back(std::move(tuples_[i]));
   }
   tuples_ = std::move(kept);
+  stamp_ = MintStamp();
 }
 
 bool Relation::ContainsPoint(const PointRow& point) const {

@@ -11,6 +11,7 @@
 /// heterogeneous `Schema` (§3) so tuples mix relational values with
 /// constraint stores.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -20,14 +21,30 @@
 namespace ccdb {
 
 /// A finite set of heterogeneous tuples under one schema.
+///
+/// Every relation carries a *content stamp*, minted from a process-wide
+/// counter at construction and by every member that changes the schema or
+/// the tuples. Copies keep the stamp; a moved-from relation gets a fresh
+/// one. So two relations with equal stamps hold equal content, whichever
+/// catalog, snapshot or copy they sit in — the identity incremental
+/// commits key on (`SaveDatabase` in `storage/catalog.h`).
 class Relation {
  public:
   /// The empty zero-ary relation.
-  Relation() = default;
+  Relation() : stamp_(MintStamp()) {}
 
-  explicit Relation(Schema schema) : schema_(std::move(schema)) {}
+  explicit Relation(Schema schema)
+      : schema_(std::move(schema)), stamp_(MintStamp()) {}
+
+  Relation(const Relation&) = default;
+  Relation& operator=(const Relation&) = default;
+  Relation(Relation&& other) noexcept;
+  Relation& operator=(Relation&& other) noexcept;
 
   const Schema& schema() const { return schema_; }
+
+  /// The content stamp (see the class comment).
+  uint64_t stamp() const { return stamp_; }
 
   /// Validates and appends a tuple:
   ///  - relational values only for relational attributes, matching domains;
@@ -68,8 +85,11 @@ class Relation {
   std::string ToString() const;
 
  private:
+  static uint64_t MintStamp();
+
   Schema schema_;
   std::vector<Tuple> tuples_;
+  uint64_t stamp_;
 };
 
 }  // namespace ccdb

@@ -66,6 +66,8 @@ inline constexpr char kWalBytes[] = "wal.bytes";
 inline constexpr char kWalBatches[] = "wal.batches";
 inline constexpr char kWalFsyncs[] = "wal.fsyncs";
 inline constexpr char kWalCheckpoints[] = "wal.checkpoints";
+inline constexpr char kWalRelationsWritten[] = "wal.relations_written";
+inline constexpr char kWalRelationsReused[] = "wal.relations_reused";
 inline constexpr char kWalLsn[] = "wal.lsn";  // gauge: next LSN to commit
 
 // --- Replication health (gauges published after every sync round) ---
@@ -125,7 +127,8 @@ inline std::vector<const char*> AllMetricNames() {
       kQueueDepth,        kQueueHighWater,     kSessionsOpen,
       kCacheHits,         kCacheMisses,        kCacheEntries,
       kWalBytes,          kWalBatches,         kWalFsyncs,
-      kWalCheckpoints,    kWalLsn,             kReplicaLagBatches,
+      kWalCheckpoints,    kWalRelationsWritten, kWalRelationsReused,
+      kWalLsn,            kReplicaLagBatches,
       kReplicaLagBytes,   kReplicaLastApplyLsn, kReplicaResyncs,
       kReplicaBackoffMs,  kProcessUptimeSeconds, kProcessStartTime,
       kBuildInfo,         kNetConnectionsOpen, kNetConnectionsTotal,

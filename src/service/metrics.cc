@@ -109,11 +109,13 @@ std::string ServiceMetrics::ToString() const {
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "wal:      %llu batches, %llu bytes, %llu fsyncs, "
-                "%llu checkpoints\n",
+                "%llu checkpoints, %llu relations written, %llu reused\n",
                 static_cast<unsigned long long>(wal_batches),
                 static_cast<unsigned long long>(wal_bytes),
                 static_cast<unsigned long long>(wal_fsyncs),
-                static_cast<unsigned long long>(wal_checkpoints));
+                static_cast<unsigned long long>(wal_checkpoints),
+                static_cast<unsigned long long>(wal_relations_written),
+                static_cast<unsigned long long>(wal_relations_reused));
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "latency:  n=%llu, min %.1fus, mean %.1fus, p50 %.1fus, "

@@ -68,6 +68,8 @@ struct ServiceMetrics {
   uint64_t wal_batches = 0;      ///< acknowledged logged batches
   uint64_t wal_fsyncs = 0;       ///< commit-record and header syncs
   uint64_t wal_checkpoints = 0;  ///< log truncations
+  uint64_t wal_relations_written = 0;  ///< relations serialized by commits
+  uint64_t wal_relations_reused = 0;   ///< relations commits carried over
   // Per-query latency.
   uint64_t latency_count = 0;
   double latency_min_us = 0;

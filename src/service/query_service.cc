@@ -1094,6 +1094,8 @@ ServiceMetrics QueryService::Metrics() const {
     m.wal_batches = wal.batches_committed;
     m.wal_fsyncs = wal.fsyncs;
     m.wal_checkpoints = wal.checkpoints;
+    m.wal_relations_written = wal.relations_written;
+    m.wal_relations_reused = wal.relations_reused;
   }
   LatencyRecorder::Summary latency = latency_.Summarize();
   m.latency_count = latency.count;
@@ -1113,6 +1115,9 @@ ServiceMetrics QueryService::Metrics() const {
   registry_.SetGauge(obs::names::kWalBatches, m.wal_batches);
   registry_.SetGauge(obs::names::kWalFsyncs, m.wal_fsyncs);
   registry_.SetGauge(obs::names::kWalCheckpoints, m.wal_checkpoints);
+  registry_.SetGauge(obs::names::kWalRelationsWritten,
+                     m.wal_relations_written);
+  registry_.SetGauge(obs::names::kWalRelationsReused, m.wal_relations_reused);
   registry_.SetGauge(obs::names::kCatalogEpoch, m.catalog_epoch);
   m.histograms = registry_.TakeSnapshot().histograms;
   return m;

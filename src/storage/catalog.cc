@@ -4,14 +4,23 @@
 
 namespace ccdb {
 
-Result<PageId> SaveDatabase(BufferPool* pool, const Database& db) {
+Result<PageId> SaveDatabase(BufferPool* pool, const Database& db,
+                            const SavedHeaps& reuse, SavedHeaps* saved) {
   HeapFile catalog(pool);
+  SavedHeaps heaps;
   for (const std::string& name : db.Names()) {
     CCDB_ASSIGN_OR_RETURN(const Relation* rel, db.Get(name));
-    // The relation's tuples in their own heap file.
-    HeapFile tuples(pool);
-    for (const Tuple& t : rel->tuples()) {
-      CCDB_RETURN_IF_ERROR(tuples.Append(SerializeTuple(t)).status());
+    auto prior = reuse.find(name);
+    SavedHeap heap;
+    if (prior != reuse.end() && prior->second.stamp == rel->stamp()) {
+      heap = prior->second;  // same content: its heap is already on disk
+    } else {
+      // The relation's tuples in their own heap file.
+      HeapFile tuples(pool);
+      for (const Tuple& t : rel->tuples()) {
+        CCDB_RETURN_IF_ERROR(tuples.Append(SerializeTuple(t)).status());
+      }
+      heap = SavedHeap{rel->stamp(), tuples.first_page()};
     }
     // One catalog record describing the relation.
     Writer w;
@@ -19,10 +28,12 @@ Result<PageId> SaveDatabase(BufferPool* pool, const Database& db) {
     std::vector<uint8_t> schema_bytes = SerializeSchema(rel->schema());
     w.PutU32(static_cast<uint32_t>(schema_bytes.size()));
     w.PutBytes(schema_bytes.data(), schema_bytes.size());
-    w.PutU64(tuples.first_page());
+    w.PutU64(heap.first_page);
     w.PutU64(rel->size());
     CCDB_RETURN_IF_ERROR(catalog.Append(w.TakeBuffer()).status());
+    heaps.emplace(name, heap);
   }
+  if (saved != nullptr) *saved = std::move(heaps);
   return catalog.first_page();
 }
 

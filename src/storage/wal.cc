@@ -5,7 +5,6 @@
 #include <cstring>
 #include <set>
 
-#include "storage/catalog.h"
 #include "util/lock_graph.h"
 
 namespace ccdb {
@@ -579,7 +578,8 @@ Status DurableStore::CommitCatalog(const Database& db, uint64_t txn_id,
                                    uint64_t request_id) {
   MutexLock lock(mu_);
   wal_pager_.Begin();
-  Result<PageId> root = SaveDatabase(&pool_, db);
+  SavedHeaps heaps;
+  Result<PageId> root = SaveDatabase(&pool_, db, heaps_, &heaps);
   if (!root.ok()) {
     wal_pager_.Abort();
     pool_.Clear();  // drop cached copies of the aborted pages
@@ -590,6 +590,16 @@ Status DurableStore::CommitCatalog(const Database& db, uint64_t txn_id,
     pool_.Clear();
     return committed;
   }
+  // Acknowledged: only now may the next commit point at these heaps. A
+  // heap written by this batch has a freshly allocated first page, so an
+  // unchanged first page means the heap was carried over.
+  for (const auto& [name, heap] : heaps) {
+    auto prior = heaps_.find(name);
+    const bool reused = prior != heaps_.end() &&
+                        prior->second.first_page == heap.first_page;
+    ++(reused ? relations_reused_ : relations_written_);
+  }
+  heaps_ = std::move(heaps);
   catalog_root_ = *root;
   return Status::OK();
 }

@@ -38,6 +38,9 @@
 /// `DurableStore` packages the stack — base disk, WAL, staging pager,
 /// buffer pool — behind a catalog-level API (`CommitCatalog` /
 /// `LoadCatalog` / `Checkpoint`) used by the query service and the shell.
+/// Commits are incremental: a batch carries the pages of the relations
+/// whose content changed since the store's last acknowledged commit, plus
+/// a new catalog heap that points at the existing heaps for the rest.
 /// The store serializes its own mutations on an internal annotated mutex
 /// (the WAL and staging pager are `CCDB_GUARDED_BY` it), so the documented
 /// "commits are serialized" contract is machine-checked rather than an
@@ -52,6 +55,7 @@
 
 #include "data/database.h"
 #include "storage/buffer_pool.h"
+#include "storage/catalog.h"
 #include "storage/page.h"
 #include "storage/pager.h"
 #include "util/mutex.h"
@@ -71,6 +75,11 @@ struct WalStats {
   uint64_t records_discarded = 0;   ///< torn/stale tail records dropped
   uint64_t apply_failures = 0;      ///< post-commit home-page write errors
   uint64_t checkpoints = 0;         ///< successful Truncate() calls
+  /// Totals over acknowledged catalog commits (`DurableStore`): relations
+  /// serialized into new heaps, and relations whose heap was carried over
+  /// unchanged from the previous commit.
+  uint64_t relations_written = 0;
+  uint64_t relations_reused = 0;
 };
 
 /// One dirty page queued for journaling: a full after-image.
@@ -280,7 +289,10 @@ class DurableStore {
       PageManager* disk, PageId catalog_root, size_t cache_capacity = 64);
 
   /// Saves `db` as one logged atomic batch (a snapshot read view works —
-  /// `db` is only read through its virtual interface). `txn_id` tags the
+  /// `db` is only read through its virtual interface). Only relations
+  /// whose content stamp differs from the last acknowledged commit's are
+  /// serialized; the first commit after `Create`, `Open` or `CreateAtRoot`
+  /// rewrites every relation. `txn_id` tags the
   /// batch's commit record (0 = autocommit), making a multi-statement
   /// transaction exactly one all-or-nothing batch for recovery and the
   /// shipping replica. Returns OK iff the batch is durable — the write is
@@ -338,6 +350,8 @@ class DurableStore {
     MutexLock lock(mu_);
     WalStats out = wal_.stats();
     out.apply_failures = wal_pager_.apply_failures();
+    out.relations_written = relations_written_;
+    out.relations_reused = relations_reused_;
     return out;
   }
 
@@ -360,6 +374,11 @@ class DurableStore {
   /// against commits by the service's exclusive catalog lock.
   BufferPool pool_;
   PageId catalog_root_ CCDB_GUARDED_BY(mu_) = kInvalidPageId;
+  /// Heaps of the last acknowledged commit — what the next commit may
+  /// reuse. Empty until this store object acknowledges its first commit.
+  SavedHeaps heaps_ CCDB_GUARDED_BY(mu_);
+  uint64_t relations_written_ CCDB_GUARDED_BY(mu_) = 0;
+  uint64_t relations_reused_ CCDB_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace ccdb

@@ -10,6 +10,7 @@
 
 #include "data/workload.h"
 #include "lang/query.h"
+#include "obs/metric_names.h"
 #include "service/plan_cache.h"
 #include "storage/fault.h"
 #include "storage/wal.h"
@@ -444,6 +445,43 @@ TEST(QueryServiceTest, DurableCatalogWritesSurviveReopen) {
   ASSERT_TRUE(loaded->Get("Kept").ok());
   EXPECT_EQ((*loaded->Get("Kept"))->ToString(), kept_text);
   EXPECT_FALSE(loaded->Has("Doomed"));
+}
+
+TEST(QueryServiceTest, AutocommitCountsOneWrittenAndTheRestReused) {
+  PageManager disk;
+  auto store = DurableStore::Create(&disk);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  Database base;
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.store = store->get();
+  QueryService service(&base, options);
+  constexpr uint64_t kUntouched = 5;
+  for (uint64_t i = 0; i < kUntouched; ++i) {
+    ASSERT_TRUE(service
+                    .CreateRelation("U" + std::to_string(i),
+                                    BoxRelation(6, 20 + i))
+                    .ok());
+  }
+
+  const ServiceMetrics before = service.Metrics();
+  ASSERT_TRUE(service.CreateRelation("Live", BoxRelation(4, 40)).ok());
+  const ServiceMetrics after = service.Metrics();
+  EXPECT_EQ(after.wal_relations_written - before.wal_relations_written, 1u);
+  EXPECT_EQ(after.wal_relations_reused - before.wal_relations_reused,
+            kUntouched);
+
+  // The same totals reach the registry and the \metrics text.
+  const obs::MetricsRegistry::Snapshot snap = service.MetricsSnapshot();
+  EXPECT_EQ(snap.Value(obs::names::kWalRelationsWritten),
+            after.wal_relations_written);
+  EXPECT_EQ(snap.Value(obs::names::kWalRelationsReused),
+            after.wal_relations_reused);
+  const std::string reused = std::to_string(after.wal_relations_reused);
+  EXPECT_NE(after.ToString().find(" relations written, " + reused +
+                                  " reused"),
+            std::string::npos)
+      << after.ToString();
 }
 
 TEST(QueryServiceTest, FailedCommitRollsBackCatalogInMemory) {

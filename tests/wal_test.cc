@@ -8,7 +8,9 @@
 
 #include "data/database.h"
 #include "data/workload.h"
+#include "storage/catalog.h"
 #include "storage/fault.h"
+#include "util/random.h"
 
 namespace ccdb {
 namespace {
@@ -249,6 +251,214 @@ TEST(DurableStoreTest, TransientFailureThenRetryWithoutReopen) {
   EXPECT_EQ(Fingerprint(*retried), Fingerprint(db));
 }
 
+// --- Incremental commits -----------------------------------------------------------
+//
+// A commit serializes only the relations whose content stamp changed since
+// the store's last acknowledged commit and points at the existing heaps
+// for the rest. The oracle is the reuse-nothing save: SaveDatabase, then
+// LoadDatabase, on a fresh disk.
+
+std::string ReferenceFingerprint(const Database& db) {
+  PageManager disk;
+  BufferPool pool(&disk, 16);
+  auto root = SaveDatabase(&pool, db);
+  if (!root.ok()) return "<save error: " + root.status().ToString() + ">";
+  auto loaded = LoadDatabase(&pool, *root);
+  if (!loaded.ok()) return "<load error: " + loaded.status().ToString() + ">";
+  return Fingerprint(*loaded);
+}
+
+/// The live catalog and a fresh reopen of `disk` both equal the reference.
+void ExpectStoreHolds(DurableStore* store, PageManager* disk,
+                      const Database& db) {
+  const std::string expected = ReferenceFingerprint(db);
+  auto live = store->LoadCatalog();
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ(Fingerprint(*live), expected);
+  auto reopened = DurableStore::Open(disk, store->wal_root());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto loaded = (*reopened)->LoadCatalog();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Fingerprint(*loaded), expected);
+}
+
+TEST(IncrementalCommitTest, RandomHistoriesMatchReuseNothingSaves) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    PageManager disk;
+    auto created = DurableStore::Create(&disk);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    std::unique_ptr<DurableStore> store = std::move(created).value();
+    Database db;
+    uint64_t content = 100;
+    for (int step = 0; step < 40; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const std::string name = "R" + std::to_string(rng.UniformInt(0, 3));
+      switch (rng.UniformInt(0, 6)) {
+        case 0:  // create or replace with new content
+          db.CreateOrReplace(
+              name, TinyRelation(static_cast<size_t>(rng.UniformInt(0, 4)),
+                                 ++content));
+          break;
+        case 1:  // replace with a copy of itself: the heap is reused
+          if (db.Has(name)) {
+            Relation copy = **db.Get(name);
+            db.CreateOrReplace(name, copy);
+          }
+          break;
+        case 2:  // replace with a moved-from relation: rewritten
+          if (db.Has(name)) {
+            Relation source = **db.Get(name);
+            Relation taken = std::move(source);
+            db.CreateOrReplace(name, source);  // NOLINT(bugprone-use-after-move)
+          }
+          break;
+        case 3:  // grow a copy in place: the copy's stamp must move
+          if (db.Has(name)) {
+            Relation grown = **db.Get(name);
+            if (grown.InsertAll(TinyRelation(1, ++content)).ok()) {
+              db.CreateOrReplace(name, grown);
+            }
+          }
+          break;
+        case 4:
+          if (db.Has(name)) {
+            ASSERT_TRUE(db.Drop(name).ok());
+          }
+          break;
+        case 5: {  // the same relations in a new Database: fresh versions
+          Database rebuilt;
+          for (const std::string& n : db.Names()) {
+            ASSERT_TRUE(rebuilt.Create(n, **db.Get(n)).ok());
+          }
+          db = std::move(rebuilt);
+          break;
+        }
+        default:  // an unchanged commit
+          break;
+      }
+      const WalStats before = store->stats();
+      ASSERT_TRUE(store->CommitCatalog(db).ok());
+      const WalStats after = store->stats();
+      EXPECT_EQ(after.relations_written + after.relations_reused -
+                    before.relations_written - before.relations_reused,
+                db.size());
+      ExpectStoreHolds(store.get(), &disk, db);
+      if (rng.UniformInt(0, 5) == 0) {
+        ASSERT_TRUE(store->Checkpoint().ok());
+      }
+      if (rng.UniformInt(0, 5) == 0) {
+        auto reopened = DurableStore::Open(&disk, store->wal_root());
+        ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+        store = std::move(reopened).value();
+      }
+    }
+  }
+}
+
+TEST(IncrementalCommitTest, EqualVersionsInTwoDatabasesAreNotConfused) {
+  // Both catalogs hold R at version 1 with different tuples: a store that
+  // keyed reuse on (name, version) would keep the first one's heap.
+  Database first;
+  Database second;
+  ASSERT_TRUE(first.Create("R", TinyRelation(3, 1)).ok());
+  ASSERT_TRUE(second.Create("R", TinyRelation(3, 2)).ok());
+  ASSERT_EQ(first.Version("R"), second.Version("R"));
+  PageManager disk;
+  auto store = DurableStore::Create(&disk);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->CommitCatalog(first).ok());
+  ASSERT_TRUE((*store)->CommitCatalog(second).ok());
+  ExpectStoreHolds(store->get(), &disk, second);
+  EXPECT_EQ((*store)->stats().relations_written, 2u);
+  EXPECT_EQ((*store)->stats().relations_reused, 0u);
+}
+
+TEST(IncrementalCommitTest, CopiesAreReusedAndMovedFromRelationsRewritten) {
+  PageManager disk;
+  auto store = DurableStore::Create(&disk);
+  ASSERT_TRUE(store.ok());
+  Database db;
+  ASSERT_TRUE(db.Create("A", TinyRelation(4, 1)).ok());
+  ASSERT_TRUE(db.Create("B", TinyRelation(4, 2)).ok());
+  ASSERT_TRUE((*store)->CommitCatalog(db).ok());
+  EXPECT_EQ((*store)->stats().relations_written, 2u);
+
+  // A copy keeps the stamp: nothing is rewritten.
+  Relation copy = **db.Get("A");
+  db.CreateOrReplace("A", copy);
+  ASSERT_TRUE((*store)->CommitCatalog(db).ok());
+  EXPECT_EQ((*store)->stats().relations_written, 2u);
+  EXPECT_EQ((*store)->stats().relations_reused, 2u);
+  ExpectStoreHolds(store->get(), &disk, db);
+
+  // A moved-from relation gets a fresh stamp: it is rewritten, and the
+  // relation it was moved into keeps the original stamp.
+  Relation source = **db.Get("B");
+  Relation taken = std::move(source);
+  EXPECT_EQ(taken.stamp(), (*db.Get("B"))->stamp());
+  EXPECT_NE(source.stamp(), taken.stamp());  // NOLINT(bugprone-use-after-move)
+  db.CreateOrReplace("B", source);  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE((*store)->CommitCatalog(db).ok());
+  EXPECT_EQ((*store)->stats().relations_written, 3u);
+  EXPECT_EQ((*store)->stats().relations_reused, 3u);
+  ExpectStoreHolds(store->get(), &disk, db);
+}
+
+TEST(IncrementalCommitTest, DropThenRecreateRewrites) {
+  PageManager disk;
+  auto store = DurableStore::Create(&disk);
+  ASSERT_TRUE(store.ok());
+  Database db;
+  ASSERT_TRUE(db.Create("R", TinyRelation(4, 1)).ok());
+  ASSERT_TRUE(db.Create("S", TinyRelation(2, 2)).ok());
+  const Relation original = **db.Get("R");
+  ASSERT_TRUE((*store)->CommitCatalog(db).ok());
+  ASSERT_TRUE(db.Drop("R").ok());
+  ASSERT_TRUE((*store)->CommitCatalog(db).ok());
+  ExpectStoreHolds(store->get(), &disk, db);
+
+  ASSERT_TRUE(db.Create("R", TinyRelation(5, 3)).ok());
+  ASSERT_TRUE((*store)->CommitCatalog(db).ok());
+  ExpectStoreHolds(store->get(), &disk, db);
+
+  // Even the dropped content itself is rewritten: the drop's commit no
+  // longer lists R, so there is no heap to point at.
+  db.CreateOrReplace("R", original);
+  ASSERT_TRUE((*store)->CommitCatalog(db).ok());
+  ExpectStoreHolds(store->get(), &disk, db);
+  EXPECT_EQ((*store)->stats().relations_written, 4u);
+  EXPECT_EQ((*store)->stats().relations_reused, 3u);
+}
+
+TEST(IncrementalCommitTest, ReplaceCostDoesNotGrowWithTheCatalog) {
+  // Replacing a 64-box relation appends the same WAL bytes beside 1 and
+  // beside 16 untouched 300-box relations.
+  auto replace_bytes = [](size_t untouched) -> uint64_t {
+    PageManager disk;
+    auto store = DurableStore::Create(&disk);
+    EXPECT_TRUE(store.ok());
+    Database db;
+    for (size_t i = 0; i < untouched; ++i) {
+      EXPECT_TRUE(db.Create("U" + std::to_string(i), TinyRelation(300, 50 + i))
+                      .ok());
+    }
+    EXPECT_TRUE(db.Create("Live", TinyRelation(64, 7)).ok());
+    EXPECT_TRUE((*store)->CommitCatalog(db).ok());
+    const WalStats before = (*store)->stats();
+    db.CreateOrReplace("Live", TinyRelation(64, 8));
+    EXPECT_TRUE((*store)->CommitCatalog(db).ok());
+    const WalStats after = (*store)->stats();
+    EXPECT_EQ(after.relations_written - before.relations_written, 1u);
+    EXPECT_EQ(after.relations_reused - before.relations_reused, untouched);
+    return after.bytes_appended - before.bytes_appended;
+  };
+  const uint64_t beside_one = replace_bytes(1);
+  EXPECT_EQ(replace_bytes(16), beside_one);
+  EXPECT_GT(beside_one, 0u);
+}
+
 // --- The crash matrix --------------------------------------------------------------
 //
 // For every fault mode and every I/O index N: run the standard commit
@@ -261,13 +471,25 @@ TEST(DurableStoreTest, TransientFailureThenRetryWithoutReopen) {
 // is *indeterminate*, exactly as in real databases when the connection
 // dies mid-COMMIT, so recovery may surface the one in-flight batch; it
 // must never surface anything beyond it. Then prove the recovered store
-// is fully usable by committing once more and reopening again.
+// is fully usable by committing twice more and reopening again.
+//
+// Commits are incremental, so the workload mixes rewritten and reused
+// heaps: each commit adds R<i> beside the carried-over earlier relations,
+// and the last one replaces R0 while R1 and R2 are carried over.
 
-constexpr int kMatrixCommits = 3;
+constexpr int kMatrixCommits = 4;
 
 void AddMatrixRelation(Database* db, int i) {
   db->CreateOrReplace("R" + std::to_string(i),
                       TinyRelation(2, 10 + static_cast<uint64_t>(i)));
+}
+
+void ApplyMatrixCommit(Database* db, int i) {
+  if (i == kMatrixCommits - 1) {
+    db->CreateOrReplace("R0", TinyRelation(3, 30));
+  } else {
+    AddMatrixRelation(db, i);
+  }
 }
 
 struct MatrixOutcome {
@@ -283,7 +505,7 @@ struct MatrixOutcome {
 MatrixOutcome RunMatrixWorkload(DurableStore* store, Database* db) {
   MatrixOutcome out;
   for (int i = 0; i < kMatrixCommits; ++i) {
-    AddMatrixRelation(db, i);
+    ApplyMatrixCommit(db, i);
     if (store->CommitCatalog(*db).ok()) {
       out.last_acked = Fingerprint(*db);
       out.pending.clear();
@@ -334,9 +556,12 @@ void RunCrashMatrix(FaultInjectingPager::Fault fault, const char* label) {
       ASSERT_EQ(recovered, outcome.pending);
     }
 
-    // The recovered store must accept and persist new commits.
+    // The recovered store must accept and persist new commits: the first
+    // rewrites every relation, the second replaces R99 beside the rest.
     Database next = *loaded;
     AddMatrixRelation(&next, 99);
+    ASSERT_TRUE((*reopened)->CommitCatalog(next).ok());
+    next.CreateOrReplace("R99", TinyRelation(3, 199));
     ASSERT_TRUE((*reopened)->CommitCatalog(next).ok());
     auto final_open = DurableStore::Open(&disk, wal_root);
     ASSERT_TRUE(final_open.ok()) << final_open.status().ToString();

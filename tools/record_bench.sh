@@ -17,6 +17,11 @@ lockgraph_build_dir="${2:-$repo_root/build-lockgraph}"
 
 benches=(service wal trace governance net mvcc obs failover)
 
+# Every JSON line carries git describe (bench_common.h EnvStamp); read it
+# now, not at configure time, so a rebuilt tree is never stamped stale.
+CCDB_GIT_DESCRIBE="$(git -C "$repo_root" describe --always --dirty --tags 2>/dev/null || echo unknown)"
+export CCDB_GIT_DESCRIBE
+
 # Preflight every binary before running any, so a missing one fails the
 # whole recording instead of leaving a partial set of BENCH_*.json files.
 for bench in "${benches[@]}"; do
