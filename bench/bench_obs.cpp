@@ -70,9 +70,12 @@ double RunWire(net::Client* client, const std::vector<std::string>& scripts,
         status = client->Execute(script, opts).status();
         break;
       }
-      case Mode::kFetchTrace:
-        status = client->FetchTrace(script, ++trace_id).status();
+      case Mode::kFetchTrace: {
+        service::QueryOptions opts;
+        opts.trace_id = ++trace_id;
+        status = client->FetchTrace(script, opts).status();
         break;
+      }
     }
     if (!status.ok()) {
       std::fprintf(stderr, "wire query failed: %s\n",

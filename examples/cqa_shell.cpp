@@ -21,7 +21,7 @@
 //   \metrics                    query-service metrics snapshot
 //   \top [ticks] [ms]           live dashboard (qps, p50/p99, queue, lag)
 //   \checkpoint                 apply pending pages + truncate the WAL
-//   \deadline <ms>|off          wall-clock budget for subsequent statements
+//   \deadline <ms>|off          wall-clock budget for later statements/traces
 //   \submit <statement>         run a statement in the background (prints id)
 //   \wait <id>                  block on a background query's result
 //   \cancel <id>                cancel a queued or running query
@@ -81,6 +81,7 @@ Shell commands: show/schema/list/load/save/plan/\txn/\trace/\metrics/\top/
   \trace <file>        run a multi-step script file the same way
   \top [ticks] [ms]    live dashboard, default 5 ticks every 1000 ms
   \deadline <ms>|off   set/clear a wall-clock budget for later statements
+                       and traces
   \submit <statement>  run in the background; prints a query id
   \wait <id>           block on a background query's result
   \cancel <id>         cancel a queued or running query by id
@@ -139,27 +140,25 @@ uint64_t NewTraceId() {
   return id;
 }
 
-/// `\trace`: executes a statement (or a script file, when the argument
-/// names a readable one) with full tracing and renders the EXPLAIN
-/// ANALYZE view — optimized plan, per-operator span tree, and totals.
-void TraceScript(service::QueryService* service, service::SessionId session,
-                 const std::string& arg) {
-  std::string script = arg;
-  if (std::ifstream file(arg); file.good()) {
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    script = buffer.str();
-  }
-  auto report = service->Trace(session, script, NewTraceId());
+/// The `\trace` argument: a script file's contents when it names a
+/// readable one, else the statement itself.
+std::string TraceArgument(const std::string& arg) {
+  std::ifstream file(arg);
+  if (!file.good()) return arg;
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+/// Renders the EXPLAIN ANALYZE view — optimized plan, per-operator span
+/// tree, and totals — of a local or remote trace.
+template <typename Report>
+void PrintTrace(const Result<Report>& report) {
   if (!report.ok()) {
     std::cout << report.status().ToString() << "\n";
     return;
   }
-  if (report->used_plan) {
-    std::cout << "plan (optimized):\n" << report->plan_text << "\n";
-  } else {
-    std::cout << "(not compilable to one plan; statement-level spans)\n";
-  }
+  std::cout << "plan (optimized):\n" << report->plan_text << "\n";
   std::cout << "trace (id " << report->trace_id << "):\n"
             << report->root.ToString() << "\n";
   std::cout << "total: " << report->response.latency_us / 1000.0 << " ms, "
@@ -209,34 +208,6 @@ void ShowTxn(service::QueryService* service, service::SessionId session) {
     std::cout << "\n  " << name;
   }
   std::cout << "\n";
-}
-
-/// `\trace` against a connected server: the shell assigns the trace id,
-/// FETCH_TRACE ships the full remote span *tree* back (not just its
-/// pre-rendered text), and the rendering matches the local path — same
-/// tree walk, same per-layer counter totals.
-void TraceRemote(net::Client* remote, const std::string& arg) {
-  std::string script = arg;
-  if (std::ifstream file(arg); file.good()) {
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    script = buffer.str();
-  }
-  auto report = remote->FetchTrace(script, NewTraceId());
-  if (!report.ok()) {
-    std::cout << report.status().ToString() << "\n";
-    return;
-  }
-  if (report->used_plan) {
-    std::cout << "plan (optimized):\n" << report->plan_text << "\n";
-  } else {
-    std::cout << "(not compilable to one plan; statement-level spans)\n";
-  }
-  std::cout << "trace (id " << report->trace_id << "):\n"
-            << report->root.ToString() << "\n";
-  std::cout << "total: " << report->response.latency_us / 1000.0 << " ms, "
-            << report->response.relation.size() << " tuples | "
-            << report->root.TotalCounters().ToString() << "\n";
 }
 
 /// --- `\top`: a polling dashboard over the metrics snapshot surface ---
@@ -556,10 +527,14 @@ int main(int argc, char** argv) {
         std::cout << "\\trace needs a statement or script file\n";
         continue;
       }
+      // The shell assigns the trace id; over \connect, FETCH_TRACE ships
+      // the whole remote span tree back, rendered like a local one.
+      service::QueryOptions opts = query_options();
+      opts.trace_id = NewTraceId();
       if (remote != nullptr) {
-        TraceRemote(remote.get(), rest);
+        PrintTrace(remote->FetchTrace(TraceArgument(rest), opts));
       } else {
-        TraceScript(&service, session, rest);
+        PrintTrace(service.Trace(session, TraceArgument(rest), opts));
       }
       continue;
     }

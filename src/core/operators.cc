@@ -21,9 +21,6 @@
 
 namespace ccdb::cqa {
 
-namespace {
-
-/// Validates that a predicate is well-typed against a schema.
 Status ValidatePredicate(const Schema& schema, const Predicate& pred) {
   for (const StringAtom& atom : pred.strings) {
     const Attribute* attr = schema.Find(atom.attribute);
@@ -60,6 +57,8 @@ Status ValidatePredicate(const Schema& schema, const Predicate& pred) {
   }
   return Status::OK();
 }
+
+namespace {
 
 /// Narrow evaluation of one string atom against a tuple.
 bool StringAtomHolds(const StringAtom& atom, const Tuple& tuple) {

@@ -22,6 +22,11 @@
 
 namespace ccdb::cqa {
 
+/// Checks that `pred` is well-typed against `schema`: every attribute it
+/// mentions exists, string atoms compare relational string attributes,
+/// and linear atoms mention only rational ones.
+Status ValidatePredicate(const Schema& schema, const Predicate& pred);
+
 /// ς_pred(R): tuples whose semantics intersect `pred`, with the linear
 /// atoms conjoined into the surviving tuples' constraint stores.
 Result<Relation> Select(const Relation& input, const Predicate& pred);

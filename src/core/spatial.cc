@@ -9,11 +9,11 @@
 
 namespace ccdb::cqa {
 
-Result<FeatureSet> FeatureSet::FromRelation(const Relation& input,
-                                            const std::string& id_attr,
-                                            const std::string& xvar,
-                                            const std::string& yvar) {
-  const Attribute* id = input.schema().Find(id_attr);
+Status FeatureSet::CheckSchema(const Schema& schema,
+                               const std::string& id_attr,
+                               const std::string& xvar,
+                               const std::string& yvar) {
+  const Attribute* id = schema.Find(id_attr);
   if (id == nullptr || id->kind != AttributeKind::kRelational ||
       id->domain != AttributeDomain::kString) {
     return Status::InvalidArgument(
@@ -21,13 +21,21 @@ Result<FeatureSet> FeatureSet::FromRelation(const Relation& input,
         id_attr + "'");
   }
   for (const std::string& var : {xvar, yvar}) {
-    const Attribute* attr = input.schema().Find(var);
+    const Attribute* attr = schema.Find(var);
     if (attr == nullptr || attr->kind != AttributeKind::kConstraint) {
       return Status::InvalidArgument(
           "spatial constraint relation needs constraint attribute '" + var +
           "'");
     }
   }
+  return Status::OK();
+}
+
+Result<FeatureSet> FeatureSet::FromRelation(const Relation& input,
+                                            const std::string& id_attr,
+                                            const std::string& xvar,
+                                            const std::string& yvar) {
+  CCDB_RETURN_IF_ERROR(CheckSchema(input.schema(), id_attr, xvar, yvar));
 
   std::map<std::string, Feature> by_id;
   for (const Tuple& tuple : input.tuples()) {
@@ -71,13 +79,13 @@ Rational FeatureSet::SquaredDistance(const Feature& a, const Feature& b) {
   return best.Sign() < 0 ? Rational(0) : best;
 }
 
-namespace {
-
 Schema PairSchema(const SpatialOptions& options) {
   return Schema::Make({Schema::RelationalString(options.out_left),
                        Schema::RelationalString(options.out_right)})
       .value();
 }
+
+namespace {
 
 Status EmitPair(Relation* out, const SpatialOptions& options,
                 const std::string& left, const std::string& right) {

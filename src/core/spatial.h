@@ -48,6 +48,13 @@ class FeatureSet {
                                          const std::string& xvar = "x",
                                          const std::string& yvar = "y");
 
+  /// Checks that `schema` has the shape FromRelation needs: a relational
+  /// string `id_attr` and constraint attributes `xvar` and `yvar`.
+  static Status CheckSchema(const Schema& schema,
+                            const std::string& id_attr = "fid",
+                            const std::string& xvar = "x",
+                            const std::string& yvar = "y");
+
   const std::vector<Feature>& features() const { return features_; }
   size_t size() const { return features_.size(); }
 
@@ -72,6 +79,9 @@ struct SpatialOptions {
   std::string out_left = "fid1";
   std::string out_right = "fid2";
 };
+
+/// The (out_left, out_right) schema of BufferJoin's and KNearest's pairs.
+Schema PairSchema(const SpatialOptions& options = {});
 
 /// Buffer-Join(R, S, d): the relation of pairs (fid1, fid2) with
 /// distance(feature fid1 of R, feature fid2 of S) <= d. `distance` must be

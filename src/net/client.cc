@@ -189,41 +189,17 @@ Result<std::string> Client::MetricsText() {
   return r.GetString();
 }
 
-Result<Client::RemoteTrace> Client::Trace(const std::string& script) {
+Result<Client::RemoteTraceTree> Client::FetchTrace(
+    const std::string& script, const service::QueryOptions& opts) {
   MutexLock lock(mu_);
   Writer w;
   w.PutString(script);
-  CCDB_ASSIGN_OR_RETURN(
-      Frame reply, Call(MsgType::kTrace, w.buffer(), MsgType::kTraceResult));
-  Reader r(reply.payload);
-  RemoteTrace trace;
-  CCDB_ASSIGN_OR_RETURN(uint8_t used_plan, r.GetU8());
-  if (used_plan > 1) {
-    return Status::InvalidArgument("trace result: bad used_plan byte");
-  }
-  trace.used_plan = used_plan != 0;
-  CCDB_ASSIGN_OR_RETURN(trace.plan_text, r.GetString());
-  CCDB_ASSIGN_OR_RETURN(trace.trace_text, r.GetString());
-  CCDB_RETURN_IF_ERROR(GetQueryResponse(&r, &trace.response));
-  return trace;
-}
-
-Result<Client::RemoteTraceTree> Client::FetchTrace(const std::string& script,
-                                                   uint64_t trace_id) {
-  MutexLock lock(mu_);
-  Writer w;
-  w.PutString(script);
-  w.PutU64(trace_id);
+  PutQueryOptions(&w, opts);
   CCDB_ASSIGN_OR_RETURN(
       Frame reply,
       Call(MsgType::kFetchTrace, w.buffer(), MsgType::kTraceTree));
   Reader r(reply.payload);
   RemoteTraceTree trace;
-  CCDB_ASSIGN_OR_RETURN(uint8_t used_plan, r.GetU8());
-  if (used_plan > 1) {
-    return Status::InvalidArgument("trace tree: bad used_plan byte");
-  }
-  trace.used_plan = used_plan != 0;
   CCDB_ASSIGN_OR_RETURN(trace.plan_text, r.GetString());
   CCDB_ASSIGN_OR_RETURN(trace.trace_id, r.GetU64());
   CCDB_RETURN_IF_ERROR(GetTraceNode(&r, &trace.root));

@@ -92,28 +92,20 @@ class Client {
   /// term is updated on success.
   Result<uint64_t> Promote() CCDB_EXCLUDES(mu_);
 
-  /// The server-side EXPLAIN ANALYZE view of one script (TRACE).
-  struct RemoteTrace {
-    bool used_plan = false;
-    std::string plan_text;
-    std::string trace_text;
-    service::QueryResponse response;
-  };
-  Result<RemoteTrace> Trace(const std::string& script) CCDB_EXCLUDES(mu_);
-
-  /// FETCH_TRACE: like Trace, but the span tree arrives structured (every
-  /// TraceNode field) instead of pre-rendered, stamped with the
-  /// client-assigned `trace_id` — so a shell's `\trace` over `\connect`
-  /// renders and aggregates the remote tree exactly like a local one.
+  /// FETCH_TRACE: the server-side EXPLAIN ANALYZE view of one script,
+  /// run under `opts` (deadline, budgets, the client-assigned trace id)
+  /// like Execute. The span tree arrives structured (every TraceNode
+  /// field), so a shell's `\trace` over `\connect` renders and aggregates
+  /// the remote tree exactly like a local one.
   struct RemoteTraceTree {
-    bool used_plan = false;
     std::string plan_text;
     uint64_t trace_id = 0;   ///< echoed back by the server
     obs::TraceNode root;
     service::QueryResponse response;
   };
   Result<RemoteTraceTree> FetchTrace(const std::string& script,
-                                     uint64_t trace_id) CCDB_EXCLUDES(mu_);
+                                     const service::QueryOptions& opts = {})
+      CCDB_EXCLUDES(mu_);
 
   /// METRICS_SNAPSHOT: the server's merged service+net registry snapshot
   /// (counter kinds and full histogram buckets) — the structured scrape

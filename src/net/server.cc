@@ -410,34 +410,18 @@ Status Server::Dispatch(Conn* conn, Socket* sock, const Frame& frame,
       return reply(MsgType::kMetricsText, w.buffer());
     }
 
-    case MsgType::kTrace: {
-      Result<std::string> script = r.GetString();
-      if (!script.ok()) return bad_payload(script.status());
-      Result<service::TraceReport> report =
-          service_->Trace(conn->session, *script);
-      if (!report.ok()) return SendError(sock, report.status());
-      Writer w;
-      w.PutU8(report->used_plan ? 1 : 0);
-      w.PutString(report->plan_text);
-      w.PutString(report->root.ToString());
-      PutQueryResponse(&w, report->response);
-      return reply(MsgType::kTraceResult, w.buffer());
-    }
-
     case MsgType::kFetchTrace: {
       std::string script;
-      uint64_t trace_id = 0;
+      service::QueryOptions opts;
       Status parsed = [&]() -> Status {
         CCDB_ASSIGN_OR_RETURN(script, r.GetString());
-        CCDB_ASSIGN_OR_RETURN(trace_id, r.GetU64());
-        return Status::OK();
+        return GetQueryOptions(&r, &opts);
       }();
       if (!parsed.ok()) return bad_payload(parsed);
       Result<service::TraceReport> report =
-          service_->Trace(conn->session, script, trace_id);
+          service_->Trace(conn->session, script, std::move(opts));
       if (!report.ok()) return SendError(sock, report.status());
       Writer w;
-      w.PutU8(report->used_plan ? 1 : 0);
       w.PutString(report->plan_text);
       w.PutU64(report->trace_id);
       PutTraceNode(&w, report->root);

@@ -49,7 +49,6 @@ bool IsKnownMsgType(uint8_t type) {
     case MsgType::kCancel:
     case MsgType::kCheckpoint:
     case MsgType::kMetrics:
-    case MsgType::kTrace:
     case MsgType::kListRelations:
     case MsgType::kGetRelation:
     case MsgType::kLoadRelation:
@@ -62,7 +61,6 @@ bool IsKnownMsgType(uint8_t type) {
     case MsgType::kResult:
     case MsgType::kSubmitted:
     case MsgType::kMetricsText:
-    case MsgType::kTraceResult:
     case MsgType::kNameList:
     case MsgType::kRelationData:
     case MsgType::kHelloOk:
@@ -86,7 +84,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kCancel: return "CANCEL";
     case MsgType::kCheckpoint: return "CHECKPOINT";
     case MsgType::kMetrics: return "METRICS";
-    case MsgType::kTrace: return "TRACE";
     case MsgType::kListRelations: return "LIST_RELATIONS";
     case MsgType::kGetRelation: return "GET_RELATION";
     case MsgType::kLoadRelation: return "LOAD_RELATION";
@@ -99,7 +96,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kResult: return "RESULT";
     case MsgType::kSubmitted: return "SUBMITTED";
     case MsgType::kMetricsText: return "METRICS_TEXT";
-    case MsgType::kTraceResult: return "TRACE_RESULT";
     case MsgType::kNameList: return "NAME_LIST";
     case MsgType::kRelationData: return "RELATION_DATA";
     case MsgType::kHelloOk: return "HELLO_OK";

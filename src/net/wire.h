@@ -44,7 +44,10 @@ namespace ccdb::net {
 /// term, HELLO_OK / SHIP_END / SNAPSHOT carry the server's term, and the
 /// PROMOTE/PROMOTED pair exists.
 /// v3: FETCH_TRACE nodes carry the box-prune counter after conjunctions.
-inline constexpr uint32_t kProtocolVersion = 3;
+/// v4: TRACE/TRACE_RESULT (types 8 and 69) are gone; FETCH_TRACE carries
+/// QueryOptions instead of a bare trace id, and its reply drops the
+/// always-true used_plan byte.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Upper bound on a frame's payload. Large enough for a bootstrap
 /// snapshot of any disk the tests or benches build (16 Ki pages), small
@@ -65,12 +68,11 @@ enum class MsgType : uint8_t {
   kCancel = 5,       ///< u64 query id
   kCheckpoint = 6,   ///< (empty)
   kMetrics = 7,      ///< (empty)
-  kTrace = 8,        ///< string script
   kListRelations = 9,   ///< (empty)
   kGetRelation = 10,    ///< string name
   kLoadRelation = 11,   ///< string name, relation
   kShipWal = 12,        ///< u64 from_lsn (0 = request a full snapshot)
-  kFetchTrace = 13,     ///< string script, u64 trace_id — run traced,
+  kFetchTrace = 13,     ///< string script, QueryOptions — run traced,
                         ///< return the structured span tree
   kMetricsSnapshot = 14,  ///< (empty) — merged service+net registry
                           ///< snapshot (the binary scrape surface)
@@ -82,8 +84,6 @@ enum class MsgType : uint8_t {
   kResult = 66,      ///< QueryResponse
   kSubmitted = 67,   ///< u64 query id
   kMetricsText = 68, ///< string rendering
-  kTraceResult = 69, ///< u8 used_plan, string plan, string trace,
-                     ///< QueryResponse
   kNameList = 70,    ///< u32 n, n strings
   kRelationData = 71,  ///< relation
   kHelloOk = 72,     ///< u32 version, u8 read_only, u64 session id,
@@ -92,8 +92,8 @@ enum class MsgType : uint8_t {
                      ///< n_pages x kPageSize raw images, u64 leader term
   kWalBatch = 74,    ///< raw committed WAL batch record bytes
   kShipEnd = 75,     ///< u64 leader next_lsn, u64 leader term
-  kTraceTree = 76,   ///< u8 used_plan, string plan, u64 trace_id,
-                     ///< TraceNode tree, QueryResponse
+  kTraceTree = 76,   ///< string plan, u64 trace_id, TraceNode tree,
+                     ///< QueryResponse
   kMetricsSnapshotData = 77,  ///< encoded MetricsRegistry::Snapshot
   kPromoted = 78,    ///< u64 new leader term
 };

@@ -327,7 +327,9 @@ TEST(SlowQueryLogTest, TraceReportsEchoTheCallerTraceId) {
   service::QueryService svc(&db, options);
   const service::SessionId session = svc.OpenSession();
 
-  auto report = svc.Trace(session, kJoinScript, /*trace_id=*/555);
+  service::QueryOptions opts;
+  opts.trace_id = 555;
+  auto report = svc.Trace(session, kJoinScript, opts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->trace_id, uint64_t{555});
 }

@@ -6,6 +6,7 @@
 #include "lang/expr_parser.h"
 #include "lang/lexer.h"
 #include "lang/query.h"
+#include "service/query_service.h"
 
 namespace ccdb::lang {
 namespace {
@@ -328,6 +329,91 @@ TEST_F(QueryTest, ErrorsCarryLineNumbers) {
                              &db_)
                    .ok())
       << "trailing tokens rejected";
+
+  // Type errors are found as each statement compiles, so they carry the
+  // line of the offending statement too.
+  auto mismatch = ExecuteScript("R0 = select landId = A from Land\n"
+                                "R1 = select t >= 4 from Hurricane\n"
+                                "R2 = union R0 and R1\n",
+                                &db_);
+  ASSERT_FALSE(mismatch.ok());
+  EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mismatch.status().message().rfind(
+                "line 3: union requires identical schemas", 0),
+            0u)
+      << mismatch.status().ToString();
+
+  auto unknown = ExecuteScript("R0 = select t >= 4 from Hurricane\n"
+                               "R1 = join R0 and NoSuch\n",
+                               &db_);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown.status().message().rfind("line 2: ", 0), 0u)
+      << unknown.status().ToString();
+  EXPECT_FALSE(db_.Has("R0")) << "a failed script registers nothing";
+}
+
+TEST_F(QueryTest, OnlyTheFinalStepIsRegistered) {
+  auto last = ExecuteScript("R0 = select t >= 4 from Hurricane\n"
+                            "R1 = project R0 on x, y\n",
+                            &db_);
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(*last, "R1");
+  EXPECT_TRUE(db_.Has("R1"));
+  EXPECT_FALSE(db_.Has("R0")) << "intermediate steps are script-local";
+  // A later script builds on the registered final step.
+  auto next = RunQuery("R2 = select x >= 1 from R1\n", &db_);
+  EXPECT_TRUE(next.ok()) << next.status().ToString();
+}
+
+/// Product needs disjoint schemas and intersect identical ones; both
+/// compile to a natural join, so the checks must happen at compile time —
+/// on every path that runs a script.
+struct SchemaRuleCase {
+  const char* script;
+  bool ok;
+  size_t size;  ///< result cardinality when ok
+};
+
+const SchemaRuleCase kSchemaRuleCases[] = {
+    {"R0 = product Land and Land", false, 0},
+    {"R0 = intersect Land and Hurricane", false, 0},
+    {"R0 = project Landownership on name\nR1 = product R0 and Land", true,
+     16},
+    {"R0 = select landId = A from Land\nR1 = intersect R0 and Land", true,
+     1},
+};
+
+TEST_F(QueryTest, ProductAndIntersectCheckSchemasWhenExecuted) {
+  for (const SchemaRuleCase& c : kSchemaRuleCases) {
+    Database db = db_;
+    auto rel = RunQuery(c.script, &db);
+    if (!c.ok) {
+      ASSERT_FALSE(rel.ok()) << c.script << " returned " << rel->size();
+      EXPECT_EQ(rel.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(rel.status().message().find("requires"), std::string::npos)
+          << rel.status().ToString();
+      continue;
+    }
+    ASSERT_TRUE(rel.ok()) << c.script << ": " << rel.status().ToString();
+    EXPECT_EQ(rel->size(), c.size) << c.script;
+  }
+}
+
+TEST_F(QueryTest, ProductAndIntersectCheckSchemasWhenTraced) {
+  service::QueryService svc(&db_, {});
+  const service::SessionId session = svc.OpenSession();
+  for (const SchemaRuleCase& c : kSchemaRuleCases) {
+    auto traced = svc.Trace(session, c.script);
+    auto executed = svc.Execute(session, c.script);
+    ASSERT_EQ(traced.ok(), c.ok) << c.script << ": "
+                                 << traced.status().ToString();
+    EXPECT_EQ(executed.status().code(), traced.status().code()) << c.script;
+    if (!c.ok) continue;
+    EXPECT_EQ(traced->response.relation.size(), c.size) << c.script;
+    EXPECT_EQ(executed->relation.ToString(),
+              traced->response.relation.ToString());
+  }
 }
 
 

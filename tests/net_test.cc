@@ -550,11 +550,10 @@ TEST(NetServer, MetricsTraceListGetLoadCheckpoint) {
   EXPECT_NE(metrics->find("net.connections.open"), std::string::npos);
   EXPECT_NE(metrics->find("queries:"), std::string::npos);
 
-  auto trace = client->Trace("R0 = select x >= 0, x <= 900 from Boxes");
+  auto trace = client->FetchTrace("R0 = select x >= 0, x <= 900 from Boxes");
   ASSERT_TRUE(trace.ok()) << trace.status().ToString();
-  EXPECT_TRUE(trace->used_plan);
   EXPECT_FALSE(trace->plan_text.empty());
-  EXPECT_FALSE(trace->trace_text.empty());
+  EXPECT_EQ(trace->root.label.rfind("Select", 0), 0u) << trace->root.label;
   EXPECT_EQ(trace->response.step, "R0");
 
   auto names = client->ListRelations();
@@ -798,16 +797,17 @@ TEST(NetServer, FetchTraceReturnsRemoteSpanTreeWithCallerTraceId) {
   Leader leader;
   auto client = leader.Connect();
   constexpr uint64_t kTraceId = 0xfeedbeef;
+  service::QueryOptions opts;
+  opts.trace_id = kTraceId;
   auto remote = client->FetchTrace(
       "R0 = select x >= 100, x <= 600 from Boxes\n"
       "R1 = select y >= 100, y <= 600 from Boxes\n"
       "R2 = join R0 and R1",
-      kTraceId);
+      opts);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   // The server echoes the client-assigned id and ships the full tree —
   // structure and per-layer counters, not pre-rendered text.
   EXPECT_EQ(remote->trace_id, kTraceId);
-  EXPECT_TRUE(remote->used_plan);
   EXPECT_FALSE(remote->plan_text.empty());
   EXPECT_FALSE(remote->root.children.empty());
   EXPECT_EQ(remote->root.tuples_out, remote->response.relation.size());

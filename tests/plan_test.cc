@@ -281,29 +281,6 @@ TEST_F(PlanTest, SelectSinksBelowProjection) {
   }
 }
 
-TEST_F(PlanTest, ProjectionNarrowsJoinInputs) {
-  // pi_{name}(Landownership |x| Land): Land contributes only landId to the
-  // join; its x and y can be dropped before the join.
-  auto plan = PlanNode::Project(
-      PlanNode::Join(PlanNode::Scan("Landownership"), PlanNode::Scan("Land")),
-      {"name"});
-  auto optimized = Optimize(plan->Clone(), db_);
-  ASSERT_EQ(optimized->op, PlanNode::Op::kProject);
-  ASSERT_EQ(optimized->children[0]->op, PlanNode::Op::kJoin);
-  const PlanNode& join = *optimized->children[0];
-  // The Land side must have been narrowed to its join attribute.
-  bool narrowed = false;
-  for (const auto& side : join.children) {
-    if (side->op == PlanNode::Op::kProject) narrowed = true;
-  }
-  EXPECT_TRUE(narrowed) << optimized->ToString();
-  auto before = Execute(*plan, db_);
-  auto after = Execute(*optimized, db_);
-  ASSERT_TRUE(before.ok() && after.ok());
-  ASSERT_EQ(before->schema(), after->schema());
-  EXPECT_EQ(before->size(), after->size());
-}
-
 TEST_F(PlanTest, ProjectionRewritesReachFixpoint) {
   // A deliberately messy plan; optimization must terminate and preserve
   // semantics.

@@ -2,6 +2,8 @@
 // dimensions, and seeds with INSTANTIATE_TEST_SUITE_P.
 
 #include <cmath>
+#include <set>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -618,6 +620,276 @@ INSTANTIATE_TEST_SUITE_P(SeedSweep, SerdeTruncationProperty,
                          [](const auto& info) {
                            return "seed" + std::to_string(info.param);
                          });
+
+// --- Step scripts: the optimized plan against step-at-a-time execution ---------
+
+/// The reference semantics of one statement: compiled alone, executed
+/// unoptimized against the catalog overlaid with the earlier results
+/// (`db`), and its result registered under its name. `product` and
+/// `intersect` run through their own operators instead, so the compiler
+/// must reproduce those operators' schema checks.
+Status RunStep(const std::string& statement, Database* db,
+               std::string* step) {
+  std::istringstream words(statement);
+  std::string name, eq, op, lhs, and_keyword, rhs;
+  words >> name >> eq >> op >> lhs >> and_keyword >> rhs;
+  auto run = [&]() -> Result<Relation> {
+    if (op == "product" || op == "intersect") {
+      CCDB_ASSIGN_OR_RETURN(const Relation* a, db->Get(lhs));
+      CCDB_ASSIGN_OR_RETURN(const Relation* b, db->Get(rhs));
+      return op == "product" ? cqa::CrossProduct(*a, *b)
+                             : cqa::Intersect(*a, *b);
+    }
+    CCDB_ASSIGN_OR_RETURN(lang::CompiledScript one,
+                          lang::CompileScript(statement, *db));
+    return cqa::Execute(*one.plan, *db);
+  };
+  CCDB_ASSIGN_OR_RETURN(Relation rel, run());
+  db->CreateOrReplace(name, std::move(rel));
+  *step = name;
+  return Status::OK();
+}
+
+/// hurricane.cdb plus two small relations of random boxes over x and y.
+Database ScriptCatalog(MemberGenerator* gen) {
+  Database db;
+  EXPECT_TRUE(lang::LoadDatabaseFile(
+                  std::string(CCDB_DATA_DIR) + "/hurricane/hurricane.cdb", &db)
+                  .ok());
+  const Schema xy = Schema::Make({Schema::ConstraintRational("x"),
+                                  Schema::ConstraintRational("y")})
+                        .value();
+  for (const char* name : {"A", "B"}) {
+    Relation rel(xy);
+    for (int i = 0; i < 4; ++i) {
+      Tuple t;
+      for (Constraint& c : gen->Members("x", "y")) t.AddConstraint(c);
+      EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+    }
+    EXPECT_TRUE(db.Create(name, std::move(rel)).ok());
+  }
+  return db;
+}
+
+/// One random statement over `db` (the catalog plus the script's steps so
+/// far, `steps`). Operands are earlier steps three times in four and step
+/// names come from R0..R2, so steps are read 0-3 times and redefined.
+/// Every statement form appears, selections and joins (the rewrites'
+/// targets) most often; some draws are ill-typed on purpose.
+std::string RandomStatement(Rng& rng, const Database& db,
+                            const std::vector<std::string>& steps) {
+  static const char* const kCatalog[] = {"A", "B", "Land", "Landownership",
+                                         "Hurricane"};
+  static const char* const kFeatures[] = {"LandFeatures", "HurricanePath"};
+  auto pick = [&rng](const auto& names) {
+    return std::string(names[rng.UniformInt(0, std::size(names) - 1)]);
+  };
+  auto operand = [&]() {
+    return !steps.empty() && rng.UniformInt(0, 3) > 0 ? pick(steps)
+                                                       : pick(kCatalog);
+  };
+  const std::string lhs = operand();
+  const Schema& schema = db.Get(lhs).value()->schema();
+  const std::vector<std::string> attrs = schema.Names();
+  const std::string attr = pick(attrs);
+  // An operand of the same schema (union, minus), an earlier step three
+  // times in four when one has it.
+  auto same_schema = [&]() {
+    std::vector<std::string> names, step_names;
+    for (const std::string& name : db.Names()) {
+      if (db.Get(name).value()->schema() != schema) continue;
+      names.push_back(name);
+      if (std::count(steps.begin(), steps.end(), name)) {
+        step_names.push_back(name);
+      }
+    }
+    return !step_names.empty() && rng.UniformInt(0, 3) > 0 ? pick(step_names)
+                                                           : pick(names);
+  };
+  // Forms 0-10 in the order below, with select, join and union drawn
+  // more often.
+  static const int kForms[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0, 2, 5};
+  std::string body;
+  switch (kForms[rng.UniformInt(0, std::size(kForms) - 1)]) {
+    case 0:
+      if (schema.Find(attr)->domain == AttributeDomain::kString) {
+        // A value some tuple holds, so the selection is rarely empty.
+        const std::vector<Tuple>& tuples = db.Get(lhs).value()->tuples();
+        const Value value =
+            tuples.empty()
+                ? Value::Null()
+                : tuples[rng.UniformInt(0, tuples.size() - 1)].GetValue(attr);
+        body = "select " + attr + " = \"" +
+               (value.IsNull() ? "A" : value.AsString()) + "\" from " + lhs;
+      } else {
+        const int64_t lo = rng.UniformInt(-2, 4);
+        body = "select " + attr + " >= " + std::to_string(lo) + ", " + attr +
+               " <= " + std::to_string(lo + rng.UniformInt(1, 4)) + " from " +
+               lhs;
+      }
+      break;
+    case 1: {
+      std::string kept;
+      for (const std::string& name : attrs) {
+        if (name == attr || rng.UniformInt(0, 1) == 0) {
+          kept += (kept.empty() ? "" : ", ") + name;
+        }
+      }
+      body = "project " + lhs + " on " + kept;
+      break;
+    }
+    case 2:
+      body = "join " + lhs + " and " + operand();
+      break;
+    case 3:
+      body = "product " + lhs + " and " + operand();
+      break;
+    case 4:
+      body = "intersect " + lhs + " and " +
+             (rng.UniformInt(0, 1) ? same_schema() : operand());
+      break;
+    case 5:
+      body = "union " + lhs + " and " + same_schema();
+      break;
+    case 6:
+      body = "minus " + lhs + " and " + same_schema();
+      break;
+    case 7:
+      body = "rename " + attr + " to u" +
+             std::to_string(rng.UniformInt(0, 1)) + " in " + lhs;
+      break;
+    case 8:
+      body = "normalize " + lhs;
+      break;
+    case 9:
+      body = "buffer-join " + pick(kFeatures) + " and " + pick(kFeatures) +
+             " within " + std::to_string(rng.UniformInt(0, 2)) + "/2";
+      break;
+    default:
+      body = "k-nearest " + pick(kFeatures) + " and " + pick(kFeatures) +
+             " k " + std::to_string(rng.UniformInt(0, 3));
+      break;
+  }
+  return "R" + std::to_string(rng.UniformInt(0, 2)) + " = " + body;
+}
+
+/// Random points over `schema`: relational values drawn from those the
+/// relations hold (plus one neither holds), rationals on a half grid.
+std::vector<PointRow> SamplePoints(Rng& rng, const Schema& schema,
+                                   const Relation& a, const Relation& b) {
+  std::map<std::string, std::vector<Value>> domain;
+  for (const Attribute& attr : schema.attributes()) {
+    if (attr.kind != AttributeKind::kRelational) continue;
+    std::set<std::string> seen{"zz"};
+    for (const Relation* rel : {&a, &b}) {
+      for (const Tuple& t : rel->tuples()) {
+        const Value& v = t.GetValue(attr.name);
+        if (!v.IsNull()) seen.insert(v.ToString());
+      }
+    }
+    for (const std::string& v : seen) {
+      domain[attr.name].push_back(attr.domain == AttributeDomain::kString
+                                      ? Value::String(v)
+                                      : Value::Number(Rational(std::stoll(v))));
+    }
+  }
+  std::vector<PointRow> points(80);
+  for (PointRow& p : points) {
+    for (const Attribute& attr : schema.attributes()) {
+      if (attr.kind == AttributeKind::kRelational) {
+        const auto& values = domain[attr.name];
+        p.relational[attr.name] =
+            values[rng.UniformInt(0, static_cast<int64_t>(values.size()) - 1)];
+      } else {
+        p.constraint[attr.name] =
+            Rational(rng.UniformInt(-12, 22), rng.UniformInt(1, 2));
+      }
+    }
+  }
+  return points;
+}
+
+class ScriptPlanProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ScriptPlanProperty, OptimizedPlanMatchesStepAtATime) {
+  MemberGenerator gen(GetParam());
+  Rng& rng = gen.rng();
+  const Database catalog = ScriptCatalog(&gen);
+  for (int iter = 0; iter < 200; ++iter) {
+    // Generate and run the reference statement by statement, stopping at
+    // the first statement the reference rejects.
+    Database reference = catalog;
+    std::vector<std::string> steps;
+    std::string script, last;
+    Status expected = Status::OK();
+    const int64_t length = rng.UniformInt(2, 6);
+    for (int64_t i = 0; i < length && expected.ok(); ++i) {
+      const std::string statement = RandomStatement(rng, reference, steps);
+      script += statement + "\n";
+      expected = RunStep(statement, &reference, &last);
+      if (expected.ok()) steps.push_back(last);
+    }
+
+    Database served = catalog;
+    Result<Relation> got = lang::RunQuery(script, &served);
+    SCOPED_TRACE(script);
+    if (!expected.ok()) {
+      ASSERT_FALSE(got.ok()) << "reference failed: " << expected.ToString();
+      EXPECT_EQ(got.status().code(), expected.code())
+          << got.status().ToString() << " vs " << expected.ToString();
+      continue;
+    }
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const Relation& want = *reference.Get(last).value();
+    ASSERT_EQ(got->schema(), want.schema());
+    for (const PointRow& p : SamplePoints(rng, want.schema(), want, *got)) {
+      EXPECT_EQ(got->ContainsPoint(p), want.ContainsPoint(p));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedSweep, ScriptPlanProperty,
+                         ::testing::Values(61, 62, 63, 64, 65),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+TEST(ScriptPlanCounterTest, SharedStepBuildsExactlyTheReferenceConjunctions) {
+  // R0 is read three times; as one shared subplan it runs once, so the
+  // plan does exactly the step-at-a-time work.
+  WorkloadParams params;
+  params.data_count = 30;
+  Database catalog;
+  ASSERT_TRUE(catalog
+                  .Create("Boxes", BoxesToConstraintRelation(
+                                       GenerateDataBoxes(5, params)))
+                  .ok());
+  const std::string lines[] = {"R0 = select x >= 100, x <= 1500 from Boxes",
+                               "R1 = union R0 and R0",
+                               "R2 = minus R1 and R0"};
+  Database reference = catalog;
+  uint64_t want = 0;
+  {
+    obs::CounterScope scope;
+    std::string step;
+    for (const std::string& line : lines) {
+      ASSERT_TRUE(RunStep(line, &reference, &step).ok());
+    }
+    want = scope.counters().conjunctions;
+  }
+  Database served = catalog;
+  uint64_t got = 0;
+  {
+    obs::CounterScope scope;
+    ASSERT_TRUE(lang::ExecuteScript(lines[0] + "\n" + lines[1] + "\n" +
+                                        lines[2],
+                                    &served)
+                    .ok());
+    got = scope.counters().conjunctions;
+  }
+  EXPECT_GT(want, 0u);
+  EXPECT_EQ(got, want);
+}
 
 }  // namespace
 }  // namespace ccdb

@@ -11,7 +11,7 @@
 #include "data/workload.h"
 #include "lang/query.h"
 #include "obs/metric_names.h"
-#include "service/plan_cache.h"
+#include "service/result_cache.h"
 #include "storage/fault.h"
 #include "storage/wal.h"
 
@@ -224,10 +224,37 @@ TEST(QueryServiceTest, CacheHitSkipsExecutionAndReplayRegistersSteps) {
   EXPECT_TRUE(second->cache_hit);
   EXPECT_EQ(second->relation.ToString(), first->relation.ToString());
 
-  // The hit replayed both steps into session b, so a follow-up referencing
-  // the *intermediate* step works exactly as after real execution.
-  auto followup = service.Execute(b, "R2 = project R0 on x");
-  ASSERT_TRUE(followup.ok()) << followup.status().ToString();
+  // The hit registered the final step in session b, exactly as execution
+  // does in session a; the intermediate step is local to the script in
+  // both.
+  for (SessionId session : {a, b}) {
+    auto followup = service.Execute(session, "R2 = select y >= 0 from R1");
+    ASSERT_TRUE(followup.ok()) << followup.status().ToString();
+    auto intermediate = service.Execute(session, "R3 = project R0 on x");
+    EXPECT_EQ(intermediate.status().code(), StatusCode::kNotFound)
+        << intermediate.status().ToString();
+  }
+}
+
+TEST(QueryServiceTest, FailedScriptRegistersNoStep) {
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(30, 5)).ok());
+  QueryService service(&base, {});
+  SessionId id = service.OpenSession();
+
+  // Lines 1-2 are fine; line 3 is ill-typed. The script fails as a whole
+  // and leaves the session as it was.
+  auto failed = service.Execute(id,
+                                "R0 = select x >= 0, x <= 500 from Boxes\n"
+                                "R1 = project R0 on y\n"
+                                "R2 = union R0 and R1");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(failed.status().message().rfind("line 3: ", 0), 0u)
+      << failed.status().ToString();
+  for (const char* step : {"R0", "R1", "R2"}) {
+    EXPECT_FALSE(service.GetRelation(id, step).ok()) << step;
+  }
 }
 
 TEST(QueryServiceTest, ReplacingInputRelationInvalidatesCache) {
@@ -307,8 +334,7 @@ TEST(QueryServiceTest, UnknownSessionAndBadScriptFail) {
 TEST(ResultCacheTest, LruEvictionAndStats) {
   ResultCache cache(2);
   CachedResult value;
-  value.final_step = "R0";
-  value.steps.emplace_back("R0", Relation());
+  value.step = "R0";
   cache.Insert("k1", value);
   cache.Insert("k2", value);
 
@@ -318,7 +344,7 @@ TEST(ResultCacheTest, LruEvictionAndStats) {
   EXPECT_NE(cache.Lookup("k1"), nullptr);
   auto hit = cache.Lookup("k3");
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->final_step, "R0");
+  EXPECT_EQ(hit->step, "R0");
 
   ResultCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 3u);
@@ -561,8 +587,8 @@ TEST(QueryServiceTest, CheckpointRequiresStoreAndCounts) {
 TEST(ResultCacheTest, ConcurrentHitsShareOneEntry) {
   ResultCache cache(8);
   CachedResult value;
-  value.final_step = "R0";
-  value.steps.emplace_back("R0", BoxRelation(200, 9));
+  value.step = "R0";
+  value.relation = BoxRelation(200, 9);
   cache.Insert("big", value);
 
   constexpr size_t kThreads = 8;
@@ -575,7 +601,7 @@ TEST(ResultCacheTest, ConcurrentHitsShareOneEntry) {
       for (size_t i = 0; i < kLookups; ++i) {
         auto hit = cache.Lookup("big");
         ASSERT_NE(hit, nullptr);
-        ASSERT_EQ(hit->steps.size(), 1u);
+        ASSERT_EQ(hit->relation.size(), 200u);
         if (i == 0) first[t] = hit;
       }
     });
