@@ -123,15 +123,6 @@ bool Interval::Overlaps(const Interval& other) const {
          !Separated(other.upper, lower);
 }
 
-bool Overlaps(const Box& a, const Box& b) {
-  assert(a.size() == b.size());
-  auto other = b.begin();
-  for (const auto& [var, interval] : a) {
-    if (!interval.Overlaps((other++)->second)) return false;
-  }
-  return true;
-}
-
 std::string Interval::ToString() const {
   if (empty) return "empty";
   std::string out;

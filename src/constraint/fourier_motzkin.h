@@ -19,10 +19,12 @@
 ///    outputs small (important after joins, whose naive outputs accumulate
 ///    redundant members).
 ///  - `VariableInterval` / `BoundingBox` extract the attribute ranges that
-///    the index layer (§5) uses as R*-tree keys. `SingleVariableBounds`
-///    reads ranges off single-variable members without eliminating
-///    anything: the filter step of the CQA operators' filter-and-refine,
-///    and the exact fast path of `BoundingBox` for box-shaped stores.
+///    the index layer (§5) uses as R*-tree keys and that each relation
+///    version caches for the CQA operators' filter-and-refine
+///    (`Relation::Boxes`). `SingleVariableBounds` reads ranges off
+///    single-variable members without eliminating anything: `Select`'s
+///    filter box, and the exact fast path of `BoundingBox` for box-shaped
+///    stores.
 ///
 /// Equalities are eliminated by Gaussian substitution before inequality
 /// pairing, which both preserves exactness and avoids the quadratic blowup
@@ -73,11 +75,6 @@ struct Interval {
 
 /// Per-attribute intervals, keyed by variable name.
 using Box = std::map<std::string, Interval>;
-
-/// True when, on every attribute of `a` and `b` (which must cover the same
-/// attributes), the intervals overlap. False proves that no point lies in
-/// both boxes.
-bool Overlaps(const Box& a, const Box& b);
 
 /// Existentially eliminates `var`: the result is satisfied by exactly the
 /// assignments (to the remaining variables) that extend to a satisfying

@@ -1,6 +1,9 @@
 #include "core/operators.h"
 
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <utility>
 
 #include "constraint/fourier_motzkin.h"
 #include "obs/governance.h"
@@ -12,12 +15,13 @@
 // past the trip is discarded with the loop), and breaks out early under
 // budget truncation so a partial result is a sound prefix subset.
 //
-// Filter and refine: Select and NaturalJoin compare per-attribute boxes
-// (fm::Box) over the constraint attributes they test before any
-// Fourier–Motzkin work, and skip a tuple or pair whose boxes are disjoint
-// on some attribute — no point can satisfy both stores there. The rest
-// are refined by exact satisfiability as before. Pruning needs proof only:
-// boxes may be outer boxes, and touching closed bounds overlap.
+// Filter and refine: Select and NaturalJoin compare the exact tuple boxes
+// cached on each input version (Relation::Boxes) over the constraint
+// attributes they test, before any Fourier–Motzkin work, and skip a tuple
+// or pair whose boxes are disjoint on some attribute — no point can
+// satisfy both stores there. The rest are refined by exact satisfiability
+// as before. Touching closed bounds overlap. An operator that tests no
+// constraint attribute never builds boxes.
 
 namespace ccdb::cqa {
 
@@ -87,8 +91,7 @@ bool StringAtomHolds(const StringAtom& atom, const Tuple& tuple) {
 Result<Relation> Select(const Relation& input, const Predicate& pred) {
   CCDB_RETURN_IF_ERROR(ValidatePredicate(input.schema(), pred));
   // Filter box: the predicate's single-variable atoms over constraint
-  // attributes. Tuples are boxed by their single-variable members only, so
-  // the filter itself never runs FM.
+  // attributes, read without FM.
   Conjunction filter_atoms;
   std::set<std::string> filtered;
   for (const Constraint& c : pred.linear) {
@@ -99,8 +102,17 @@ Result<Relation> Select(const Relation& input, const Predicate& pred) {
     filtered.insert(var);
   }
   const fm::Box filter = fm::SingleVariableBounds(filter_atoms, filtered);
+  std::shared_ptr<const TupleBoxes> boxes;
+  std::vector<std::pair<size_t, const fm::Interval*>> tests;  // column, bound
+  if (!filtered.empty()) {
+    CCDB_ASSIGN_OR_RETURN(boxes, input.Boxes());
+    for (const auto& [var, interval] : filter) {
+      tests.emplace_back(boxes->Column(var), &interval);
+    }
+  }
   Relation out(input.schema());
-  for (const Tuple& tuple : input.tuples()) {
+  for (size_t row = 0; row < input.size(); ++row) {
+    const Tuple& tuple = input.tuples()[row];
     CCDB_RETURN_IF_ERROR(obs::CheckGovernance());
     if (obs::GovernanceTruncating()) break;
     bool keep = true;
@@ -111,10 +123,9 @@ Result<Relation> Select(const Relation& input, const Predicate& pred) {
       }
     }
     if (!keep) continue;
-    if (!filtered.empty() &&
-        !fm::Overlaps(
-            fm::SingleVariableBounds(tuple.constraints(), filtered),
-            filter)) {
+    if (!std::all_of(tests.begin(), tests.end(), [&](const auto& test) {
+          return boxes->At(row, test.first).Overlaps(*test.second);
+        })) {
       obs::NoteBoxPrune();
       continue;
     }
@@ -183,41 +194,31 @@ Result<Relation> Project(const Relation& input,
 Result<Relation> NaturalJoin(const Relation& lhs, const Relation& rhs) {
   CCDB_ASSIGN_OR_RETURN(Schema schema,
                         lhs.schema().NaturalJoin(rhs.schema()));
-  // Shared relational attributes must match with non-null values.
+  // Shared relational attributes must match with non-null values; shared
+  // constraint attributes are tested on the inputs' boxes, one (lhs
+  // column, rhs column) pair per attribute.
   std::vector<std::string> shared_relational;
+  std::vector<std::string> shared_constraint;
   for (const Attribute& attr : lhs.schema().attributes()) {
-    if (rhs.schema().Has(attr.name) &&
-        attr.kind == AttributeKind::kRelational) {
-      shared_relational.push_back(attr.name);
-    }
+    if (!rhs.schema().Has(attr.name)) continue;
+    (attr.kind == AttributeKind::kRelational ? shared_relational
+                                             : shared_constraint)
+        .push_back(attr.name);
   }
-  // Filter boxes: exact (FM only for stores with a multi-variable member)
-  // over the shared constraint attributes, one per input tuple per call.
-  std::set<std::string> shared_constraint;
-  for (const Attribute& attr : lhs.schema().attributes()) {
-    if (rhs.schema().Has(attr.name) &&
-        attr.kind == AttributeKind::kConstraint) {
-      shared_constraint.insert(attr.name);
-    }
-  }
-  const bool filter = !shared_constraint.empty();
-  std::vector<fm::Box> rhs_boxes;
-  if (filter) {
-    rhs_boxes.reserve(rhs.size());
-    for (const Tuple& right : rhs.tuples()) {
-      CCDB_RETURN_IF_ERROR(obs::CheckGovernance());
-      rhs_boxes.push_back(
-          fm::BoundingBox(right.constraints(), shared_constraint));
+  std::shared_ptr<const TupleBoxes> lhs_boxes;
+  std::shared_ptr<const TupleBoxes> rhs_boxes;
+  std::vector<std::pair<size_t, size_t>> columns;
+  if (!shared_constraint.empty() && !lhs.empty() && !rhs.empty()) {
+    CCDB_ASSIGN_OR_RETURN(lhs_boxes, lhs.Boxes());
+    CCDB_ASSIGN_OR_RETURN(rhs_boxes, rhs.Boxes());
+    for (const std::string& attr : shared_constraint) {
+      columns.emplace_back(lhs_boxes->Column(attr), rhs_boxes->Column(attr));
     }
   }
   Relation out(schema);
-  for (const Tuple& left : lhs.tuples()) {
+  for (size_t l = 0; l < lhs.size(); ++l) {
+    const Tuple& left = lhs.tuples()[l];
     if (obs::GovernanceTruncating()) break;
-    fm::Box left_box;
-    if (filter) {
-      CCDB_RETURN_IF_ERROR(obs::CheckGovernance());
-      left_box = fm::BoundingBox(left.constraints(), shared_constraint);
-    }
     for (size_t r = 0; r < rhs.size(); ++r) {
       const Tuple& right = rhs.tuples()[r];
       CCDB_RETURN_IF_ERROR(obs::CheckGovernance());
@@ -230,7 +231,10 @@ Result<Relation> NaturalJoin(const Relation& lhs, const Relation& rhs) {
         }
       }
       if (!match) continue;
-      if (filter && !fm::Overlaps(left_box, rhs_boxes[r])) {
+      if (!std::all_of(columns.begin(), columns.end(), [&](const auto& c) {
+            return lhs_boxes->At(l, c.first).Overlaps(
+                rhs_boxes->At(r, c.second));
+          })) {
         obs::NoteBoxPrune();
         continue;
       }

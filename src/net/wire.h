@@ -47,7 +47,8 @@ namespace ccdb::net {
 /// v4: TRACE/TRACE_RESULT (types 8 and 69) are gone; FETCH_TRACE carries
 /// QueryOptions instead of a bare trace id, and its reply drops the
 /// always-true used_plan byte.
-inline constexpr uint32_t kProtocolVersion = 4;
+/// v5: FETCH_TRACE nodes carry the boxes-built counter after box prunes.
+inline constexpr uint32_t kProtocolVersion = 5;
 
 /// Upper bound on a frame's payload. Large enough for a bootstrap
 /// snapshot of any disk the tests or benches build (16 Ki pages), small

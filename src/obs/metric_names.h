@@ -25,6 +25,7 @@ inline constexpr char kQueriesTraced[] = "queries.traced";
 // --- Engine layers (counters, drained from per-query trace contexts) ---
 inline constexpr char kCqaConjunctions[] = "cqa.conjunctions";
 inline constexpr char kCqaBoxPrunes[] = "cqa.box_prunes";
+inline constexpr char kCqaBoxesBuilt[] = "cqa.boxes_built";
 inline constexpr char kFmEliminations[] = "fm.eliminations";
 inline constexpr char kFmRedundancyCulls[] = "fm.redundancy_culls";
 inline constexpr char kIndexNodeVisits[] = "index.node_visits";
@@ -116,8 +117,8 @@ inline std::vector<const char*> AllMetricNames() {
   return {
       kQueriesSubmitted,  kQueriesRejected,    kQueriesCompleted,
       kQueriesFailed,     kQueriesSlow,        kQueriesTraced,
-      kCqaConjunctions,   kCqaBoxPrunes,       kFmEliminations,
-      kFmRedundancyCulls,
+      kCqaConjunctions,   kCqaBoxPrunes,       kCqaBoxesBuilt,
+      kFmEliminations,    kFmRedundancyCulls,
       kIndexNodeVisits,   kIndexLeafHits,      kStoragePagesRead,
       kStoragePoolHits,   kGovDeadlineHits,    kGovBudgetTrips,
       kGovCancels,        kGovSheds,           kGovTruncated,

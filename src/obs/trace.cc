@@ -11,6 +11,7 @@ thread_local LayerCounters* g_active = nullptr;
 LayerCounters& LayerCounters::operator+=(const LayerCounters& other) {
   conjunctions += other.conjunctions;
   box_prunes += other.box_prunes;
+  boxes_built += other.boxes_built;
   fm_eliminations += other.fm_eliminations;
   redundancy_culls += other.redundancy_culls;
   index_node_visits += other.index_node_visits;
@@ -24,6 +25,7 @@ LayerCounters LayerCounters::operator-(const LayerCounters& other) const {
   LayerCounters out;
   out.conjunctions = conjunctions - other.conjunctions;
   out.box_prunes = box_prunes - other.box_prunes;
+  out.boxes_built = boxes_built - other.boxes_built;
   out.fm_eliminations = fm_eliminations - other.fm_eliminations;
   out.redundancy_culls = redundancy_culls - other.redundancy_culls;
   out.index_node_visits = index_node_visits - other.index_node_visits;
@@ -34,9 +36,10 @@ LayerCounters LayerCounters::operator-(const LayerCounters& other) const {
 }
 
 bool LayerCounters::IsZero() const {
-  return conjunctions == 0 && box_prunes == 0 && fm_eliminations == 0 &&
-         redundancy_culls == 0 && index_node_visits == 0 &&
-         index_leaf_hits == 0 && pages_read == 0 && pool_hits == 0;
+  return conjunctions == 0 && box_prunes == 0 && boxes_built == 0 &&
+         fm_eliminations == 0 && redundancy_culls == 0 &&
+         index_node_visits == 0 && index_leaf_hits == 0 && pages_read == 0 &&
+         pool_hits == 0;
 }
 
 std::string LayerCounters::ToString() const {
@@ -53,7 +56,9 @@ std::string LayerCounters::ToString() const {
       static_cast<unsigned long long>(index_leaf_hits),
       static_cast<unsigned long long>(pages_read),
       static_cast<unsigned long long>(pool_hits));
-  return buf;
+  std::string out = buf;
+  if (boxes_built != 0) out += ", boxed " + std::to_string(boxes_built);
+  return out;
 }
 
 CounterScope::CounterScope() : prev_(internal::g_active) {
@@ -119,17 +124,19 @@ std::string TraceNode::ToString(int indent) const {
 }
 
 std::string TraceNode::ToJson() const {
-  char buf[384];
+  char buf[448];
   std::snprintf(
       buf, sizeof(buf),
       "\"wall_us\":%.3f,\"self_us\":%.3f,\"in\":%llu,\"out\":%llu,"
-      "\"conjunctions\":%llu,\"box_prunes\":%llu,\"fm_eliminations\":%llu,"
+      "\"conjunctions\":%llu,\"box_prunes\":%llu,\"boxes_built\":%llu,"
+      "\"fm_eliminations\":%llu,"
       "\"redundancy_culls\":%llu,\"index_node_visits\":%llu,"
       "\"index_leaf_hits\":%llu,\"pages_read\":%llu,\"pool_hits\":%llu",
       wall_us, self_us, static_cast<unsigned long long>(tuples_in),
       static_cast<unsigned long long>(tuples_out),
       static_cast<unsigned long long>(counters.conjunctions),
       static_cast<unsigned long long>(counters.box_prunes),
+      static_cast<unsigned long long>(counters.boxes_built),
       static_cast<unsigned long long>(counters.fm_eliminations),
       static_cast<unsigned long long>(counters.redundancy_culls),
       static_cast<unsigned long long>(counters.index_node_visits),

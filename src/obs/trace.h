@@ -12,9 +12,11 @@
 ///  - `LayerCounters` is the set of work counters every engine layer
 ///    publishes: the constraint layer counts Fourier–Motzkin eliminations
 ///    and redundancy culls, the CQA operators count constraint stores
-///    materialized (refine) and tuples or pairs their box test rejected
-///    before any FM (filter), the R*-tree counts node visits and leaf
-///    hits, and the buffer pool counts page reads and cache hits.
+///    materialized (refine), tuples or pairs their box test rejected
+///    before any FM (filter), and the tuples a relation version's first
+///    reader boxed for the version's box cache, the R*-tree counts node
+///    visits and leaf hits, and the buffer pool counts page reads and
+///    cache hits.
 ///  - A *thread-local trace context* makes publication cheap and
 ///    race-free: `Note*` helpers bump plain (non-atomic) fields of the
 ///    thread's active `LayerCounters`, or do nothing when tracing is off
@@ -40,6 +42,7 @@ namespace ccdb::obs {
 struct LayerCounters {
   uint64_t conjunctions = 0;       ///< constraint stores materialized (CQA)
   uint64_t box_prunes = 0;         ///< tuples/pairs a box test rejected (CQA)
+  uint64_t boxes_built = 0;        ///< tuples boxed by a completed cache build
   uint64_t fm_eliminations = 0;    ///< Fourier–Motzkin variable eliminations
   uint64_t redundancy_culls = 0;   ///< members dropped by RemoveRedundant
   uint64_t index_node_visits = 0;  ///< R*-tree nodes loaded
@@ -52,7 +55,8 @@ struct LayerCounters {
   bool IsZero() const;
 
   /// Compact one-line rendering, e.g.
-  /// "conj 12, pruned 40, fm 8, culls 2, idx 3/1, io 4/2".
+  /// "conj 12, pruned 40, fm 8, culls 2, idx 3/1, io 4/2", with
+  /// ", boxed N" appended when a box-cache build ran.
   std::string ToString() const;
 };
 
@@ -77,6 +81,9 @@ inline void NoteConjunction() {
 }
 inline void NoteBoxPrune() {
   if (internal::g_active != nullptr) ++internal::g_active->box_prunes;
+}
+inline void NoteBoxesBuilt(uint64_t n) {
+  if (internal::g_active != nullptr) internal::g_active->boxes_built += n;
 }
 inline void NoteFmElimination() {
   if (internal::g_active != nullptr) ++internal::g_active->fm_eliminations;

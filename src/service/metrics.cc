@@ -65,10 +65,11 @@ std::string ServiceMetrics::ToString() const {
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "engine:   %llu conjunctions, %llu box prunes, "
-                "%llu fm eliminations, %llu culls, idx %llu/%llu, "
-                "pool %llu/%llu\n",
+                "%llu tuples boxed, %llu fm eliminations, %llu culls, "
+                "idx %llu/%llu, pool %llu/%llu\n",
                 static_cast<unsigned long long>(conjunctions),
                 static_cast<unsigned long long>(box_prunes),
+                static_cast<unsigned long long>(boxes_built),
                 static_cast<unsigned long long>(fm_eliminations),
                 static_cast<unsigned long long>(redundancy_culls),
                 static_cast<unsigned long long>(index_node_visits),

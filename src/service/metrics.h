@@ -43,6 +43,7 @@ struct ServiceMetrics {
   // trace contexts; see obs/trace.h).
   uint64_t conjunctions = 0;       ///< constraint stores materialized
   uint64_t box_prunes = 0;         ///< tuples/pairs rejected before FM
+  uint64_t boxes_built = 0;        ///< tuples boxed by box-cache builds
   uint64_t fm_eliminations = 0;    ///< Fourier–Motzkin variable eliminations
   uint64_t redundancy_culls = 0;   ///< constraints dropped as redundant
   uint64_t index_node_visits = 0;  ///< R*-tree nodes loaded

@@ -107,6 +107,7 @@ QueryService::QueryService(Database* base, ServiceOptions options)
       traced_(registry_.GetCounter(obs::names::kQueriesTraced)),
       conjunctions_(registry_.GetCounter(obs::names::kCqaConjunctions)),
       box_prunes_(registry_.GetCounter(obs::names::kCqaBoxPrunes)),
+      boxes_built_(registry_.GetCounter(obs::names::kCqaBoxesBuilt)),
       fm_eliminations_(registry_.GetCounter(obs::names::kFmEliminations)),
       redundancy_culls_(registry_.GetCounter(obs::names::kFmRedundancyCulls)),
       index_node_visits_(registry_.GetCounter(obs::names::kIndexNodeVisits)),
@@ -481,6 +482,7 @@ void QueryService::DrainCounters(const obs::LayerCounters& counters) {
   if (counters.IsZero()) return;
   conjunctions_->Add(counters.conjunctions);
   box_prunes_->Add(counters.box_prunes);
+  boxes_built_->Add(counters.boxes_built);
   fm_eliminations_->Add(counters.fm_eliminations);
   redundancy_culls_->Add(counters.redundancy_culls);
   index_node_visits_->Add(counters.index_node_visits);
@@ -977,6 +979,7 @@ ServiceMetrics QueryService::Metrics() const {
   m.traced_queries = traced_->Value();
   m.conjunctions = conjunctions_->Value();
   m.box_prunes = box_prunes_->Value();
+  m.boxes_built = boxes_built_->Value();
   m.fm_eliminations = fm_eliminations_->Value();
   m.redundancy_culls = redundancy_culls_->Value();
   m.index_node_visits = index_node_visits_->Value();

@@ -491,6 +491,7 @@ class QueryService {
   obs::Counter* traced_;
   obs::Counter* conjunctions_;
   obs::Counter* box_prunes_;
+  obs::Counter* boxes_built_;
   obs::Counter* fm_eliminations_;
   obs::Counter* redundancy_culls_;
   obs::Counter* index_node_visits_;

@@ -354,12 +354,6 @@ TEST(FourierMotzkinTest, IntervalOverlapAtSharedEndpoint) {
   EXPECT_TRUE(free.Overlaps(strict_high));
   EXPECT_FALSE(empty.Overlaps(free));
   EXPECT_FALSE(free.Overlaps(empty));
-
-  fm::Box a{{"x", closed_low}, {"y", free}};
-  fm::Box b{{"x", closed_high}, {"y", free}};
-  fm::Box c{{"x", strict_high}, {"y", free}};
-  EXPECT_TRUE(fm::Overlaps(a, b));
-  EXPECT_FALSE(fm::Overlaps(a, c));
 }
 
 TEST(FourierMotzkinTest, SingleVariableBoundsAreAnOuterBox) {

@@ -295,6 +295,7 @@ TEST(Wire, TraceNodeRoundTrips) {
   root.tuples_out = 17;
   root.counters.conjunctions = 99;
   root.counters.box_prunes = 41;
+  root.counters.boxes_built = 23;
   root.counters.fm_eliminations = 7;
   root.counters.pages_read = 3;
   obs::TraceNode child;
@@ -319,6 +320,7 @@ TEST(Wire, TraceNodeRoundTrips) {
   EXPECT_EQ(back.tuples_out, root.tuples_out);
   EXPECT_EQ(back.counters.conjunctions, root.counters.conjunctions);
   EXPECT_EQ(back.counters.box_prunes, root.counters.box_prunes);
+  EXPECT_EQ(back.counters.boxes_built, root.counters.boxes_built);
   EXPECT_EQ(back.counters.fm_eliminations, root.counters.fm_eliminations);
   EXPECT_EQ(back.counters.pages_read, root.counters.pages_read);
   ASSERT_EQ(back.children.size(), size_t{2});

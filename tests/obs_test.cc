@@ -183,6 +183,32 @@ TEST(TraceTest, ExecStatsExcludeRootFromIntermediates) {
   EXPECT_EQ(stats.intermediate_tuples, root.SumTuplesOut() - root.tuples_out);
 }
 
+TEST(TraceTest, BoxCacheBuildShowsOnItsFirstReader) {
+  // The first query to read a relation version pays for its boxes; the
+  // span that paid says how many tuples it boxed, and later reads of the
+  // version build nothing.
+  Database db = BoxDatabase(60);
+  service::QueryService svc(&db);
+  const service::SessionId session = svc.OpenSession();
+  const std::string script = "R0 = select x >= 100, x <= 900 from Boxes";
+  auto cold = svc.Trace(session, script);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->root.TotalCounters().boxes_built, 60u);
+  EXPECT_NE(cold->root.ToString().find(", boxed 60"), std::string::npos)
+      << cold->root.ToString();
+  EXPECT_NE(cold->root.ToJson().find("\"boxes_built\":60"),
+            std::string::npos);
+  auto warm = svc.Trace(session, script);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->root.TotalCounters().boxes_built, 0u);
+  EXPECT_EQ(warm->root.ToString().find("boxed"), std::string::npos);
+  EXPECT_TRUE(warm->response.relation.tuples() ==
+              cold->response.relation.tuples());
+  EXPECT_EQ(svc.Metrics().boxes_built, 60u);
+  EXPECT_NE(svc.Metrics().ToString().find("60 tuples boxed"),
+            std::string::npos);
+}
+
 TEST(TraceTest, FilterAndRefineShowSideBySide) {
   // The selections and the join each prune boxes before FM; the spans
   // carry the pruned count beside the refined conjunctions.

@@ -548,5 +548,47 @@ TEST(FilterRefineTest, EveryTestedTupleIsPrunedOrRefined) {
   EXPECT_EQ(scope.counters().conjunctions, 3u);
 }
 
+TEST(FilterRefineTest, ExactBoxPrunesWhatSingleVariableBoundsMiss) {
+  // y >= 5 alone leaves x unbounded, but with x + y <= 1 the exact box
+  // has x <= -4: disjoint from x >= 0, so the store is pruned before FM.
+  Relation r = MustRelation(
+      TwoConstraintAttrs(),
+      {ConstraintTuple({Constraint::Le(V("x") + V("y"), C(1)),
+                        Constraint::Ge(V("y"), C(5))})});
+  obs::CounterScope scope;
+  auto out = Select(r, LinearPred({Constraint::Ge(V("x"), C(0))}));
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out->empty());
+  EXPECT_EQ(scope.counters().box_prunes, 1u);
+  EXPECT_EQ(scope.counters().conjunctions, 0u);
+  EXPECT_EQ(scope.counters().boxes_built, 1u);
+}
+
+TEST(FilterRefineTest, OperatorsTestingNoConstraintAttributeBuildNoBoxes) {
+  const Schema keyed = Schema::Make({Schema::RelationalRational("k"),
+                                     Schema::ConstraintRational("x")})
+                           .value();
+  const Schema other = Schema::Make({Schema::RelationalRational("k"),
+                                     Schema::ConstraintRational("y")})
+                           .value();
+  Tuple t;
+  t.SetValue("k", Value::Number(Rational(1)));
+  t.AddConstraint(Constraint::Ge(V("x"), C(0)));
+  Tuple u;
+  u.SetValue("k", Value::Number(Rational(1)));
+  u.AddConstraint(Constraint::Ge(V("y"), C(0)));
+  Relation lhs = MustRelation(keyed, {t});
+  Relation rhs = MustRelation(other, {u});
+  obs::CounterScope scope;
+  auto joined = NaturalJoin(lhs, rhs);  // shares only the relational k
+  ASSERT_TRUE(joined.ok());
+  EXPECT_EQ(joined->size(), 1u);
+  auto selected =  // no single-variable atom over a constraint attribute
+      Select(lhs, LinearPred({Constraint::Le(V("x") + V("k"), C(9))}));
+  ASSERT_TRUE(selected.ok());
+  EXPECT_EQ(selected->size(), 1u);
+  EXPECT_EQ(scope.counters().boxes_built, 0u);
+}
+
 }  // namespace
 }  // namespace ccdb::cqa

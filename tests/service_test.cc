@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/operators.h"
 #include "data/workload.h"
 #include "lang/query.h"
 #include "obs/metric_names.h"
@@ -582,6 +583,75 @@ TEST(QueryServiceTest, CheckpointRequiresStoreAndCounts) {
   ASSERT_TRUE(service.CreateRelation("Boxes", BoxRelation(5, 8)).ok());
   ASSERT_TRUE(service.Checkpoint().ok());
   EXPECT_EQ(service.Metrics().wal_checkpoints, 1u);
+}
+
+/// `count` stores whose exact x box needs FM: x + y <= i,
+/// y >= 10 + i mod 13, x >= -(i mod 17), so x <= i - 10 - i mod 13.
+Relation MultiVariableRelation(size_t count) {
+  const LinearExpr x = LinearExpr::Variable("x");
+  const LinearExpr y = LinearExpr::Variable("y");
+  auto k = [](int64_t v) { return LinearExpr::Constant(Rational(v)); };
+  Relation rel(Schema::Make({Schema::ConstraintRational("x"),
+                             Schema::ConstraintRational("y")})
+                   .value());
+  for (int64_t i = 0; i < static_cast<int64_t>(count); ++i) {
+    Tuple t;
+    t.AddConstraint(Constraint::Le(x + y, k(i)));
+    t.AddConstraint(Constraint::Ge(y, k(10 + i % 13)));
+    t.AddConstraint(Constraint::Ge(x, k(-(i % 17))));
+    EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+  }
+  return rel;
+}
+
+TEST(QueryServiceTest, ConcurrentFirstReadersOfOneVersionAgree) {
+  // Eight workers run one Select at once against one snapshot whose box
+  // cache is cold: each may build the boxes, one vector is published,
+  // and every result matches a serial run on a fresh relation.
+  constexpr size_t kTuples = 120;
+  constexpr size_t kReaders = 8;
+  Database base;
+  ASSERT_TRUE(base.Create("Shapes", MultiVariableRelation(kTuples)).ok());
+  ServiceOptions options;
+  options.num_workers = kReaders;
+  options.cache_capacity = 0;  // every query executes
+  options.start_paused = true;
+  QueryService service(&base, options);
+  const std::string script = "R0 = select x >= 40 from Shapes";
+  Predicate pred;
+  pred.linear = {Constraint::Ge(LinearExpr::Variable("x"),
+                                LinearExpr::Constant(Rational(40)))};
+  auto reference = cqa::Select(MultiVariableRelation(kTuples), pred);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_GT(reference->size(), 0u);
+  ASSERT_LT(reference->size(), kTuples);
+
+  uint64_t built_cold = 0;
+  for (int round = 0; round < 2; ++round) {  // cold, then warm
+    std::vector<std::future<Result<QueryResponse>>> futures;
+    for (size_t i = 0; i < kReaders; ++i) {
+      auto submitted = service.Submit(service.OpenSession(), script);
+      ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+      futures.push_back(std::move(submitted->future));
+    }
+    if (round == 0) service.Resume();
+    for (auto& future : futures) {
+      Result<QueryResponse> response = future.get();
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_TRUE(response->relation.tuples() == reference->tuples());
+    }
+    // The cold round built at least once and at most once per reader;
+    // the warm round read the published vector.
+    const uint64_t built = service.Metrics().boxes_built;
+    if (round == 0) {
+      EXPECT_GE(built, kTuples);
+      EXPECT_LE(built, kTuples * kReaders);
+      EXPECT_EQ(built % kTuples, 0u);
+      built_cold = built;
+    } else {
+      EXPECT_EQ(built, built_cold);
+    }
+  }
 }
 
 TEST(ResultCacheTest, ConcurrentHitsShareOneEntry) {
