@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -626,6 +627,13 @@ TEST(MvccStressTest, WriterStormNeverTearsReaders) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      // The storm must overlap the readers: start once one read is in
+      // (bounded, so a reader that failed cannot hang the test).
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (reads.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
       const auto id = service.OpenSession();
       for (int i = 0; i < kWritesEach; ++i) {
         ASSERT_TRUE(service.Begin(id).ok());
