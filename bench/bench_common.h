@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -123,6 +124,14 @@ inline void EmitResult(const char* bench, const char* name, double value,
     }
     std::printf("\n");
   }
+}
+
+/// Passes over a query set per timed mode-round, sized from one warm-up
+/// pass (`pass_s` wall seconds) so that a mode-round lasts at least 0.5 s:
+/// an overhead percentage needs rounds far longer than the timer and
+/// scheduler noise it is read against.
+inline int PassesFor(double pass_s) {
+  return std::max(1, static_cast<int>(std::ceil(0.5 / std::max(pass_s, 1e-6))));
 }
 
 /// The experiment domain: data coords in [0,3000], extents up to 100.

@@ -7,7 +7,8 @@
 // exactly what one GET /metrics on the status listener pays.
 //
 // Phase 2 — traced-over-wire overhead: the same 12 experiment-2 join
-// queries over a loopback net::Client in three modes:
+// queries, repeated for at least 0.5 s per mode-round, over a loopback
+// net::Client in three modes:
 //   wire_plain        Execute, no trace id;
 //   wire_traced       Execute with a client-assigned trace_id stamped on
 //                     every request (the propagation cost every traced
@@ -53,34 +54,37 @@ std::string JoinScript(size_t i) {
 
 enum class Mode { kPlain, kTraced, kFetchTrace };
 
-/// Total wall seconds to run every script once over the wire in `mode`.
+/// Total wall seconds to run every script `passes` times over the wire in
+/// `mode`.
 double RunWire(net::Client* client, const std::vector<std::string>& scripts,
-               Mode mode, bool* ok) {
+               Mode mode, bool* ok, int passes = 1) {
   const double start = NowS();
   uint64_t trace_id = 0x0b5eab1e;
-  for (const std::string& script : scripts) {
-    Status status = Status::OK();
-    switch (mode) {
-      case Mode::kPlain:
-        status = client->Execute(script).status();
-        break;
-      case Mode::kTraced: {
-        service::QueryOptions opts;
-        opts.trace_id = ++trace_id;
-        status = client->Execute(script, opts).status();
-        break;
+  for (int pass = 0; pass < passes; ++pass) {
+    for (const std::string& script : scripts) {
+      Status status = Status::OK();
+      switch (mode) {
+        case Mode::kPlain:
+          status = client->Execute(script).status();
+          break;
+        case Mode::kTraced: {
+          service::QueryOptions opts;
+          opts.trace_id = ++trace_id;
+          status = client->Execute(script, opts).status();
+          break;
+        }
+        case Mode::kFetchTrace: {
+          service::QueryOptions opts;
+          opts.trace_id = ++trace_id;
+          status = client->FetchTrace(script, opts).status();
+          break;
+        }
       }
-      case Mode::kFetchTrace: {
-        service::QueryOptions opts;
-        opts.trace_id = ++trace_id;
-        status = client->FetchTrace(script, opts).status();
-        break;
+      if (!status.ok()) {
+        std::fprintf(stderr, "wire query failed: %s\n",
+                     status.ToString().c_str());
+        *ok = false;
       }
-    }
-    if (!status.ok()) {
-      std::fprintf(stderr, "wire query failed: %s\n",
-                   status.ToString().c_str());
-      *ok = false;
     }
   }
   return NowS() - start;
@@ -132,17 +136,20 @@ int Main(int argc, char** argv) {
   std::vector<std::string> scripts;
   for (size_t i = 0; i < kQueries; ++i) scripts.push_back(JoinScript(i));
 
+  // Warm-up (pages in code and data, occupies every hot counter and the
+  // latency histogram before the scrape is timed; not measured). It also
+  // sizes a mode-round: enough passes over the queries to last 0.5 s.
+  bool ok = true;
+  const int passes =
+      PassesFor(RunWire(client->get(), scripts, Mode::kPlain, &ok));
+  if (!ok) return 1;
+
   if (!JsonOutputEnabled()) {
     std::printf("Observability cost — %zu experiment-2 join queries over "
-                "%zu data boxes, best of %d rounds\n",
-                kQueries, params.data_count, kRounds);
+                "%zu data boxes, %d passes per mode-round, best of %d "
+                "rounds\n",
+                kQueries, params.data_count, passes, kRounds);
   }
-
-  // Warm-up (pages in code and data, occupies every hot counter and the
-  // latency histogram before the scrape is timed; not measured).
-  bool ok = true;
-  (void)RunWire(client->get(), scripts, Mode::kPlain, &ok);
-  if (!ok) return 1;
 
   // --- Phase 1: scrape cost --------------------------------------------
   // One scrape = merged service+net snapshot + Prometheus text rendering,
@@ -164,21 +171,24 @@ int Main(int argc, char** argv) {
   // Best-of-N per mode, interleaved so drift hits all modes alike.
   double best_plain = 0, best_traced = 0, best_fetch = 0;
   for (int round = 0; round < kRounds; ++round) {
-    const double plain = RunWire(client->get(), scripts, Mode::kPlain, &ok);
-    const double traced = RunWire(client->get(), scripts, Mode::kTraced, &ok);
+    const double plain =
+        RunWire(client->get(), scripts, Mode::kPlain, &ok, passes);
+    const double traced =
+        RunWire(client->get(), scripts, Mode::kTraced, &ok, passes);
     const double fetch =
-        RunWire(client->get(), scripts, Mode::kFetchTrace, &ok);
+        RunWire(client->get(), scripts, Mode::kFetchTrace, &ok, passes);
     if (!ok) return 1;
     if (round == 0 || plain < best_plain) best_plain = plain;
     if (round == 0 || traced < best_traced) best_traced = traced;
     if (round == 0 || fetch < best_fetch) best_fetch = fetch;
   }
 
-  const double per_query = 1e6 / static_cast<double>(kQueries);
+  const double per_query = 1e6 / static_cast<double>(kQueries * passes);
   const double traced_pct = 100.0 * (best_traced - best_plain) / best_plain;
   const double fetch_pct = 100.0 * (best_fetch - best_plain) / best_plain;
   EmitResult(kBench, "wire_plain", best_plain * per_query, "us/query",
-             {{"queries", static_cast<double>(kQueries)}});
+             {{"queries", static_cast<double>(kQueries)},
+              {"passes", static_cast<double>(passes)}});
   EmitResult(kBench, "wire_traced", best_traced * per_query, "us/query",
              {{"overhead_pct", traced_pct}});
   EmitResult(kBench, "wire_fetch_trace", best_fetch * per_query, "us/query",

@@ -2,9 +2,13 @@
 # directory's absolute path prints as <data>, so golden files hold no
 # checkout path. Registered per example by examples/CMakeLists.txt:
 #   cmake -DEXAMPLE=<binary> -DGOLDEN=<file> -DDATA_DIR=<dir> \
-#         -P check_golden.cmake
-execute_process(COMMAND "${EXAMPLE}" OUTPUT_VARIABLE actual
-                RESULT_VARIABLE exit_code)
+#         [-DARGS=<arg;arg...>] [-DINPUT=<stdin file>] -P check_golden.cmake
+set(stdin_option)
+if(DEFINED INPUT)
+  set(stdin_option INPUT_FILE "${INPUT}")
+endif()
+execute_process(COMMAND "${EXAMPLE}" ${ARGS} ${stdin_option}
+                OUTPUT_VARIABLE actual RESULT_VARIABLE exit_code)
 if(NOT exit_code EQUAL 0)
   message(FATAL_ERROR "${EXAMPLE} exited with ${exit_code}")
 endif()

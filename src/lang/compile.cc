@@ -2,13 +2,11 @@
 
 #include <map>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "lang/expr_parser.h"
 #include "lang/lexer.h"
-#include "util/string_util.h"
 
 namespace ccdb::lang {
 
@@ -259,35 +257,19 @@ Result<std::unique_ptr<PlanNode>> Compiler::ParseBody(TokenStream* ts,
 
 }  // namespace
 
-Result<CompiledScript> CompileScript(const std::string& script,
+Result<CompiledScript> CompileScript(const std::vector<Statement>& statements,
                                      const Database& db) {
   Compiler compiler(db);
-  CCDB_RETURN_IF_ERROR(ForEachStatement(
-      script, [&compiler](const std::vector<Token>& tokens) {
-        return compiler.Add(tokens);
-      }));
+  for (const Statement& s : statements) {
+    CCDB_RETURN_IF_ERROR(AtLine(s.line, compiler.Add(s.tokens)));
+  }
   return compiler.Finish();
 }
 
-Status ForEachStatement(
-    const std::string& script,
-    const std::function<Status(const std::vector<Token>&)>& fn) {
-  std::istringstream in(script);
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::string trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    Result<std::vector<Token>> tokens = Tokenize(trimmed);
-    if (tokens.ok() && tokens->size() <= 1) continue;  // only the kEnd token
-    Status status = tokens.ok() ? fn(*tokens) : tokens.status();
-    if (!status.ok()) {
-      return Status(status.code(), "line " + std::to_string(line_no) + ": " +
-                                       status.message());
-    }
-  }
-  return Status::OK();
+Result<CompiledScript> CompileScript(const std::string& script,
+                                     const Database& db) {
+  CCDB_ASSIGN_OR_RETURN(auto statements, TokenizeScript(script));
+  return CompileScript(statements, db);
 }
 
 }  // namespace ccdb::lang

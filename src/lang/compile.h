@@ -5,10 +5,10 @@
 /// The step language's one front end: scripts compile to one logical plan.
 ///
 /// `CompileScript` parses a §3.3 step script (the grammar is in query.h)
-/// and turns it into a single `PlanNode` tree, which `cqa::Optimize` and
-/// `cqa::Execute` / `cqa::ExecuteTraced` then run. `lang::EvaluateScript`
-/// (query.h) is that path, shared by served queries, `\trace`, and
-/// `lang::ExecuteScript`.
+/// from its statement list (`TokenizeScript`, lexer.h) and turns it into
+/// a single `PlanNode` tree, which `cqa::Optimize` and `cqa::Execute` /
+/// `cqa::ExecuteTraced` then run. `lang::EvaluateScript` (query.h) is that
+/// path, shared by served queries, `\trace`, and `lang::ExecuteScript`.
 ///
 /// Each statement is parsed and type-checked as it is compiled, from its
 /// operands' already-known schemas, so an ill-typed statement fails with
@@ -19,7 +19,6 @@
 /// `product` and `intersect` check their schemas (disjoint, identical)
 /// and compile to the natural join that implements them.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,20 +35,16 @@ struct CompiledScript {
   std::string final_step;  ///< name of the last step (= plan's result)
 };
 
-/// Compiles a script into one plan tree against `db`'s catalog, which
-/// supplies the schemas of the relations the script reads but does not
-/// define (they become `Scan` leaves). Fails with the usual parse and
-/// type errors, annotated with line numbers, on malformed input.
-Result<CompiledScript> CompileScript(const std::string& script,
+/// Compiles a script's statements into one plan tree against `db`'s
+/// catalog, which supplies the schemas of the relations the script reads
+/// but does not define (they become `Scan` leaves). Fails with the usual
+/// parse and type errors, prefixed with the statement's source line.
+Result<CompiledScript> CompileScript(const std::vector<Statement>& statements,
                                      const Database& db);
 
-/// Calls `fn` on the tokens of each statement of a script, one statement
-/// per line (blank lines and # comments skipped). Stops at the first
-/// error, from the tokenizer or from `fn`, and returns it prefixed with
-/// its line number.
-Status ForEachStatement(
-    const std::string& script,
-    const std::function<Status(const std::vector<Token>&)>& fn);
+/// TokenizeScript, then CompileScript.
+Result<CompiledScript> CompileScript(const std::string& script,
+                                     const Database& db);
 
 }  // namespace ccdb::lang
 

@@ -6,17 +6,12 @@
 #include <vector>
 
 #include "lang/expr_parser.h"
+#include "lang/lexer.h"
 #include "util/string_util.h"
 
 namespace ccdb::lang {
 
 namespace {
-
-Status AtLine(size_t line, const Status& status) {
-  if (status.ok()) return status;
-  return Status(status.code(),
-                "line " + std::to_string(line) + ": " + status.message());
-}
 
 /// Parses "name: domain kind; name: domain kind; ...".
 Result<Schema> ParseSchemaDeclaration(const std::string& text) {

@@ -1,6 +1,7 @@
 #include "lang/lexer.h"
 
 #include <cctype>
+#include <sstream>
 
 #include "util/string_util.h"
 
@@ -77,6 +78,24 @@ Result<std::vector<Token>> Tokenize(const std::string& text) {
   }
   tokens.push_back({TokenKind::kEnd, "", n});
   return tokens;
+}
+
+Result<std::vector<Statement>> TokenizeScript(const std::string& script) {
+  std::vector<Statement> statements;
+  std::istringstream in(script);
+  std::string text;
+  for (size_t line = 1; std::getline(in, text); ++line) {
+    Result<std::vector<Token>> tokens = Tokenize(text);
+    if (!tokens.ok()) return AtLine(line, tokens.status());
+    if (tokens->size() > 1) statements.push_back({line, std::move(*tokens)});
+  }
+  return statements;
+}
+
+Status AtLine(size_t line, const Status& status) {
+  if (status.ok()) return status;
+  return Status(status.code(),
+                "line " + std::to_string(line) + ": " + status.message());
 }
 
 const Token& TokenStream::Peek(size_t ahead) const {

@@ -9,6 +9,9 @@
 /// representable in ASCII, for portability". The same token set serves the
 /// step-based query language, selection conditions, and the relation data
 /// file format.
+///
+/// `TokenizeScript` reads a script once into one `Statement` per line;
+/// dispatch, the cache key and the compiler all read that list.
 
 #include <string>
 #include <vector>
@@ -42,6 +45,20 @@ struct Token {
 /// symbol tokens ("<=", "!=", "==", ...). Fails on unterminated strings or
 /// unknown characters.
 Result<std::vector<Token>> Tokenize(const std::string& text);
+
+/// One statement: a source line's 1-based number and its tokens, ending
+/// with the kEnd sentinel (positions count from the line's start).
+struct Statement {
+  size_t line = 0;
+  std::vector<Token> tokens;
+};
+
+/// One Statement per line, blank and comment-only lines skipped. Fails on
+/// the first tokenizer error, prefixed with its line number.
+Result<std::vector<Statement>> TokenizeScript(const std::string& script);
+
+/// `status` with its message prefixed by "line N: "; OK passes through.
+Status AtLine(size_t line, const Status& status);
 
 /// Token cursor with convenience accessors used by all parsers.
 class TokenStream {

@@ -1,20 +1,30 @@
 #include "lang/query.h"
 
-#include <cctype>
 #include <set>
-#include <sstream>
 
 #include "core/plan.h"
 #include "lang/compile.h"
-#include "lang/lexer.h"
 #include "obs/governance.h"
-#include "util/string_util.h"
 
 namespace ccdb::lang {
 
-Result<ScriptRun> EvaluateScript(const std::string& script,
+namespace {
+
+/// True when `b` touches `a` and the expression grammar reads that: a
+/// fraction (`3/2`) or a coefficient and its variable (`2x`).
+bool KeepsTouching(const Token& a, const Token& b) {
+  const bool read = (a.Is(TokenKind::kNumber) &&
+                     (b.IsSymbol("/") || b.Is(TokenKind::kIdentifier))) ||
+                    (a.IsSymbol("/") && b.Is(TokenKind::kNumber));
+  return read && a.position + a.text.size() == b.position;
+}
+
+}  // namespace
+
+Result<ScriptRun> EvaluateScript(const std::vector<Statement>& statements,
                                  const Database& db, obs::TraceNode* trace) {
-  CCDB_ASSIGN_OR_RETURN(CompiledScript compiled, CompileScript(script, db));
+  CCDB_ASSIGN_OR_RETURN(CompiledScript compiled,
+                        CompileScript(statements, db));
   std::unique_ptr<cqa::PlanNode> plan =
       cqa::Optimize(std::move(compiled.plan), db);
   ScriptRun run;
@@ -35,7 +45,8 @@ Result<ScriptRun> EvaluateScript(const std::string& script,
 }
 
 Result<std::string> ExecuteScript(const std::string& script, Database* db) {
-  CCDB_ASSIGN_OR_RETURN(ScriptRun run, EvaluateScript(script, *db));
+  CCDB_ASSIGN_OR_RETURN(auto statements, TokenizeScript(script));
+  CCDB_ASSIGN_OR_RETURN(ScriptRun run, EvaluateScript(statements, *db));
   db->CreateOrReplace(run.final_step, std::move(run.relation));
   return run.final_step;
 }
@@ -46,81 +57,61 @@ Result<Relation> RunQuery(const std::string& script, Database* db) {
   return *rel;
 }
 
-Result<std::string> CanonicalizeScript(const std::string& script) {
+std::string CanonicalizeScript(const std::vector<Statement>& statements) {
   std::string out;
-  Status s = ForEachStatement(script, [&out](const std::vector<Token>& ts) {
+  for (const Statement& statement : statements) {
     if (!out.empty()) out += '\n';
-    bool first = true;
-    for (const Token& t : ts) {
-      if (t.Is(TokenKind::kEnd)) break;
-      if (!first) out += ' ';
-      first = false;
-      if (t.Is(TokenKind::kString)) {
-        out += '"';
-        out += t.text;
-        out += '"';
-      } else {
-        out += t.text;
-      }
+    const std::vector<Token>& ts = statement.tokens;
+    for (size_t i = 0; i + 1 < ts.size(); ++i) {  // up to the kEnd sentinel
+      const Token& t = ts[i];
+      if (i > 0 && !KeepsTouching(ts[i - 1], t)) out += ' ';
+      if (t.Is(TokenKind::kString)) out += '"';
+      out += t.text;
+      if (t.Is(TokenKind::kString)) out += '"';
     }
-    return Status::OK();
-  });
-  CCDB_RETURN_IF_ERROR(s);
+  }
   return out;
 }
 
-Result<std::vector<std::string>> ScriptInputs(const std::string& script) {
+Result<std::string> CanonicalizeScript(const std::string& script) {
+  CCDB_ASSIGN_OR_RETURN(auto statements, TokenizeScript(script));
+  return CanonicalizeScript(statements);
+}
+
+std::vector<std::string> ScriptInputs(
+    const std::vector<Statement>& statements) {
   std::set<std::string> defined;
   std::set<std::string> inputs;
-  Status s = ForEachStatement(
-      script, [&defined, &inputs](const std::vector<Token>& ts) {
-        // Statement shape: <step> = <body>. Everything after the step name
-        // that is an identifier and not an already-defined step is a
-        // potential catalog read.
-        for (size_t i = 1; i < ts.size(); ++i) {
-          const Token& t = ts[i];
-          if (t.Is(TokenKind::kIdentifier) && !defined.count(t.text)) {
-            inputs.insert(t.text);
-          }
-        }
-        if (!ts.empty() && ts[0].Is(TokenKind::kIdentifier)) {
-          defined.insert(ts[0].text);
-        }
-        return Status::OK();
-      });
-  CCDB_RETURN_IF_ERROR(s);
+  for (const Statement& statement : statements) {
+    // Statement shape: <step> = <body>. Everything after the step name
+    // that is an identifier and not an already-defined step is a
+    // potential catalog read.
+    const std::vector<Token>& ts = statement.tokens;
+    for (size_t i = 1; i < ts.size(); ++i) {
+      if (ts[i].Is(TokenKind::kIdentifier) && !defined.count(ts[i].text)) {
+        inputs.insert(ts[i].text);
+      }
+    }
+    if (ts[0].Is(TokenKind::kIdentifier)) defined.insert(ts[0].text);
+  }
   return std::vector<std::string>(inputs.begin(), inputs.end());
 }
 
-TxnStatement ClassifyTxnStatement(const std::string& script) {
-  std::istringstream in(script);
-  std::string line;
-  std::string statement;
-  while (std::getline(in, line)) {
-    std::string trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    if (!statement.empty()) return TxnStatement::kNone;  // multi-statement
-    statement = std::move(trimmed);
-  }
-  if (statement.empty()) return TxnStatement::kNone;
+Result<std::vector<std::string>> ScriptInputs(const std::string& script) {
+  CCDB_ASSIGN_OR_RETURN(auto statements, TokenizeScript(script));
+  return ScriptInputs(statements);
+}
 
-  // Split into whitespace-separated words, uppercased.
-  std::vector<std::string> words;
-  std::istringstream tokens(statement);
-  std::string word;
-  while (tokens >> word) {
-    for (char& c : word) {
-      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    }
-    words.push_back(word);
-  }
-  if (words.empty() || words.size() > 2) return TxnStatement::kNone;
-  if (words.size() == 2 && words[1] != "TRANSACTION") {
+TxnStatement ClassifyTxnStatement(const std::vector<Statement>& statements) {
+  if (statements.size() != 1) return TxnStatement::kNone;
+  // `<keyword> [TRANSACTION]`, then the kEnd sentinel.
+  const std::vector<Token>& ts = statements[0].tokens;
+  if (ts.size() > 3 || (ts.size() == 3 && !ts[1].IsKeyword("TRANSACTION"))) {
     return TxnStatement::kNone;
   }
-  if (words[0] == "BEGIN") return TxnStatement::kBegin;
-  if (words[0] == "COMMIT") return TxnStatement::kCommit;
-  if (words[0] == "ROLLBACK") return TxnStatement::kRollback;
+  if (ts[0].IsKeyword("BEGIN")) return TxnStatement::kBegin;
+  if (ts[0].IsKeyword("COMMIT")) return TxnStatement::kCommit;
+  if (ts[0].IsKeyword("ROLLBACK")) return TxnStatement::kRollback;
   return TxnStatement::kNone;
 }
 

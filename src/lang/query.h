@@ -4,6 +4,9 @@
 /// \file query.h
 /// The step-based CQA query language: execution, canonical text, inputs.
 ///
+/// Each function reads a script's statement list (`TokenizeScript`), so a
+/// served script is tokenized once; the string forms tokenize first.
+///
 /// Queries are sequences of named steps, exactly the style of the paper's
 /// §3.3 Hurricane case study ("CQA/CDB queries are broken up into multiple
 /// steps"):
@@ -39,6 +42,7 @@
 #include <vector>
 
 #include "data/database.h"
+#include "lang/lexer.h"
 #include "obs/trace.h"
 #include "util/status.h"
 
@@ -57,13 +61,13 @@ struct ScriptRun {
 /// operator latched, so a tripped run never returns a partial result as
 /// OK. Registers nothing; callers register `final_step`, so a script that
 /// fails registers nothing.
-Result<ScriptRun> EvaluateScript(const std::string& script,
+Result<ScriptRun> EvaluateScript(const std::vector<Statement>& statements,
                                  const Database& db,
                                  obs::TraceNode* trace = nullptr);
 
-/// EvaluateScript, then registers the final step's result in `db` under
-/// its name. Returns that name; fails on the first error with its line
-/// number (blank lines and # comments ignored).
+/// TokenizeScript and EvaluateScript, then registers the final step's
+/// result in `db` under its name. Returns that name; fails on the first
+/// error with its source line number.
 Result<std::string> ExecuteScript(const std::string& script, Database* db);
 
 /// Executes a script like ExecuteScript and returns the final relation
@@ -72,19 +76,22 @@ Result<Relation> RunQuery(const std::string& script, Database* db);
 
 /// Canonical text of a script: comments and blank lines dropped, every
 /// statement re-emitted as its token texts joined by single spaces (string
-/// literals re-quoted), statements joined by '\n'. Two scripts with equal
-/// canonical text execute identically against equal catalogs — the
-/// service layer's result-cache key. Identifier case is preserved (names
-/// are case-sensitive), so `SELECT` vs `select` canonicalize differently;
-/// that only costs a cache miss, never a wrong hit.
+/// literals re-quoted), statements joined by '\n' — except that the pairs
+/// the grammar reads touching (number and `/`, `/` and number, number and
+/// identifier) touch where they did: `3/2` is a fraction, `3 / 2` a parse
+/// error. Two scripts with equal canonical text parse alike and execute
+/// identically against equal catalogs — the service layer's result-cache
+/// key. Identifier case is preserved, so `SELECT` vs `select` only costs a
+/// cache miss, never a wrong hit.
+std::string CanonicalizeScript(const std::vector<Statement>& statements);
 Result<std::string> CanonicalizeScript(const std::string& script);
 
 /// Over-approximation of the catalog names a script reads but does not
-/// itself define: every identifier token that is not a step name defined
-/// by an earlier (or the same) statement, sorted and deduplicated. The
-/// list includes attribute names and keywords — callers filter by catalog
-/// membership; over-inclusion only widens a cache key, under-inclusion
-/// cannot happen.
+/// itself define: every identifier after a statement's step name that no
+/// earlier statement defined, sorted and deduplicated. The list includes
+/// attribute names and keywords — callers filter by catalog membership;
+/// over-inclusion only widens a cache key, under-inclusion cannot happen.
+std::vector<std::string> ScriptInputs(const std::vector<Statement>& statements);
 Result<std::vector<std::string>> ScriptInputs(const std::string& script);
 
 /// Transaction-control statements, recognized before a script reaches the
@@ -97,13 +104,13 @@ enum class TxnStatement {
 };
 
 /// Classifies a whole submission as a transaction control. Matches only
-/// when, after stripping comments and blank lines, the script is exactly
-/// one statement of the form `BEGIN` / `COMMIT` / `ROLLBACK` (optionally
-/// followed by `TRANSACTION`), case-insensitive. Anything else — including
-/// a control keyword mixed into a multi-statement script — is kNone and
-/// flows through normal execution (where `BEGIN` is a parse error, as
-/// before).
-TxnStatement ClassifyTxnStatement(const std::string& script);
+/// when the script is exactly one statement of identifier tokens `BEGIN` /
+/// `COMMIT` / `ROLLBACK`, optionally followed by `TRANSACTION`,
+/// case-insensitive; a `#` comment may follow, as after any statement.
+/// Anything else — a quoted `"BEGIN"`, `BEGIN;`, a control keyword mixed
+/// into a multi-statement script — is kNone and flows through normal
+/// execution (where `BEGIN` is a parse error).
+TxnStatement ClassifyTxnStatement(const std::vector<Statement>& statements);
 
 }  // namespace ccdb::lang
 

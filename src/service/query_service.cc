@@ -334,7 +334,10 @@ Status QueryService::Cancel(SessionId session, uint64_t query_id) {
 Result<TraceReport> QueryService::Trace(SessionId id,
                                         const std::string& script,
                                         QueryOptions opts) {
-  if (lang::ClassifyTxnStatement(script) != lang::TxnStatement::kNone) {
+  // A script that does not tokenize fails on the worker, like any query.
+  auto statements = lang::TokenizeScript(script);
+  if (statements.ok() &&
+      lang::ClassifyTxnStatement(*statements) != lang::TxnStatement::kNone) {
     return Status::InvalidArgument(
         "trace runs queries; BEGIN, COMMIT and ROLLBACK have no plan");
   }
@@ -494,12 +497,14 @@ void QueryService::DrainCounters(const obs::LayerCounters& counters) {
 Result<QueryResponse> QueryService::RunScript(Task* task,
                                               obs::TraceNode* trace) {
   Session* session = task->session.get();
+  // Tokenized once: dispatch, the cache key and the compiler read these.
+  CCDB_ASSIGN_OR_RETURN(auto statements, lang::TokenizeScript(task->script));
   // Transaction controls are whole-statement keywords, dispatched before
   // the step-statement parser ever sees them. Routing them through the
   // normal queue (not Submit) preserves program order with the session's
   // in-flight queries, and makes BEGIN/COMMIT work identically through
   // the network edge — the server's QUERY opcode lands here too.
-  switch (lang::ClassifyTxnStatement(task->script)) {
+  switch (lang::ClassifyTxnStatement(statements)) {
     case lang::TxnStatement::kBegin: {
       CCDB_RETURN_IF_ERROR(BeginTxn(session));
       QueryResponse response;
@@ -524,11 +529,6 @@ Result<QueryResponse> QueryService::RunScript(Task* task,
 
   if (options_.execution_hook) options_.execution_hook(task->script);
 
-  CCDB_ASSIGN_OR_RETURN(std::string canon,
-                        lang::CanonicalizeScript(task->script));
-  CCDB_ASSIGN_OR_RETURN(std::vector<std::string> referenced,
-                        lang::ScriptInputs(canon));
-
   MutexLock session_lock(session->mu);
   // The read view: inside a transaction, the BEGIN-time snapshot overlaid
   // with the transaction's own staged writes (read-your-writes); outside,
@@ -546,9 +546,10 @@ Result<QueryResponse> QueryService::RunScript(Task* task,
   // between sessions); so is any query inside a transaction (its inputs
   // include uncommitted staged writes). A Trace always executes.
   bool cacheable = cache_.enabled() && !in_txn && task->report == nullptr;
-  std::string key = canon;
+  std::string key;
   if (cacheable) {
-    for (const std::string& name : referenced) {
+    key = lang::CanonicalizeScript(statements);
+    for (const std::string& name : lang::ScriptInputs(statements)) {
       if (session->steps.Has(name)) {
         cacheable = false;
         break;
@@ -578,7 +579,7 @@ Result<QueryResponse> QueryService::RunScript(Task* task,
 
   SessionView view(&base, &session->steps);
   CCDB_ASSIGN_OR_RETURN(lang::ScriptRun run,
-                        lang::EvaluateScript(canon, view, trace));
+                        lang::EvaluateScript(statements, view, trace));
   if (task->report != nullptr) {
     task->report->plan_text = std::move(run.plan_text);
   }

@@ -30,10 +30,11 @@
 ///    with kUnavailable (retry hint attached) and the transaction is
 ///    rolled back.
 ///  - *Execution*: every script — Execute/Submit and Trace alike — runs on
-///    a worker under its governance context, through
-///    `lang::EvaluateScript`: compiled to one plan (lang/compile.h),
-///    optimized, and run by the one plan executor, with operator spans
-///    when it is traced.
+///    a worker under its governance context. The worker tokenizes it once
+///    (`lang::TokenizeScript`); transaction dispatch, the cache key and
+///    `lang::EvaluateScript` all read that statement list: compiled to one
+///    plan (lang/compile.h), optimized, and run by the one plan executor,
+///    with operator spans when it is traced.
 ///  - *Step results* never touch the base catalog: each session owns a
 ///    private step `Database`, and queries execute against an overlay view
 ///    (steps first, snapshot second). A script's intermediate steps are

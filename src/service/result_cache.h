@@ -7,12 +7,12 @@
 /// A cache entry is the outcome of one script: its final step's name and
 /// relation. That is everything a hit needs, because a script's other
 /// steps are local to it — executing the script registers only the final
-/// step in the session, and so does a hit. Keys are built by the service
-/// from the script's canonical text (`lang::CanonicalizeScript`) and the
-/// (name, version) pairs of the base relations it reads — replacing an
-/// input relation bumps its version and silently invalidates every
-/// dependent entry (stale keys can never hit; stale entries age out of
-/// the LRU).
+/// step in the session, and so does a hit. For a cacheable query the
+/// service keys on the canonical text of its statements (which parses like
+/// the script; `lang::CanonicalizeScript`) and the (name, version) pairs
+/// of the base relations it reads — replacing an input relation bumps its
+/// version and silently invalidates every dependent entry (stale keys can
+/// never hit; stale entries age out of the LRU).
 
 #include <cstdint>
 #include <list>

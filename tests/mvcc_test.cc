@@ -188,27 +188,36 @@ TEST(SnapshotTest, MaterializeRestartsVersionCounters) {
 // Transaction-statement classification
 // ---------------------------------------------------------------------
 
-TEST(TxnStatementTest, ClassifiesWholeStatementKeywordsOnly) {
-  using lang::ClassifyTxnStatement;
-  using lang::TxnStatement;
-  EXPECT_EQ(ClassifyTxnStatement("BEGIN"), TxnStatement::kBegin);
-  EXPECT_EQ(ClassifyTxnStatement("  begin  "), TxnStatement::kBegin);
-  EXPECT_EQ(ClassifyTxnStatement("Begin Transaction"), TxnStatement::kBegin);
-  EXPECT_EQ(ClassifyTxnStatement("COMMIT"), TxnStatement::kCommit);
-  EXPECT_EQ(ClassifyTxnStatement("commit transaction"),
-            TxnStatement::kCommit);
-  EXPECT_EQ(ClassifyTxnStatement("ROLLBACK"), TxnStatement::kRollback);
-  EXPECT_EQ(ClassifyTxnStatement("# note\nCOMMIT\n"), TxnStatement::kCommit);
+/// Classifies a script through the served path's one tokenization.
+lang::TxnStatement Classify(const std::string& script) {
+  auto statements = lang::TokenizeScript(script);
+  EXPECT_TRUE(statements.ok()) << statements.status().ToString();
+  return statements.ok() ? lang::ClassifyTxnStatement(*statements)
+                         : lang::TxnStatement::kNone;
+}
 
-  EXPECT_EQ(ClassifyTxnStatement(""), TxnStatement::kNone);
-  EXPECT_EQ(ClassifyTxnStatement("BEGINX"), TxnStatement::kNone);
-  EXPECT_EQ(ClassifyTxnStatement("COMMIT NOW"), TxnStatement::kNone);
-  EXPECT_EQ(ClassifyTxnStatement("BEGIN TRANSACTION EXTRA"),
-            TxnStatement::kNone);
-  EXPECT_EQ(ClassifyTxnStatement("R0 = select x >= 0 from Boxes"),
-            TxnStatement::kNone);
+TEST(TxnStatementTest, ClassifiesWholeStatementKeywordsOnly) {
+  using lang::TxnStatement;
+  EXPECT_EQ(Classify("BEGIN"), TxnStatement::kBegin);
+  EXPECT_EQ(Classify("  begin  "), TxnStatement::kBegin);
+  EXPECT_EQ(Classify("Begin Transaction"), TxnStatement::kBegin);
+  EXPECT_EQ(Classify("COMMIT"), TxnStatement::kCommit);
+  EXPECT_EQ(Classify("commit transaction"), TxnStatement::kCommit);
+  EXPECT_EQ(Classify("ROLLBACK"), TxnStatement::kRollback);
+  EXPECT_EQ(Classify("# note\nCOMMIT\n"), TxnStatement::kCommit);
+  // A trailing comment follows the lexer's rule, as after any statement.
+  EXPECT_EQ(Classify("BEGIN # note"), TxnStatement::kBegin);
+
+  EXPECT_EQ(Classify(""), TxnStatement::kNone);
+  EXPECT_EQ(Classify("BEGINX"), TxnStatement::kNone);
+  EXPECT_EQ(Classify("COMMIT NOW"), TxnStatement::kNone);
+  EXPECT_EQ(Classify("BEGIN TRANSACTION EXTRA"), TxnStatement::kNone);
+  EXPECT_EQ(Classify("R0 = select x >= 0 from Boxes"), TxnStatement::kNone);
+  // Controls are identifier tokens: a string or a trailing symbol is not.
+  EXPECT_EQ(Classify("\"BEGIN\""), TxnStatement::kNone);
+  EXPECT_EQ(Classify("BEGIN;"), TxnStatement::kNone);
   // Multi-statement scripts are never transaction controls.
-  EXPECT_EQ(ClassifyTxnStatement("BEGIN\nR0 = select x >= 0 from Boxes"),
+  EXPECT_EQ(Classify("BEGIN\nR0 = select x >= 0 from Boxes"),
             TxnStatement::kNone);
 }
 
@@ -328,6 +337,12 @@ TEST(TxnTest, StatementsRouteThroughExecute) {
   rolled = service.Execute(id, "ROLLBACK");
   ASSERT_TRUE(rolled.ok());
   EXPECT_EQ(rolled->step, "ROLLBACK");
+
+  // A `#` comment may follow a control, as after any statement.
+  auto noted = service.Execute(id, "BEGIN # note");
+  ASSERT_TRUE(noted.ok()) << noted.status().ToString();
+  EXPECT_EQ(noted->step, "BEGIN");
+  EXPECT_TRUE(service.TransactionInfo(id)->active);
 }
 
 TEST(TxnTest, NoNestingAndConflictIsFirstCommitterWins) {

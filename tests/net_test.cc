@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "data/workload.h"
+#include "lang/query.h"
 #include "net/client.h"
 #include "net/replica.h"
 #include "net/server.h"
@@ -458,6 +459,24 @@ TEST(NetServer, HelloExecuteMatchesLocalExecution) {
   EXPECT_EQ(remote->relation.ToString(), local->relation.ToString());
   EXPECT_GT(remote->latency_us, 0);
   EXPECT_TRUE(leader.service()->CloseSession(local_session).ok());
+}
+
+TEST(NetServer, FractionsAndCoefficientsMatchRunQuery) {
+  Leader leader;
+  auto client = leader.Connect();
+  ASSERT_NE(client, nullptr);
+  Database local;
+  ASSERT_TRUE(local.Create("Boxes", BoxRelation(50, 7)).ok());
+  for (const char* script : {"R0 = select x <= 1801/2 from Boxes",
+                             "R0 = select 2x + y <= 3000 from Boxes",
+                             "R0 = select x + 3/2y <= 2500 from Boxes"}) {
+    auto want = lang::RunQuery(script, &local);
+    ASSERT_TRUE(want.ok()) << script << ": " << want.status().ToString();
+    EXPECT_GT(want->size(), 0u) << script;
+    auto remote = client->Execute(script);
+    ASSERT_TRUE(remote.ok()) << script << ": " << remote.status().ToString();
+    EXPECT_EQ(remote->relation.ToString(), want->ToString()) << script;
+  }
 }
 
 TEST(NetServer, ServiceErrorsCrossTheWireTyped) {

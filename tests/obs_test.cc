@@ -339,6 +339,46 @@ TEST(ServiceTraceTest, TransactionControlIsRefusedWithoutRunning) {
   EXPECT_EQ(m.txn_commits, uint64_t{0});
 }
 
+TEST(ServiceTraceTest, TraceReportsTheClientsLineNumbers) {
+  Database db = BoxDatabase(10);
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  service::QueryService svc(&db, options);
+  const service::SessionId session = svc.OpenSession();
+
+  // The ill-typed union is on the client's line 5.
+  auto report = svc.Trace(session,
+                          "# steps of one query\n"
+                          "\n"
+                          "R0 = select x >= 0, x <= 500 from Boxes\n"
+                          "R1 = project R0 on y\n"
+                          "R2 = union R0 and R1");
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(report.status().message().rfind("line 5: ", 0), 0u)
+      << report.status().ToString();
+}
+
+TEST(ServiceTraceTest, FractionsAndCoefficientsTraceLikeRunQuery) {
+  Database db = BoxDatabase(30);
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  service::QueryService svc(&db, options);
+  const service::SessionId session = svc.OpenSession();
+  for (const char* script : {"R0 = select x <= 1801/2 from Boxes",
+                             "R0 = select 2x + y <= 3000 from Boxes",
+                             "R0 = select x + 3/2y <= 2500 from Boxes"}) {
+    Database local = db;
+    auto want = lang::RunQuery(script, &local);
+    ASSERT_TRUE(want.ok()) << script << ": " << want.status().ToString();
+    EXPECT_GT(want->size(), 0u) << script;
+    auto report = svc.Trace(session, script);
+    ASSERT_TRUE(report.ok()) << script << ": " << report.status().ToString();
+    EXPECT_EQ(report->response.relation.ToString(), want->ToString())
+        << script;
+  }
+}
+
 TEST(ServiceTraceTest, NormalizeAndFeatureScriptsTracePerOperator) {
   Database db;
   ASSERT_TRUE(lang::LoadDatabaseFile(

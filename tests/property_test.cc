@@ -724,9 +724,13 @@ Database ScriptCatalog(MemberGenerator* gen) {
 /// far, `steps`). Operands are earlier steps three times in four and step
 /// names come from R0..R2, so steps are read 0-3 times and redefined.
 /// Every statement form appears, selections and joins (the rewrites'
-/// targets) most often; some draws are ill-typed on purpose.
+/// targets) most often; some draws are ill-typed on purpose. With
+/// `spelled`, a rational selection writes its coefficient and bounds as
+/// numbers and fractions, touching or spaced (`3/2`, `3 / 2`, `2x`, `2 x`,
+/// `2 * x`), so some draws are parse errors.
 std::string RandomStatement(Rng& rng, const Database& db,
-                            const std::vector<std::string>& steps) {
+                            const std::vector<std::string>& steps,
+                            bool spelled = false) {
   static const char* const kCatalog[] = {"A", "B", "Land", "Landownership",
                                          "Hurricane"};
   static const char* const kFeatures[] = {"LandFeatures", "HurricanePath"};
@@ -770,11 +774,28 @@ std::string RandomStatement(Rng& rng, const Database& db,
                 : tuples[rng.UniformInt(0, tuples.size() - 1)].GetValue(attr);
         body = "select " + attr + " = \"" +
                (value.IsNull() ? "A" : value.AsString()) + "\" from " + lhs;
-      } else {
+      } else if (!spelled) {
         const int64_t lo = rng.UniformInt(-2, 4);
         body = "select " + attr + " >= " + std::to_string(lo) + ", " + attr +
                " <= " + std::to_string(lo + rng.UniformInt(1, 4)) + " from " +
                lhs;
+      } else {
+        static const char* const kSlash[] = {"/", " / ", "/ ", " /"};
+        static const char* const kTimes[] = {"", " ", " * "};
+        auto fraction = [&](int64_t numerator) {
+          return std::to_string(numerator) + (rng.UniformInt(0, 1) == 0
+                                                  ? std::string()
+                                                  : pick(kSlash) + "2");
+        };
+        // Each draw in its own statement, so the order of draws is fixed.
+        const int64_t lo = rng.UniformInt(-4, 8);
+        const int64_t hi = lo + rng.UniformInt(1, 8);
+        std::string term = fraction(rng.UniformInt(1, 3));
+        term += pick(kTimes) + attr;
+        const std::string lower = fraction(lo);
+        const std::string upper = fraction(hi);
+        body = "select " + term + " >= " + lower + ", " + attr + " <= " +
+               upper + " from " + lhs;
       }
       break;
     case 1: {
@@ -899,6 +920,58 @@ TEST_P(ScriptPlanProperty, OptimizedPlanMatchesStepAtATime) {
 
 INSTANTIATE_TEST_SUITE_P(SeedSweep, ScriptPlanProperty,
                          ::testing::Values(61, 62, 63, 64, 65),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// --- The result-cache key's canonical text parses like its script ------------
+
+class CanonicalTextProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CanonicalTextProperty, CompilesToTheScriptsPlan) {
+  MemberGenerator gen(GetParam());
+  Rng& rng = gen.rng();
+  const Database catalog = ScriptCatalog(&gen);
+  int parsed = 0, failed = 0;
+  for (int iter = 0; iter < 200; ++iter) {
+    // Statements run one at a time, so later ones draw operands from the
+    // steps' real schemas; the script ends at its first failing statement.
+    Database reference = catalog;
+    std::vector<std::string> steps;
+    std::string script;
+    Result<std::string> step = std::string();
+    const int64_t length = rng.UniformInt(1, 4);
+    for (int64_t i = 0; i < length && step.ok(); ++i) {
+      const std::string statement =
+          RandomStatement(rng, reference, steps, /*spelled=*/true);
+      script += statement + "\n";
+      step = lang::ExecuteScript(statement, &reference);
+      if (step.ok()) steps.push_back(*step);
+    }
+
+    SCOPED_TRACE(script);
+    Result<std::string> canonical = lang::CanonicalizeScript(script);
+    ASSERT_TRUE(canonical.ok()) << canonical.status().ToString();
+    Result<lang::CompiledScript> want = lang::CompileScript(script, catalog);
+    Result<lang::CompiledScript> got = lang::CompileScript(*canonical, catalog);
+    if (!want.ok()) {
+      ++failed;
+      ASSERT_FALSE(got.ok()) << "canonical text compiled: " << *canonical;
+      EXPECT_EQ(got.status().code(), want.status().code())
+          << got.status().ToString() << " vs " << want.status().ToString();
+      continue;
+    }
+    ++parsed;
+    ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << *canonical;
+    EXPECT_EQ(got->plan->ToString(), want->plan->ToString());
+  }
+  // The sweep both compiled and rejected many scripts.
+  EXPECT_GT(parsed, 20);
+  EXPECT_GT(failed, 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedSweep, CanonicalTextProperty,
+                         ::testing::Values(71, 72, 73),
                          [](const auto& info) {
                            return "seed" + std::to_string(info.param);
                          });

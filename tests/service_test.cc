@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/operators.h"
@@ -244,17 +245,83 @@ TEST(QueryServiceTest, FailedScriptRegistersNoStep) {
   SessionId id = service.OpenSession();
 
   // Lines 1-2 are fine; line 3 is ill-typed. The script fails as a whole
-  // and leaves the session as it was.
-  auto failed = service.Execute(id,
-                                "R0 = select x >= 0, x <= 500 from Boxes\n"
-                                "R1 = project R0 on y\n"
-                                "R2 = union R0 and R1");
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(failed.status().message().rfind("line 3: ", 0), 0u)
-      << failed.status().ToString();
-  for (const char* step : {"R0", "R1", "R2"}) {
-    EXPECT_FALSE(service.GetRelation(id, step).ok()) << step;
+  // and leaves the session as it was. Its error names the client's line,
+  // counting comment and blank lines.
+  const std::string script =
+      "R0 = select x >= 0, x <= 500 from Boxes\n"
+      "R1 = project R0 on y\n"
+      "R2 = union R0 and R1";
+  for (const auto& [text, line] :
+       {std::pair<std::string, std::string>{script, "line 3: "},
+        {"# steps of one query\n\n" + script, "line 5: "}}) {
+    auto failed = service.Execute(id, text);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(failed.status().message().rfind(line, 0), 0u)
+        << failed.status().ToString();
+    for (const char* step : {"R0", "R1", "R2"}) {
+      EXPECT_FALSE(service.GetRelation(id, step).ok()) << step;
+    }
+  }
+}
+
+/// Selections that read token adjacency: a fraction and coefficients,
+/// touching their numbers and variables.
+constexpr const char* kAdjacentScripts[] = {
+    "R0 = select x <= 1801/2 from Boxes",
+    "R0 = select 2x + y <= 3000 from Boxes",
+    "R0 = select x + 3/2y <= 2500 from Boxes",
+};
+
+TEST(QueryServiceTest, FractionsAndCoefficientsAnswerLikeRunQuery) {
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(30, 5)).ok());
+  QueryService service(&base, {});
+  SessionId id = service.OpenSession();
+  for (const char* script : kAdjacentScripts) {
+    Database local = base;
+    auto want = lang::RunQuery(script, &local);
+    ASSERT_TRUE(want.ok()) << script << ": " << want.status().ToString();
+    EXPECT_GT(want->size(), 0u) << script;
+    auto served = service.Execute(id, script);
+    ASSERT_TRUE(served.ok()) << script << ": " << served.status().ToString();
+    EXPECT_EQ(served->relation.ToString(), want->ToString()) << script;
+  }
+}
+
+TEST(QueryServiceTest, CacheKeyKeepsTheTokenPairsTheGrammarReads) {
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(30, 5)).ok());
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.cache_capacity = 16;
+  QueryService service(&base, options);
+  SessionId id = service.OpenSession();
+
+  // Each pair differs only in the space the grammar reads: the first is
+  // a fraction or a coefficient, the second a parse error.
+  const std::pair<const char*, const char*> pairs[] = {
+      {"R0 = select x <= 3/2 from Boxes", "R0 = select x <= 3 / 2 from Boxes"},
+      {"R0 = select 2x <= 1000 from Boxes",
+       "R0 = select 2 x <= 1000 from Boxes"},
+  };
+  for (const auto& [touching, spaced] : pairs) {
+    auto served = service.Execute(id, touching);
+    ASSERT_TRUE(served.ok()) << touching << ": "
+                             << served.status().ToString();
+    auto again = service.Execute(id, touching);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(again->cache_hit) << touching;
+
+    const uint64_t hits = service.Metrics().cache_hits;
+    Database local = base;
+    auto want = lang::RunQuery(spaced, &local);
+    ASSERT_FALSE(want.ok()) << spaced;
+    EXPECT_EQ(want.status().code(), StatusCode::kParseError);
+    auto refused = service.Execute(id, spaced);
+    ASSERT_FALSE(refused.ok()) << spaced << " was answered from the cache";
+    EXPECT_EQ(refused.status().ToString(), want.status().ToString());
+    EXPECT_EQ(service.Metrics().cache_hits, hits) << spaced;
   }
 }
 
