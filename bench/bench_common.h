@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -126,12 +127,62 @@ inline void EmitResult(const char* bench, const char* name, double value,
   }
 }
 
-/// Passes over a query set per timed mode-round, sized from one warm-up
-/// pass (`pass_s` wall seconds) so that a mode-round lasts at least 0.5 s:
-/// an overhead percentage needs rounds far longer than the timer and
-/// scheduler noise it is read against.
-inline int PassesFor(double pass_s) {
-  return std::max(1, static_cast<int>(std::ceil(0.5 / std::max(pass_s, 1e-6))));
+/// Quantile `q` of `values` by linear interpolation between closest ranks
+/// (numpy's default, as tools/bench_compare.py reads perfbench runs).
+inline double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = static_cast<double>(values.size() - 1) * q;
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
+}
+
+/// The overhead estimator of the observability benches. `run(mode,
+/// passes)` returns the wall seconds of `passes` passes over the bench's
+/// `queries` queries in `mode`; mode 0 is "off", the baseline, and
+/// `names` names every mode. One unmeasured pass of off warms up and
+/// sizes a run to at least 50 ms. Each of 60 short rounds then runs every
+/// mode once, back to back, starting one mode later than the round
+/// before, so no mode always runs first. A mode's overhead is the median
+/// of its per-round ratio to off: a ratio taken within one round cancels
+/// the host's slow speed changes, which a per-mode best-of-N reads from
+/// different host states. Emits one line per mode: its median per-query
+/// time, with the run size on off's line and the overhead median and
+/// quartiles on every other.
+inline void MeasureModes(
+    const char* bench, const std::vector<const char*>& names, size_t queries,
+    const std::function<double(size_t mode, int passes)>& run) {
+  constexpr int kRounds = 60;
+  const size_t modes = names.size();
+  const int passes = std::max(
+      1, static_cast<int>(std::ceil(0.05 / std::max(run(0, 1), 1e-6))));
+  std::vector<std::vector<double>> seconds(modes), overheads(modes);
+  std::vector<double> round_s(modes);
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < modes; ++i) {
+      const size_t mode = (static_cast<size_t>(round) + i) % modes;
+      round_s[mode] = run(mode, passes);
+    }
+    for (size_t mode = 0; mode < modes; ++mode) {
+      seconds[mode].push_back(round_s[mode]);
+      overheads[mode].push_back(100.0 * (round_s[mode] / round_s[0] - 1));
+    }
+  }
+  const double us_per_query =
+      1e6 / static_cast<double>(queries * static_cast<size_t>(passes));
+  EmitResult(bench, names[0], Quantile(seconds[0], 0.5) * us_per_query,
+             "us/query",
+             {{"queries", static_cast<double>(queries)},
+              {"passes", static_cast<double>(passes)},
+              {"rounds", static_cast<double>(kRounds)}});
+  for (size_t mode = 1; mode < modes; ++mode) {
+    EmitResult(bench, names[mode],
+               Quantile(seconds[mode], 0.5) * us_per_query, "us/query",
+               {{"overhead_pct", Quantile(overheads[mode], 0.5)},
+                {"q1_pct", Quantile(overheads[mode], 0.25)},
+                {"q3_pct", Quantile(overheads[mode], 0.75)}});
+  }
 }
 
 /// The experiment domain: data coords in [0,3000], extents up to 100.

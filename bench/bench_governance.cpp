@@ -6,9 +6,10 @@
 //   off   plain Execute — no ExecContext installed (an ungoverned thread);
 //   on    an ExecContext with generous, never-tripping limits installed —
 //         the per-charge/per-check price every governed query pays.
-// The design target is governed overhead under 3% on this workload. Each
-// mode-round repeats the 12 plans for at least 0.5 s, so the overhead is
-// read over rounds far longer than the timer noise.
+// The design target is governed overhead under 3% on this workload. The
+// overhead comes from MeasureModes (bench_common.h): the median of
+// per-round ratios to off over many short rounds that run both modes
+// back to back.
 //
 // It also measures *trip latency*: an adversarial Fourier–Motzkin
 // explosion query (an unselective self-join over boxes that all share a
@@ -86,7 +87,7 @@ Result<std::unique_ptr<cqa::PlanNode>> MakeExplosionPlan(const Database& db) {
 /// Total wall seconds to execute every plan `passes` times, optionally
 /// governed.
 double RunPlans(const std::vector<std::unique_ptr<cqa::PlanNode>>& plans,
-                const Database& db, bool governed, int passes = 1) {
+                const Database& db, bool governed, int passes) {
   // Generous limits: every charge and strided check is paid, nothing
   // ever trips — this isolates the bookkeeping cost.
   obs::GovernanceLimits limits;
@@ -231,34 +232,15 @@ int main(int argc, char** argv) {
     plans.push_back(std::move(plan).value());
   }
 
-  // Warm-up pass, not measured. It also sizes a mode-round: enough passes
-  // over the queries to last at least 0.5 s.
-  const int passes = PassesFor(RunPlans(plans, db, /*governed=*/false));
-
-  constexpr int kRounds = 7;
   if (!JsonOutputEnabled()) {
     std::printf("Governance overhead — %zu experiment-2 join queries over "
-                "%zu data boxes, %d passes per mode-round, best of %d "
-                "rounds\n",
-                kQueries, params.data_count, passes, kRounds);
+                "%zu data boxes\n",
+                kQueries, params.data_count);
   }
-
-  // Best-of-N per mode, interleaved so drift hits both modes alike.
-  double best_off = 0, best_on = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    const double off = RunPlans(plans, db, /*governed=*/false, passes);
-    const double on = RunPlans(plans, db, /*governed=*/true, passes);
-    if (round == 0 || off < best_off) best_off = off;
-    if (round == 0 || on < best_on) best_on = on;
-  }
-
-  const double per_query = 1e6 / static_cast<double>(kQueries * passes);
-  const double overhead_pct = 100.0 * (best_on - best_off) / best_off;
-  EmitResult(kBench, "governance_off", best_off * per_query, "us/query",
-             {{"queries", static_cast<double>(kQueries)},
-              {"passes", static_cast<double>(passes)}});
-  EmitResult(kBench, "governance_on", best_on * per_query, "us/query",
-             {{"overhead_pct", overhead_pct}});
+  MeasureModes(kBench, {"governance_off", "governance_on"}, kQueries,
+               [&](size_t mode, int passes) {
+                 return RunPlans(plans, db, /*governed=*/mode == 1, passes);
+               });
 
   // Trip latency: median-of-5 overshoot past the 50 ms deadline.
   std::vector<double> trips;

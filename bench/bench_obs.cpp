@@ -7,8 +7,9 @@
 // exactly what one GET /metrics on the status listener pays.
 //
 // Phase 2 — traced-over-wire overhead: the same 12 experiment-2 join
-// queries, repeated for at least 0.5 s per mode-round, over a loopback
-// net::Client in three modes:
+// queries over a loopback net::Client in three modes, timed by
+// MeasureModes (bench_common.h: the median of per-round ratios to plain
+// over many short rounds that run every mode back to back):
 //   wire_plain        Execute, no trace id;
 //   wire_traced       Execute with a client-assigned trace_id stamped on
 //                     every request (the propagation cost every traced
@@ -31,7 +32,6 @@ namespace {
 
 constexpr const char* kBench = "bench_obs";
 constexpr size_t kQueries = 12;
-constexpr int kRounds = 7;
 constexpr int kScrapeIters = 200;
 
 double NowS() {
@@ -57,7 +57,7 @@ enum class Mode { kPlain, kTraced, kFetchTrace };
 /// Total wall seconds to run every script `passes` times over the wire in
 /// `mode`.
 double RunWire(net::Client* client, const std::vector<std::string>& scripts,
-               Mode mode, bool* ok, int passes = 1) {
+               Mode mode, bool* ok, int passes) {
   const double start = NowS();
   uint64_t trace_id = 0x0b5eab1e;
   for (int pass = 0; pass < passes; ++pass) {
@@ -137,18 +137,15 @@ int Main(int argc, char** argv) {
   for (size_t i = 0; i < kQueries; ++i) scripts.push_back(JoinScript(i));
 
   // Warm-up (pages in code and data, occupies every hot counter and the
-  // latency histogram before the scrape is timed; not measured). It also
-  // sizes a mode-round: enough passes over the queries to last 0.5 s.
+  // latency histogram before the scrape is timed; not measured).
   bool ok = true;
-  const int passes =
-      PassesFor(RunWire(client->get(), scripts, Mode::kPlain, &ok));
+  RunWire(client->get(), scripts, Mode::kPlain, &ok, 1);
   if (!ok) return 1;
 
   if (!JsonOutputEnabled()) {
     std::printf("Observability cost — %zu experiment-2 join queries over "
-                "%zu data boxes, %d passes per mode-round, best of %d "
-                "rounds\n",
-                kQueries, params.data_count, passes, kRounds);
+                "%zu data boxes\n",
+                kQueries, params.data_count);
   }
 
   // --- Phase 1: scrape cost --------------------------------------------
@@ -168,31 +165,12 @@ int Main(int argc, char** argv) {
              {{"bytes", static_cast<double>(body_bytes)}});
 
   // --- Phase 2: traced-over-wire overhead ------------------------------
-  // Best-of-N per mode, interleaved so drift hits all modes alike.
-  double best_plain = 0, best_traced = 0, best_fetch = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    const double plain =
-        RunWire(client->get(), scripts, Mode::kPlain, &ok, passes);
-    const double traced =
-        RunWire(client->get(), scripts, Mode::kTraced, &ok, passes);
-    const double fetch =
-        RunWire(client->get(), scripts, Mode::kFetchTrace, &ok, passes);
-    if (!ok) return 1;
-    if (round == 0 || plain < best_plain) best_plain = plain;
-    if (round == 0 || traced < best_traced) best_traced = traced;
-    if (round == 0 || fetch < best_fetch) best_fetch = fetch;
-  }
-
-  const double per_query = 1e6 / static_cast<double>(kQueries * passes);
-  const double traced_pct = 100.0 * (best_traced - best_plain) / best_plain;
-  const double fetch_pct = 100.0 * (best_fetch - best_plain) / best_plain;
-  EmitResult(kBench, "wire_plain", best_plain * per_query, "us/query",
-             {{"queries", static_cast<double>(kQueries)},
-              {"passes", static_cast<double>(passes)}});
-  EmitResult(kBench, "wire_traced", best_traced * per_query, "us/query",
-             {{"overhead_pct", traced_pct}});
-  EmitResult(kBench, "wire_fetch_trace", best_fetch * per_query, "us/query",
-             {{"overhead_pct", fetch_pct}});
+  MeasureModes(kBench, {"wire_plain", "wire_traced", "wire_fetch_trace"},
+               kQueries, [&](size_t mode, int passes) {
+                 return RunWire(client->get(), scripts,
+                                static_cast<Mode>(mode), &ok, passes);
+               });
+  if (!ok) return 1;
 
   client->get()->Close();
   (*server)->Shutdown();

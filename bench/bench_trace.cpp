@@ -9,9 +9,9 @@
 //   full_spans    ExecuteTraced — per-operator TraceNode tree with wall
 //                 times, tuple flow, and counter deltas.
 // The interesting numbers are the counters/full overhead percentages vs
-// off: the design target is full-span overhead under 5%. Each mode-round
-// repeats the 12 plans for at least 0.5 s, so an overhead is read over
-// rounds far longer than the timer noise.
+// off: the design target is full-span overhead under 5%. Overheads come
+// from MeasureModes (bench_common.h): the median of per-round ratios to
+// off over many short rounds that run every mode back to back.
 //
 // With --json each result is one machine-readable line (see
 // bench_common.h), recorded in CI as the BENCH_* trajectory.
@@ -48,7 +48,7 @@ enum class Mode { kOff, kCounters, kFullSpans };
 /// Total wall seconds to execute every plan `passes` times in the given
 /// mode.
 double RunMode(const std::vector<std::unique_ptr<cqa::PlanNode>>& plans,
-               const Database& db, Mode mode, int passes = 1) {
+               const Database& db, Mode mode, int passes) {
   const auto start = std::chrono::steady_clock::now();
   for (int pass = 0; pass < passes; ++pass) {
     for (const auto& plan : plans) {
@@ -110,38 +110,14 @@ int main(int argc, char** argv) {
     plans.push_back(std::move(plan).value());
   }
 
-  // Warm-up pass (page in code and data; not measured). It also sizes a
-  // mode-round: enough passes over the queries to last at least 0.5 s.
-  const int passes = PassesFor(RunMode(plans, db, Mode::kOff));
-
-  constexpr int kRounds = 7;
   if (!JsonOutputEnabled()) {
     std::printf("Tracing overhead — %zu experiment-2 join queries over %zu "
-                "data boxes, %d passes per mode-round, best of %d rounds\n",
-                kQueries, params.data_count, passes, kRounds);
+                "data boxes\n",
+                kQueries, params.data_count);
   }
-
-  // Best-of-N per mode, interleaved so drift hits all modes alike: on a
-  // shared machine the minimum approximates each mode's noise-free floor.
-  double best_off = 0, best_counters = 0, best_full = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    const double off = RunMode(plans, db, Mode::kOff, passes);
-    const double counters = RunMode(plans, db, Mode::kCounters, passes);
-    const double full = RunMode(plans, db, Mode::kFullSpans, passes);
-    if (round == 0 || off < best_off) best_off = off;
-    if (round == 0 || counters < best_counters) best_counters = counters;
-    if (round == 0 || full < best_full) best_full = full;
-  }
-
-  const double per_query = 1e6 / static_cast<double>(kQueries * passes);
-  const double counters_pct = 100.0 * (best_counters - best_off) / best_off;
-  const double full_pct = 100.0 * (best_full - best_off) / best_off;
-  EmitResult(kBench, "trace_off", best_off * per_query, "us/query",
-             {{"queries", static_cast<double>(kQueries)},
-              {"passes", static_cast<double>(passes)}});
-  EmitResult(kBench, "trace_counters_only", best_counters * per_query,
-             "us/query", {{"overhead_pct", counters_pct}});
-  EmitResult(kBench, "trace_full_spans", best_full * per_query, "us/query",
-             {{"overhead_pct", full_pct}});
+  MeasureModes(kBench, {"trace_off", "trace_counters_only", "trace_full_spans"},
+               kQueries, [&](size_t mode, int passes) {
+                 return RunMode(plans, db, static_cast<Mode>(mode), passes);
+               });
   return 0;
 }

@@ -103,10 +103,8 @@ Result<Predicate> StoredRelation::QueryPredicate(
   auto add_range = [&](const std::string& attr,
                        const std::pair<double, double>& range) {
     LinearExpr var = LinearExpr::Variable(attr);
-    CCDB_ASSIGN_OR_RETURN(Rational lo,
-                          Rational::FromString(std::to_string(range.first)));
-    CCDB_ASSIGN_OR_RETURN(Rational hi,
-                          Rational::FromString(std::to_string(range.second)));
+    CCDB_ASSIGN_OR_RETURN(Rational lo, Rational::FromDouble(range.first));
+    CCDB_ASSIGN_OR_RETURN(Rational hi, Rational::FromDouble(range.second));
     pred.linear.push_back(Constraint::Ge(var, LinearExpr::Constant(lo)));
     pred.linear.push_back(Constraint::Le(var, LinearExpr::Constant(hi)));
     return Status::OK();

@@ -80,7 +80,7 @@ class StoredRelation {
   StoredRelation() = default;
 
   /// Translates the box query into an exact CQA predicate over
-  /// (xattr, yattr).
+  /// (xattr, yattr): the exact values of the doubles the index searches.
   Result<Predicate> QueryPredicate(const BoxQuery& query) const;
 
   /// Fetches + deserializes records and refines them with `pred`.

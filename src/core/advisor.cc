@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
+#include <optional>
 
 #include "constraint/independence.h"
 #include "storage/serde.h"
@@ -40,100 +42,44 @@ std::string AdvisorReport::ToString() const {
 
 namespace {
 
-/// Cost of replaying the workload against one configuration.
-struct Replayer {
-  virtual ~Replayer() = default;
-  /// Returns page accesses for the query: index reads + candidate
-  /// fetches, or a full heap scan when the config cannot serve it.
-  virtual Result<uint64_t> Cost(const BoxQuery& query) = 0;
-};
-
-class JointReplayer final : public Replayer {
+/// Replays queries against the joint index over `domain` (given) or the
+/// two separate ones, on an uncached in-memory disk.
+class IndexReplayer {
  public:
-  JointReplayer(const std::vector<Rect>& keys, const Rect& domain,
-                size_t outliers)
-      : pool_(&disk_, 0), index_(&pool_, domain), outliers_(outliers) {
+  IndexReplayer(const std::vector<Rect>& keys, size_t outliers,
+                const std::optional<Rect>& joint_domain)
+      : pool_(&disk_, 0), outliers_(outliers) {
+    if (joint_domain) {
+      index_ = std::make_unique<JointIndex>(&pool_, *joint_domain);
+    } else {
+      index_ = std::make_unique<SeparateIndex>(&pool_);
+    }
     for (size_t i = 0; i < keys.size(); ++i) {
-      Status s = index_.Insert(keys[i], i);
+      Status s = index_->Insert(keys[i], i);
       assert(s.ok());
       IgnoreError(s);  // in-memory replay disk: inserts cannot fail
     }
   }
-  Result<uint64_t> Cost(const BoxQuery& query) override {
+
+  /// Page accesses for `query`: index page reads plus one fetch per
+  /// candidate and per outlier.
+  Result<uint64_t> Cost(const BoxQuery& query) {
     disk_.ResetStats();
-    CCDB_ASSIGN_OR_RETURN(auto hits, index_.Search(query));
+    CCDB_ASSIGN_OR_RETURN(auto hits, index_->Search(query));
     return disk_.stats().reads + hits.size() + outliers_;
   }
 
  private:
   PageManager disk_;
   BufferPool pool_;
-  JointIndex index_;
+  std::unique_ptr<AttributeIndex> index_;
   size_t outliers_;
-};
-
-class SeparateReplayer final : public Replayer {
- public:
-  SeparateReplayer(const std::vector<Rect>& keys, size_t outliers)
-      : pool_(&disk_, 0), index_(&pool_), outliers_(outliers) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      Status s = index_.Insert(keys[i], i);
-      assert(s.ok());
-      IgnoreError(s);  // in-memory replay disk: inserts cannot fail
-    }
-  }
-  Result<uint64_t> Cost(const BoxQuery& query) override {
-    disk_.ResetStats();
-    CCDB_ASSIGN_OR_RETURN(auto hits, index_.Search(query));
-    return disk_.stats().reads + hits.size() + outliers_;
-  }
-
- private:
-  PageManager disk_;
-  BufferPool pool_;
-  SeparateIndex index_;
-  size_t outliers_;
-};
-
-class SingleAxisReplayer final : public Replayer {
- public:
-  SingleAxisReplayer(const std::vector<Rect>& keys, int axis,
-                     size_t outliers, uint64_t heap_pages)
-      : pool_(&disk_, 0),
-        tree_(&pool_, 1),
-        axis_(axis),
-        outliers_(outliers),
-        heap_pages_(heap_pages) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      Status s = tree_.Insert(
-          Rect::Make1D(keys[i].lo[axis], keys[i].hi[axis]), i);
-      assert(s.ok());
-      IgnoreError(s);  // in-memory replay disk: inserts cannot fail
-    }
-  }
-  Result<uint64_t> Cost(const BoxQuery& query) override {
-    const auto& range = axis_ == 0 ? query.x : query.y;
-    if (!range) return heap_pages_;  // unsupported: full scan
-    disk_.ResetStats();
-    CCDB_ASSIGN_OR_RETURN(
-        auto hits, tree_.Search(Rect::Make1D(range->first, range->second)));
-    // Candidates matching one attribute still need fetching + refining.
-    return disk_.stats().reads + hits.size() + outliers_;
-  }
-
- private:
-  PageManager disk_;
-  BufferPool pool_;
-  RStarTree tree_;
-  int axis_;
-  size_t outliers_;
-  uint64_t heap_pages_;
 };
 
 }  // namespace
 
 bool AreAttributesIndependent(const Relation& rel, const std::string& x,
-                              const std::string& y) {
+                              const std::string& y, size_t sample_tuples) {
   const Attribute* ax = rel.schema().Find(x);
   const Attribute* ay = rel.schema().Find(y);
   if (ax == nullptr || ay == nullptr) return false;
@@ -143,7 +89,9 @@ bool AreAttributesIndependent(const Relation& rel, const std::string& x,
       ay->kind == AttributeKind::kRelational) {
     return true;
   }
+  size_t checked = 0;
   for (const Tuple& t : rel.tuples()) {
+    if (checked++ >= sample_tuples) break;
     if (!fm::AreIndependent(t.constraints(), x, y)) return false;
   }
   return true;
@@ -204,40 +152,37 @@ Result<AdvisorReport> AdviseIndexing(const Relation& rel,
   const uint64_t heap_pages = heap.num_pages();
 
   // §3.2 independence probe over a sample of tuples.
-  if (x->kind == AttributeKind::kRelational ||
-      y->kind == AttributeKind::kRelational) {
-    report.attributes_independent = true;
-  } else {
-    report.attributes_independent = true;
-    size_t checked = 0;
-    for (const Tuple& t : rel.tuples()) {
-      if (checked++ >= sample_tuples) break;
-      if (!fm::AreIndependent(t.constraints(), xattr, yattr)) {
-        report.attributes_independent = false;
-        break;
-      }
-    }
-  }
+  report.attributes_independent =
+      AreAttributesIndependent(rel, xattr, yattr, sample_tuples);
 
-  // Replay the workload against each configuration.
-  JointReplayer joint(keys, domain, outliers);
-  SeparateReplayer separate(keys, outliers);
-  SingleAxisReplayer x_only(keys, 0, outliers, heap_pages);
-  SingleAxisReplayer y_only(keys, 1, outliers, heap_pages);
-  struct Entry {
-    IndexChoice choice;
-    Replayer* replayer;
+  // Replay the workload against each configuration. A single-axis index
+  // is the separate configuration's tree on that axis: on an uncached
+  // disk a one-axis query reads only that tree's pages. A query leaving
+  // the axis free scans the heap.
+  IndexReplayer joint(keys, outliers, domain);
+  IndexReplayer separate(keys, outliers, std::nullopt);
+  auto cost = [&](IndexChoice choice, const BoxQuery& q) -> Result<uint64_t> {
+    switch (choice) {
+      case IndexChoice::kJoint:
+        return joint.Cost(q);
+      case IndexChoice::kSeparate:
+        return separate.Cost(q);
+      case IndexChoice::kXOnly:
+        if (!q.x) return heap_pages;
+        return separate.Cost(BoxQuery{q.x, std::nullopt});
+      case IndexChoice::kYOnly:
+        if (!q.y) return heap_pages;
+        return separate.Cost(BoxQuery{std::nullopt, q.y});
+    }
+    return Status::Internal("unknown index choice");
   };
-  Entry entries[] = {{IndexChoice::kJoint, &joint},
-                     {IndexChoice::kSeparate, &separate},
-                     {IndexChoice::kXOnly, &x_only},
-                     {IndexChoice::kYOnly, &y_only}};
-  for (const Entry& entry : entries) {
+  for (IndexChoice choice : {IndexChoice::kJoint, IndexChoice::kSeparate,
+                             IndexChoice::kXOnly, IndexChoice::kYOnly}) {
     AdvisorReport::Candidate candidate;
-    candidate.choice = entry.choice;
+    candidate.choice = choice;
     for (const BoxQuery& q : workload) {
-      CCDB_ASSIGN_OR_RETURN(uint64_t cost, entry.replayer->Cost(q));
-      candidate.total_accesses += cost;
+      CCDB_ASSIGN_OR_RETURN(uint64_t accesses, cost(choice, q));
+      candidate.total_accesses += accesses;
     }
     report.candidates.push_back(candidate);
   }

@@ -22,6 +22,7 @@
 /// recommendation wins: coupled attributes with conjunctive workloads are
 /// exactly where the joint index dominates.
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -63,10 +64,11 @@ struct AdvisorReport {
 
 /// The paper's §3.2 observation made executable: attributes x and y are
 /// independent in `rel` when they are independent in every tuple's
-/// constraint store; a relational attribute is independent of everything
-/// by construction.
-bool AreAttributesIndependent(const Relation& rel, const std::string& x,
-                              const std::string& y);
+/// constraint store (or in the first `sample_tuples` of them); a
+/// relational attribute is independent of everything by construction.
+bool AreAttributesIndependent(
+    const Relation& rel, const std::string& x, const std::string& y,
+    size_t sample_tuples = std::numeric_limits<size_t>::max());
 
 /// Replays `workload` against every candidate configuration of `rel`'s
 /// attributes (`xattr`, `yattr`) and recommends the cheapest.

@@ -370,18 +370,10 @@ void AssignLabels(const PlanNode& plan, obs::TraceNode* trace) {
 
 }  // namespace
 
-Result<Relation> Execute(const PlanNode& plan, const Database& db,
-                         ExecStats* stats) {
-  if (stats == nullptr) {
-    Memo memo;
-    CCDB_ASSIGN_OR_RETURN(Output out, Run(plan, db, &memo, nullptr));
-    return std::move(out).Take();
-  }
-  obs::TraceNode root;
-  CCDB_ASSIGN_OR_RETURN(Relation out, ExecuteTraced(plan, db, &root));
-  stats->nodes_evaluated = root.NodeCount();
-  stats->intermediate_tuples = root.SumTuplesOut() - root.tuples_out;
-  return out;
+Result<Relation> Execute(const PlanNode& plan, const Database& db) {
+  Memo memo;
+  CCDB_ASSIGN_OR_RETURN(Output out, Run(plan, db, &memo, nullptr));
+  return std::move(out).Take();
 }
 
 Result<Relation> ExecuteTraced(const PlanNode& plan, const Database& db,

@@ -133,23 +133,9 @@ Result<Schema> OutputSchema(const PlanNode& plan,
                             const std::vector<Schema>& inputs,
                             const Database& db);
 
-/// Per-evaluation statistics (filled by Execute when non-null).
-struct ExecStats {
-  size_t nodes_evaluated = 0;
-
-  /// Tuples produced by every operator *below* the root. The root's own
-  /// output is the query result, not intermediate work, so it is excluded
-  /// (earlier versions counted it too, inflating the metric by exactly the
-  /// result cardinality).
-  size_t intermediate_tuples = 0;
-};
-
 /// Evaluates the plan bottom-up: the one executor every script runs
-/// through. Shared subplans run once per call. When `stats` is non-null
-/// the evaluation is traced internally and the tree is reduced to the two
-/// summary fields.
-Result<Relation> Execute(const PlanNode& plan, const Database& db,
-                         ExecStats* stats = nullptr);
+/// through. Shared subplans run once per call.
+Result<Relation> Execute(const PlanNode& plan, const Database& db);
 
 /// Execute with spans on: records a per-operator span tree into `root` —
 /// each node gets the operator label, inclusive wall time, exclusive self

@@ -100,21 +100,18 @@ Rect FeatureRect(const geom::Box& box) {
                       Rect::RoundDown(box.y_min), Rect::RoundUp(box.y_max));
 }
 
-/// An R*-tree over the bounding boxes of `features` (ids = indices).
+/// An R*-tree over the bounding boxes of `features` (ids = indices), on
+/// its own in-memory disk.
 struct FeatureIndex {
-  std::unique_ptr<PageManager> own_disk;
-  std::unique_ptr<BufferPool> own_pool;
+  std::unique_ptr<PageManager> disk;
+  std::unique_ptr<BufferPool> pool;
   std::unique_ptr<RStarTree> tree;
 
-  static Result<FeatureIndex> Build(const std::vector<Feature>& features,
-                                    BufferPool* pool) {
+  static Result<FeatureIndex> Build(const std::vector<Feature>& features) {
     FeatureIndex index;
-    if (pool == nullptr) {
-      index.own_disk = std::make_unique<PageManager>();
-      index.own_pool = std::make_unique<BufferPool>(index.own_disk.get(), 0);
-      pool = index.own_pool.get();
-    }
-    index.tree = std::make_unique<RStarTree>(pool, 2);
+    index.disk = std::make_unique<PageManager>();
+    index.pool = std::make_unique<BufferPool>(index.disk.get(), 0);
+    index.tree = std::make_unique<RStarTree>(index.pool.get(), 2);
     for (size_t i = 0; i < features.size(); ++i) {
       CCDB_RETURN_IF_ERROR(
           index.tree->Insert(FeatureRect(features[i].bounds), i));
@@ -159,7 +156,7 @@ Result<Relation> BufferJoin(const FeatureSet& lhs, const FeatureSet& rhs,
   }
 
   CCDB_ASSIGN_OR_RETURN(FeatureIndex index,
-                        FeatureIndex::Build(rhs.features(), options.pool));
+                        FeatureIndex::Build(rhs.features()));
   // Filter: grow the probe's bounding box by d (conservatively in doubles);
   // any feature within distance d must intersect the grown box.
   const double grow = Rect::RoundUp(distance);
@@ -233,7 +230,7 @@ Result<Relation> KNearest(const FeatureSet& lhs, const FeatureSet& rhs,
   }
 
   CCDB_ASSIGN_OR_RETURN(FeatureIndex index,
-                        FeatureIndex::Build(rhs.features(), options.pool));
+                        FeatureIndex::Build(rhs.features()));
   for (const Feature& left : lhs.features()) {
     CCDB_RETURN_IF_ERROR(obs::CheckGovernance());
     if (obs::GovernanceTruncating()) break;
@@ -261,9 +258,9 @@ Result<Relation> KNearest(const FeatureSet& lhs, const FeatureSet& rhs,
                                 &right);
         ++usable;
       }
-      const Rational radius_sq =
-          Rational::FromString(std::to_string(radius)).value() *
-          Rational::FromString(std::to_string(radius)).value();
+      CCDB_ASSIGN_OR_RETURN(const Rational exact_radius,
+                            Rational::FromDouble(radius));
+      const Rational radius_sq = exact_radius * exact_radius;
       size_t confirmed = 0;
       for (const auto& [dist, right] : candidates) {
         if (dist <= radius_sq) ++confirmed;

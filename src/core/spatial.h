@@ -25,7 +25,6 @@
 
 #include "data/relation.h"
 #include "geom/convert.h"
-#include "storage/buffer_pool.h"
 
 namespace ccdb::cqa {
 
@@ -70,9 +69,6 @@ class FeatureSet {
 struct SpatialOptions {
   /// Use an R*-tree over feature bounding boxes; false = nested loop.
   bool use_index = true;
-  /// Pool for the operator's index pages; nullptr = private in-memory pool.
-  /// Benchmarks pass their own pool to count disk accesses.
-  BufferPool* pool = nullptr;
   /// Drop pairs with equal feature IDs (self-join hygiene).
   bool exclude_same_id = false;
   /// Output attribute names.

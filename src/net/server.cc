@@ -12,7 +12,12 @@ namespace ccdb::net {
 
 
 Server::Server(service::QueryService* service, ServerOptions options)
-    : service_(service), options_(std::move(options)) {
+    : service_(service),
+      options_(std::move(options)),
+      listener_(options_.max_connections, [this](Socket* sock) {
+        IgnoreError(SendError(sock, Status::Unavailable("too many connections")
+                                        .WithRetryAfter(50)));
+      }) {
   term_.store(options_.term, std::memory_order_release);
   read_only_.store(options_.read_only, std::memory_order_release);
   store_.store(options_.store, std::memory_order_release);
@@ -23,7 +28,6 @@ Server::Server(service::QueryService* service, ServerOptions options)
   protocol_errors_ = registry_.GetCounter(obs::names::kNetProtocolErrors);
   ship_batches_ = registry_.GetCounter(obs::names::kNetShipBatches);
   ship_snapshots_ = registry_.GetCounter(obs::names::kNetShipSnapshots);
-  registry_.SetGauge(obs::names::kNetConnectionsOpen, 0);
   registry_.SetGauge(obs::names::kNetTerm, static_cast<double>(options_.term));
 }
 
@@ -48,50 +52,20 @@ Result<std::unique_ptr<Server>> Server::Start(service::QueryService* service,
   }
   auto server =
       std::unique_ptr<Server>(new Server(service, std::move(options)));
-  CCDB_ASSIGN_OR_RETURN(server->listener_,
-                        Listener::Bind(server->options_.port));
-  server->port_ = server->listener_.port();
-  server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
+  CCDB_RETURN_IF_ERROR(server->listener_.Start(
+      server->options_.port,
+      std::bind_front(&Server::ServeConnection, server.get())));
   return server;
 }
 
-Server::~Server() { Shutdown(); }
-
-void Server::Shutdown() {
-  {
-    MutexLock lock(mu_);
-    if (stopping_) {
-      // A previous Shutdown already drained; nothing can have restarted.
-      if (!accept_thread_.joinable() && threads_.empty()) return;
-    }
-    stopping_ = true;
-  }
-  listener_.Close();  // unblocks Accept()
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::map<uint64_t, std::thread> to_join;
-  {
-    MutexLock lock(mu_);
-    // Unblock every connection thread parked in RecvAll/SendAll; the
-    // socket fds stay owned (and eventually closed) by their threads.
-    for (auto& [id, sock] : live_) sock->ShutdownBoth();
-    to_join.swap(threads_);
-  }
-  for (auto& [id, thread] : to_join) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-size_t Server::open_connections() const {
-  MutexLock lock(mu_);
-  return live_.size();
-}
-
 std::string Server::MetricsText() const {
+  registry_.SetGauge(obs::names::kNetConnectionsOpen, listener_.open());
   return service_->Metrics().ToString() + "\n--- net ---\n" +
          registry_.ToString();
 }
 
 obs::MetricsRegistry::Snapshot Server::MergedSnapshot() const {
+  registry_.SetGauge(obs::names::kNetConnectionsOpen, listener_.open());
   obs::MetricsRegistry::Snapshot merged = service_->MetricsSnapshot();
   obs::MetricsRegistry::Snapshot net = registry_.TakeSnapshot();
   // The two registries declare disjoint name sets (service.* vs net.*),
@@ -106,60 +80,6 @@ obs::MetricsRegistry::Snapshot Server::MergedSnapshot() const {
   return merged;
 }
 
-void Server::AcceptLoop() {
-  while (true) {
-    ReapFinished();
-    Result<Socket> accepted = listener_.Accept();
-    if (!accepted.ok()) return;  // listener closed: drain begins
-    Socket sock = std::move(accepted).value();
-
-    bool refuse = false;
-    uint64_t conn_id = 0;
-    {
-      MutexLock lock(mu_);
-      if (stopping_) return;
-      if (live_.size() >= options_.max_connections) {
-        refuse = true;
-      } else {
-        conn_id = next_conn_id_++;
-      }
-    }
-    if (refuse) {
-      IgnoreError(SendError(
-          &sock,
-          Status::Unavailable("too many connections").WithRetryAfter(50)));
-      continue;  // sock closes on scope exit
-    }
-
-    conns_total_->Increment();
-    std::thread thread([this, conn_id, s = std::move(sock)]() mutable {
-      ServeConnection(conn_id, std::move(s));
-    });
-    // Always registered: Shutdown joins the accept thread before it swaps
-    // threads_ out, so this entry is never missed.
-    MutexLock lock(mu_);
-    threads_.emplace(conn_id, std::move(thread));
-  }
-}
-
-void Server::ReapFinished() {
-  std::vector<std::thread> done;
-  {
-    MutexLock lock(mu_);
-    for (uint64_t id : finished_) {
-      auto it = threads_.find(id);
-      if (it != threads_.end()) {
-        done.push_back(std::move(it->second));
-        threads_.erase(it);
-      }
-    }
-    finished_.clear();
-  }
-  for (std::thread& thread : done) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
 Status Server::SendError(Socket* sock, const Status& error) {
   uint64_t sent = 0;
   Status out =
@@ -168,16 +88,8 @@ Status Server::SendError(Socket* sock, const Status& error) {
   return out;
 }
 
-void Server::ServeConnection(uint64_t conn_id, Socket sock) {
-  {
-    MutexLock lock(mu_);
-    if (stopping_) {
-      finished_.push_back(conn_id);
-      return;
-    }
-    live_.emplace(conn_id, &sock);
-    registry_.SetGauge(obs::names::kNetConnectionsOpen, live_.size());
-  }
+void Server::ServeConnection(uint64_t conn_id, Socket* sock) {
+  conns_total_->Increment();
   if (options_.event_log != nullptr) {
     obs::Event event;
     event.type = "conn_open";
@@ -189,7 +101,7 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
   while (true) {
     Frame frame;
     uint64_t got = 0;
-    Status read = ReadFrame(&sock, &frame, &got);
+    Status read = ReadFrame(sock, &frame, &got);
     bytes_in_->Add(got);
     if (!read.ok()) {
       if (read.code() == StatusCode::kInvalidArgument) {
@@ -197,13 +109,13 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
         // no longer be trusted to be frame-aligned — reply (best effort)
         // and drop the connection.
         protocol_errors_->Increment();
-        IgnoreError(SendError(&sock, read));
+        IgnoreError(SendError(sock, read));
       }
       break;  // clean EOF, torn frame, or drain
     }
     frames_in_->Increment();
     bool close_conn = false;
-    if (!Dispatch(&conn, &sock, frame, &close_conn).ok()) break;
+    if (!Dispatch(&conn, sock, frame, &close_conn).ok()) break;
     if (close_conn) break;
   }
 
@@ -221,11 +133,6 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
     event.session = conn.session;
     options_.event_log->Emit(event);
   }
-
-  MutexLock lock(mu_);
-  live_.erase(conn_id);
-  registry_.SetGauge(obs::names::kNetConnectionsOpen, live_.size());
-  finished_.push_back(conn_id);
 }
 
 Status Server::Dispatch(Conn* conn, Socket* sock, const Frame& frame,

@@ -35,9 +35,9 @@
 /// under a new term via the attached `promote_handler` (usually
 /// `Replica::Promote`).
 ///
-/// Shutdown() is a graceful drain: stop accepting, shut down every live
-/// connection's socket (unblocking its protocol loop), join all threads,
-/// close all sessions.
+/// Shutdown() is a graceful drain by the `ConnectionListener` both servers
+/// share (net/listener.h): stop accepting, shut down every live
+/// connection's socket, join all threads; each closes its session.
 
 #include <atomic>
 #include <cstdint>
@@ -45,15 +45,13 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "net/listener.h"
 #include "net/wire.h"
 #include "obs/event_log.h"
 #include "obs/registry.h"
 #include "service/query_service.h"
 #include "storage/wal.h"
-#include "util/mutex.h"
 #include "util/socket.h"
 #include "util/status.h"
 
@@ -84,7 +82,7 @@ struct Promotion {
 /// Construction-time knobs of a Server.
 struct ServerOptions {
   uint16_t port = 0;          ///< 0 = ephemeral (read back via port())
-  size_t max_connections = 64;  ///< beyond this: typed kUnavailable refusal
+  size_t max_connections = 64;  ///< over this: kUnavailable refusal; 0 = no cap
   /// Refuse catalog writes and checkpoints (kUnavailable) — the follower
   /// front-end of a read replica.
   bool read_only = false;
@@ -117,13 +115,13 @@ class Server {
                                                ServerOptions options = {});
 
   /// Graceful drain (equivalent to Shutdown()).
-  ~Server();
+  ~Server() { Shutdown(); }
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   /// The bound port (stable after Start).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   /// The current leader term this server serves under.
   uint64_t term() const { return term_.load(std::memory_order_acquire); }
@@ -141,16 +139,16 @@ class Server {
 
   /// Stops accepting, unblocks and joins every connection thread, closes
   /// their sessions. Idempotent.
-  void Shutdown();
+  void Shutdown() { listener_.Shutdown(); }
 
   /// Connections currently being served.
-  size_t open_connections() const CCDB_EXCLUDES(mu_);
+  size_t open_connections() const { return listener_.open(); }
 
   /// The `\metrics` rendering: service metrics followed by the server's
   /// own `net.*` registry dump.
   std::string MetricsText() const;
 
-  /// The server's network metrics (net.connections.*, net.bytes.*, ...).
+  /// The `net.*` metrics; each scrape refreshes `net.connections.open`.
   obs::MetricsRegistry& registry() { return registry_; }
 
   /// The scrape surface: the service's registry snapshot (health gauges
@@ -162,11 +160,8 @@ class Server {
  private:
   Server(service::QueryService* service, ServerOptions options);
 
-  void AcceptLoop();
   /// Serves one connection until EOF, protocol error, or drain.
-  void ServeConnection(uint64_t conn_id, Socket sock);
-  /// Joins finished connection threads (called from the accept loop).
-  void ReapFinished() CCDB_EXCLUDES(mu_);
+  void ServeConnection(uint64_t conn_id, Socket* sock);
 
   /// Per-connection protocol state.
   struct Conn {
@@ -187,25 +182,12 @@ class Server {
 
   service::QueryService* service_;
   ServerOptions options_;
-  Listener listener_;
-  uint16_t port_ = 0;
 
   // Failover state: all three flip together at Promote(). Atomics (not
   // options_ reads) so connection threads observe the flip without locks.
   std::atomic<uint64_t> term_{1};
   std::atomic<bool> read_only_{false};
   std::atomic<DurableStore*> store_{nullptr};
-
-  mutable Mutex mu_ CCDB_LOCK_ORDER("obs.registry"){"net.server"};
-  bool stopping_ CCDB_GUARDED_BY(mu_) = false;
-  uint64_t next_conn_id_ CCDB_GUARDED_BY(mu_) = 1;
-  /// Sockets of live connections (owned by their threads' stacks; entries
-  /// are registered before the first read and removed before the socket
-  /// dies, so ShutdownBoth through this map is always safe).
-  std::map<uint64_t, Socket*> live_ CCDB_GUARDED_BY(mu_);
-  std::map<uint64_t, std::thread> threads_ CCDB_GUARDED_BY(mu_);
-  std::vector<uint64_t> finished_ CCDB_GUARDED_BY(mu_);
-  std::thread accept_thread_;
 
   /// Server-lifetime count of shipped batch records (fault-injection
   /// indexes are matched against it).
@@ -219,6 +201,7 @@ class Server {
   obs::Counter* protocol_errors_;
   obs::Counter* ship_batches_;
   obs::Counter* ship_snapshots_;
+  ConnectionListener listener_;  ///< last: drained before the rest dies
 };
 
 }  // namespace ccdb::net

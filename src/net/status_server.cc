@@ -1,5 +1,6 @@
 #include "net/status_server.h"
 
+#include <functional>
 #include <utility>
 
 #include "obs/exposition.h"
@@ -47,82 +48,13 @@ Result<std::unique_ptr<StatusServer>> StatusServer::Start(
   }
   auto status_server = std::unique_ptr<StatusServer>(
       new StatusServer(server, std::move(options)));
-  CCDB_ASSIGN_OR_RETURN(status_server->listener_,
-                        Listener::Bind(status_server->options_.port));
-  status_server->port_ = status_server->listener_.port();
-  status_server->accept_thread_ =
-      std::thread([s = status_server.get()] { s->AcceptLoop(); });
+  CCDB_RETURN_IF_ERROR(status_server->listener_.Start(
+      status_server->options_.port,
+      std::bind_front(&StatusServer::ServeConnection, status_server.get())));
   return status_server;
 }
 
-StatusServer::~StatusServer() { Shutdown(); }
-
-void StatusServer::Shutdown() {
-  {
-    MutexLock lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  listener_.Close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    MutexLock lock(mu_);
-    // Unblock every connection thread parked in RecvSome/SendAll.
-    for (auto& [id, sock] : live_) sock->ShutdownBoth();
-  }
-  while (true) {
-    std::thread victim;
-    {
-      MutexLock lock(mu_);
-      if (threads_.empty()) break;
-      victim = std::move(threads_.begin()->second);
-      threads_.erase(threads_.begin());
-    }
-    if (victim.joinable()) victim.join();
-  }
-}
-
-void StatusServer::ReapFinished() {
-  std::vector<std::thread> done;
-  {
-    MutexLock lock(mu_);
-    for (uint64_t id : finished_) {
-      auto it = threads_.find(id);
-      if (it == threads_.end()) continue;
-      done.push_back(std::move(it->second));
-      threads_.erase(it);
-    }
-    finished_.clear();
-  }
-  for (std::thread& t : done) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void StatusServer::AcceptLoop() {
-  while (true) {
-    Result<Socket> accepted = listener_.Accept();
-    if (!accepted.ok()) return;  // Close()d: drain
-    ReapFinished();
-    uint64_t conn_id = 0;
-    {
-      MutexLock lock(mu_);
-      if (stopping_) return;
-      conn_id = next_conn_id_++;
-      threads_.emplace(
-          conn_id,
-          std::thread([this, conn_id, sock = std::move(accepted).value()]() //
-                      mutable { ServeConnection(conn_id, std::move(sock)); }));
-    }
-  }
-}
-
-void StatusServer::ServeConnection(uint64_t conn_id, Socket sock) {
-  {
-    MutexLock lock(mu_);
-    live_[conn_id] = &sock;
-  }
-
+void StatusServer::ServeConnection(uint64_t /*conn_id*/, Socket* sock) {
   // Read until the blank line ending the request head, EOF, or the byte
   // cap. Anything after the head (a request body) is ignored.
   std::string head;
@@ -130,7 +62,7 @@ void StatusServer::ServeConnection(uint64_t conn_id, Socket sock) {
   bool oversize = false;
   char buf[1024];
   while (!complete && !oversize) {
-    Result<size_t> got = sock.RecvSome(buf, sizeof(buf));
+    Result<size_t> got = sock->RecvSome(buf, sizeof(buf));
     if (!got.ok() || *got == 0) break;  // error or clean EOF mid-request
     head.append(buf, *got);
     if (head.find("\r\n\r\n") != std::string::npos ||
@@ -148,15 +80,9 @@ void StatusServer::ServeConnection(uint64_t conn_id, Socket sock) {
     response = RespondTo(head);
   }
   // An incomplete request (peer vanished mid-head) gets no reply.
-  if (!response.empty()) IgnoreError(sock.SendAll(response.data(),
-                                                  response.size()));
-  sock.ShutdownSend();
-
-  {
-    MutexLock lock(mu_);
-    live_.erase(conn_id);
-    finished_.push_back(conn_id);
-  }
+  if (!response.empty()) IgnoreError(sock->SendAll(response.data(),
+                                                   response.size()));
+  sock->ShutdownSend();
 }
 
 std::string StatusServer::RespondTo(const std::string& request_head) const {

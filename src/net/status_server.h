@@ -22,18 +22,15 @@
 /// `Connection: close` followed by an orderly close — no keep-alive, no
 /// chunking, no request body support. Each accepted connection is served
 /// by its own short-lived thread so a stalled scraper can never wedge
-/// the accept loop; `Shutdown()` drains exactly like `net::Server`.
+/// the accept loop; both servers accept and drain through net/listener.h.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "net/listener.h"
 #include "net/replica.h"
 #include "net/server.h"
-#include "util/mutex.h"
 #include "util/socket.h"
 #include "util/status.h"
 
@@ -62,26 +59,23 @@ class StatusServer {
       Server* server, StatusServerOptions options = {});
 
   /// Graceful drain (equivalent to Shutdown()).
-  ~StatusServer();
+  ~StatusServer() { Shutdown(); }
 
   StatusServer(const StatusServer&) = delete;
   StatusServer& operator=(const StatusServer&) = delete;
 
   /// The bound port (stable after Start).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   /// Stops accepting, unblocks and joins every connection thread.
   /// Idempotent.
-  void Shutdown();
+  void Shutdown() { listener_.Shutdown(); }
 
  private:
   StatusServer(Server* server, StatusServerOptions options);
 
-  void AcceptLoop();
-  /// Reads one request, writes one response, closes.
-  void ServeConnection(uint64_t conn_id, Socket sock);
-  /// Joins finished connection threads (called from the accept loop).
-  void ReapFinished() CCDB_EXCLUDES(mu_);
+  /// Reads one request, writes one response, half-closes.
+  void ServeConnection(uint64_t conn_id, Socket* sock);
 
   /// Builds the full response bytes for one request head (everything up
   /// to and including the blank line). Never fails: protocol problems
@@ -92,18 +86,7 @@ class StatusServer {
 
   Server* server_;
   StatusServerOptions options_;
-  Listener listener_;
-  uint16_t port_ = 0;
-
-  mutable Mutex mu_{"net.status_server"};
-  bool stopping_ CCDB_GUARDED_BY(mu_) = false;
-  uint64_t next_conn_id_ CCDB_GUARDED_BY(mu_) = 1;
-  /// Sockets of live connections (owned by their threads' stacks; same
-  /// registration discipline as net::Server).
-  std::map<uint64_t, Socket*> live_ CCDB_GUARDED_BY(mu_);
-  std::map<uint64_t, std::thread> threads_ CCDB_GUARDED_BY(mu_);
-  std::vector<uint64_t> finished_ CCDB_GUARDED_BY(mu_);
-  std::thread accept_thread_;
+  ConnectionListener listener_;  ///< last: drained before the rest dies
 };
 
 }  // namespace ccdb::net

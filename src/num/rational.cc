@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstdlib>
 #include <ostream>
 #include <utility>
 
@@ -69,6 +71,20 @@ Result<Rational> Rational::FromString(const std::string& text) {
 
   CCDB_ASSIGN_OR_RETURN(BigInt value, BigInt::FromString(s));
   return Rational(std::move(value));
+}
+
+Result<Rational> Rational::FromDouble(double value) {
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument("not a finite double: " +
+                                   std::to_string(value));
+  }
+  // value = mantissa * 2^exp with 0.5 <= |mantissa| < 1, so the 53-bit
+  // significand mantissa * 2^53 is an exact integer.
+  int exp = 0;
+  const double mantissa = std::frexp(value, &exp);
+  const Rational significand(static_cast<int64_t>(std::ldexp(mantissa, 53)));
+  const Rational power(BigInt::Pow(BigInt(2), std::abs(exp - 53)));
+  return exp >= 53 ? significand * power : significand / power;
 }
 
 std::string Rational::ToString() const {

@@ -42,6 +42,11 @@ class Rational {
   /// Parses "-3", "3/4", "2.5", "-0.125". Rejects empty/garbage input.
   static Result<Rational> FromString(const std::string& text);
 
+  /// The exact value of a finite double (an integer times a power of
+  /// two): 0.1 is 3602879701896397/2^55. InvalidArgument for NaN and
+  /// infinities.
+  static Result<Rational> FromDouble(double value);
+
   /// Exact decimal-or-fraction rendering: integers as "n", otherwise "p/q".
   std::string ToString() const;
 

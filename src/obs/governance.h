@@ -204,9 +204,6 @@ class ExecContextScope {
 inline void GovernTuples(uint64_t n = 1) {
   if (ExecContext* c = internal::g_exec_context) c->ChargeTuples(n);
 }
-inline void GovernConstraints(uint64_t n = 1) {
-  if (ExecContext* c = internal::g_exec_context) c->ChargeConstraints(n);
-}
 inline void GovernBytes(uint64_t n) {
   if (ExecContext* c = internal::g_exec_context) c->ChargeBytes(n);
 }

@@ -62,6 +62,31 @@ TEST_F(AccessTest, AllAccessPathsAgreeOnConstraintData) {
   }
 }
 
+TEST_F(AccessTest, BoxSelectRefinesAgainstTheExactWindow) {
+  // x reaches 0.1234568, just past a window starting at 0.1234567 (which
+  // six-decimal printing would round up to 0.123457, past the tuple).
+  BufferPool pool(&disk_, 0);
+  const geom::Box box{Rational(0), Rational(1234568, 10000000), Rational(0),
+                      Rational(1)};
+  const Relation rel = BoxesToConstraintRelation({box});
+  const BoxQuery query = BoxQuery::Both(0.1234567, 1, 0, 1);
+  Predicate pred;
+  pred.linear.push_back(Constraint::Ge(
+      V("x"), LinearExpr::Constant(Rational(1234567, 10000000))));
+  auto selected = Select(rel, pred);
+  ASSERT_TRUE(selected.ok());
+  EXPECT_EQ(selected->size(), 1u);
+  for (AccessIndexKind kind : {AccessIndexKind::kNone, AccessIndexKind::kJoint,
+                               AccessIndexKind::kSeparate}) {
+    auto stored = StoredRelation::Create(&pool, rel, kind, "x", "y",
+                                         Rect::Make2D(-10, 10, -10, 10));
+    ASSERT_TRUE(stored.ok());
+    auto out = (*stored)->BoxSelect(query);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->size(), 1u) << "index kind " << static_cast<int>(kind);
+  }
+}
+
 TEST_F(AccessTest, SingleAttributeQueries) {
   BufferPool pool(&disk_, 0);
   auto boxes = GenerateRectangles(300, 12);

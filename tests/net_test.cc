@@ -2,8 +2,10 @@
 // codecs, client/server integration (including governance surfaced over
 // the wire), protocol-fuzz robustness (malformed / truncated / oversized
 // / CRC-corrupted frames, mid-frame disconnects — typed errors or clean
-// close, never a crash, hang, or leaked session), and WAL-shipping
-// replication with injected shipment faults forcing snapshot re-sync.
+// close, never a crash, hang, or leaked session), the listener both
+// servers share (its connection cap and a drain that never hangs on a
+// silent client), and WAL-shipping replication with injected shipment
+// faults forcing snapshot re-sync.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -619,6 +622,43 @@ TEST(NetServer, GracefulDrainUnblocksAndRefuses) {
   leader.WaitSessionsDrained();
 }
 
+TEST(NetServer, ConnectionCapRefusesTypedAndReadmitsAfterAClose) {
+  Database db;
+  ASSERT_TRUE(db.Create("Boxes", BoxRelation(50, 7)).ok());
+  service::QueryService service(&db);
+  net::ServerOptions options;
+  options.max_connections = 2;
+  auto started = net::Server::Start(&service, options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  net::Server* server = started->get();
+  auto connect = [server] {
+    return net::Client::Connect("127.0.0.1", server->port());
+  };
+  auto first = connect();
+  auto second = connect();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(server->open_connections(), 2u);
+
+  // A third connection is over the cap: typed refusal, not counted.
+  auto refused = connect();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(server->open_connections(), 2u);
+  EXPECT_EQ(server->MergedSnapshot().Value(obs::names::kNetConnectionsTotal),
+            2u);
+
+  // Once one client leaves, a new one is admitted and served.
+  first->reset();
+  for (int i = 0; i < 1000 && server->open_connections() != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(server->open_connections(), 1u);
+  auto admitted = connect();
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  EXPECT_TRUE((*admitted)->Execute("R0 = select x >= 0 from Boxes").ok());
+}
+
 // ---------------------------------------------------------------------
 // Protocol fuzz: the server must answer garbage with typed errors or a
 // clean close — never crash, hang, or leak a session.
@@ -1041,6 +1081,86 @@ TEST(StatusHttp, HealthzReportsReplicaRoleAndLag) {
             std::string::npos);
   EXPECT_NE(metrics.find("ccdb_replica_last_apply_lsn "), std::string::npos);
   EXPECT_NE(metrics.find("ccdb_replica_resyncs "), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// The listener both servers share (net/listener.h)
+// ---------------------------------------------------------------------
+
+TEST(NetListener, ConnectionCapHoldsAgainstABurstOfSilentConnects) {
+  Database db;
+  service::QueryService service(&db);
+  net::ServerOptions options;
+  options.max_connections = 2;
+  auto server = net::Server::Start(&service, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  // Eight connects at once, none sending HELLO: two are admitted (and
+  // wait for HELLO); six are refused with a typed frame, although the
+  // first two may not have registered when the others arrive.
+  std::vector<Socket> socks;
+  for (int i = 0; i < 8; ++i) socks.push_back(RawConnect((*server)->port()));
+  int refused = 0;
+  for (Socket& sock : socks) {
+    ASSERT_TRUE(sock.SetRecvTimeout(200).ok());
+    net::Frame frame;
+    if (net::ReadFrame(&sock, &frame).ok()) {
+      EXPECT_EQ(frame.type, net::MsgType::kError);
+      ++refused;
+    }
+  }
+  EXPECT_EQ(refused, 6);
+  EXPECT_EQ((*server)->open_connections(), 2u);
+}
+
+/// Shutdowns, out of `rounds` x 6 delays, that did not finish within 2 s
+/// of a silent connect. Each round starts a server with `start`, connects
+/// a client that sends nothing, waits the delay (0-80 us, around the
+/// moment the connection thread starts) and runs Shutdown on another
+/// thread. A shutdown that times out is released by closing the client,
+/// so a hang is counted, never waited out.
+template <typename StartFn>
+int CountHungShutdowns(int rounds, StartFn start) {
+  int hung = 0;
+  for (int round = 0; round < rounds; ++round) {
+    for (int delay_us : {0, 5, 10, 20, 40, 80}) {
+      auto server = start();
+      Socket silent = RawConnect(server->port());
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+      std::promise<void> done;
+      std::future<void> drained = done.get_future();
+      std::thread shutdown([&server, &done] {
+        server->Shutdown();
+        done.set_value();
+      });
+      if (drained.wait_for(std::chrono::seconds(2)) !=
+          std::future_status::ready) {
+        ++hung;
+        silent.Close();
+      }
+      shutdown.join();
+    }
+  }
+  return hung;
+}
+
+TEST(NetDrain, ServerShutdownAfterASilentConnectFinishes) {
+  Leader leader;
+  const int hung = CountHungShutdowns(200, [&leader] {
+    auto server = net::Server::Start(leader.service());
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    return std::move(*server);
+  });
+  EXPECT_EQ(hung, 0) << "of 1200 shutdowns";
+}
+
+TEST(NetDrain, StatusServerShutdownAfterASilentConnectFinishes) {
+  Leader leader;
+  const int hung = CountHungShutdowns(200, [&leader] {
+    auto server = net::StatusServer::Start(leader.server());
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    return std::move(*server);
+  });
+  EXPECT_EQ(hung, 0) << "of 1200 shutdowns";
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Tests for the observability layer (src/obs) and its integration:
 // registry correctness under concurrent writers (run under
 // -DCCDB_SANITIZE=thread to prove the lock-free paths race-free),
-// trace-tree shape vs. the optimized plan, the ExecStats root-exclusion
-// semantics, the slow-query log, and JSONL export well-formedness.
+// trace-tree shape vs. the optimized plan, the slow-query log, and JSONL
+// export well-formedness.
 
 #include <atomic>
 #include <sstream>
@@ -161,26 +161,6 @@ TEST(TraceTest, TreeShapeMatchesOptimizedPlan) {
   EXPECT_GT(root.TotalCounters().conjunctions, uint64_t{0});
   // self time never exceeds inclusive wall time.
   EXPECT_LE(root.self_us, root.wall_us);
-}
-
-TEST(TraceTest, ExecStatsExcludeRootFromIntermediates) {
-  Database db = BoxDatabase(60);
-  auto compiled = lang::CompileScript(kJoinScript, db);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  std::unique_ptr<cqa::PlanNode> plan =
-      cqa::Optimize(std::move(compiled->plan), db);
-
-  obs::TraceNode root;
-  auto traced = cqa::ExecuteTraced(*plan, db, &root);
-  ASSERT_TRUE(traced.ok());
-
-  cqa::ExecStats stats;
-  auto result = cqa::Execute(*plan, db, &stats);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(stats.nodes_evaluated, root.NodeCount());
-  // intermediate_tuples counts every operator *below* the root — the
-  // root's own output is the result, not an intermediate.
-  EXPECT_EQ(stats.intermediate_tuples, root.SumTuplesOut() - root.tuples_out);
 }
 
 TEST(TraceTest, BoxCacheBuildShowsOnItsFirstReader) {

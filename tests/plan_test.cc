@@ -142,9 +142,8 @@ TEST_F(PlanTest, OptimizationPreservesSemanticsRandomized) {
     auto plan = PlanNode::Select(std::move(base), LinearPred(atoms));
     auto optimized = Optimize(plan->Clone(), db_);
 
-    ExecStats naive_stats, opt_stats;
-    auto naive = Execute(*plan, db_, &naive_stats);
-    auto optimal = Execute(*optimized, db_, &opt_stats);
+    auto naive = Execute(*plan, db_);
+    auto optimal = Execute(*optimized, db_);
     ASSERT_TRUE(naive.ok() && optimal.ok());
     ASSERT_EQ(naive->schema(), optimal->schema());
     // Compare semantics at sample points.
@@ -194,15 +193,19 @@ TEST_F(PlanTest, PushdownReducesIntermediateWork) {
       LinearPred({Constraint::Ge(V("a"), C(28)),
                   Constraint::Le(V("b"), C(2))}));
   auto optimized = Optimize(plan->Clone(), db);
-  ExecStats naive_stats, opt_stats;
-  auto naive = Execute(*plan, db, &naive_stats);
-  auto optimal = Execute(*optimized, db, &opt_stats);
+  obs::TraceNode naive_root, opt_root;
+  auto naive = ExecuteTraced(*plan, db, &naive_root);
+  auto optimal = ExecuteTraced(*optimized, db, &opt_root);
   ASSERT_TRUE(naive.ok() && optimal.ok());
   EXPECT_EQ(naive->size(), optimal->size());
-  EXPECT_LT(opt_stats.intermediate_tuples,
-            naive_stats.intermediate_tuples / 5)
-      << "optimized " << opt_stats.intermediate_tuples << " vs naive "
-      << naive_stats.intermediate_tuples;
+  // Intermediate work: tuples produced below the root (the root's own
+  // output is the result).
+  auto intermediate = [](const obs::TraceNode& root) {
+    return root.SumTuplesOut() - root.tuples_out;
+  };
+  EXPECT_LT(intermediate(opt_root), intermediate(naive_root) / 5)
+      << "optimized " << intermediate(opt_root) << " vs naive "
+      << intermediate(naive_root);
 }
 
 TEST_F(PlanTest, ToStringRendersTree) {

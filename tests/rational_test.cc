@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "util/random.h"
 
 namespace ccdb {
@@ -127,6 +130,40 @@ TEST(RationalTest, ToDouble) {
   EXPECT_DOUBLE_EQ(Rational(1, 2).ToDouble(), 0.5);
   EXPECT_DOUBLE_EQ(Rational(-3, 4).ToDouble(), -0.75);
   EXPECT_NEAR(Rational(1, 3).ToDouble(), 0.333333333, 1e-9);
+}
+
+Rational PowerOfTwo(int exp) {
+  const BigInt power = BigInt::Pow(BigInt(2), static_cast<uint32_t>(
+                                                  exp < 0 ? -exp : exp));
+  return exp < 0 ? Rational(BigInt(1), power) : Rational(power);
+}
+
+TEST(RationalTest, FromDoubleIsExact) {
+  EXPECT_EQ(Rational::FromDouble(0.5).value(), Rational(1, 2));
+  EXPECT_EQ(Rational::FromDouble(-3).value(), Rational(-3));
+  EXPECT_EQ(Rational::FromDouble(0).value(), Rational());
+  // 0.1 is not 1/10 in binary: its exact value is 3602879701896397/2^55.
+  EXPECT_EQ(Rational::FromDouble(0.1).value(),
+            Rational(3602879701896397) * PowerOfTwo(-55));
+  EXPECT_NE(Rational::FromDouble(0.1).value(), Rational(1, 10));
+  EXPECT_EQ(Rational::FromDouble(std::ldexp(1.0, 70)).value(),
+            PowerOfTwo(70));
+  // The smallest subnormal, 2^-1074.
+  EXPECT_EQ(
+      Rational::FromDouble(std::numeric_limits<double>::denorm_min()).value(),
+      PowerOfTwo(-1074));
+  // A value std::to_string would round to six decimals stays exact.
+  EXPECT_EQ(Rational::FromDouble(0.1234567).value().ToDouble(), 0.1234567);
+}
+
+TEST(RationalTest, FromDoubleRejectsNanAndInfinities) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Result<Rational> r = Rational::FromDouble(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(RationalTest, HashEqualValuesAgree) {
