@@ -12,17 +12,19 @@
 // back to back.
 //
 // It also measures *trip latency*: an adversarial Fourier–Motzkin
-// explosion query (an unselective self-join over boxes that all share a
-// point, so the join's box test prunes nothing and FM refines every
-// pair) armed with a 50 ms deadline, reporting how far past the deadline
-// the typed kDeadlineExceeded actually lands.
+// explosion query (an unselective self-join over stores that all share a
+// point, so the join's box test prunes nothing, and that each carry a
+// diagonal member, so no store is a box and FM refines every pair) armed
+// with a 50 ms deadline, reporting how far past the deadline the typed
+// kDeadlineExceeded actually lands.
 //
 // With --stress N the harness instead first runs the explosion query once
-// under 10x the deadline and fails unless that run trips too (the query
-// must stay adversarial as the engine gets faster), then runs it N times
-// under the 50 ms deadline and exits non-zero if any run fails to trip
-// with kDeadlineExceeded or takes more than twice the deadline — the
-// adversarial loop behind tools/stress_governance.sh.
+// under 10x the deadline and fails unless that run trips too and does FM
+// eliminations (the query must stay adversarial as the engine gets
+// faster), then runs it N times under the 50 ms deadline and exits
+// non-zero if any run fails to trip with kDeadlineExceeded or takes more
+// than twice the deadline — the adversarial loop behind
+// tools/stress_governance.sh.
 //
 // With --json each result is one machine-readable line (see
 // bench_common.h), recorded in CI as the BENCH_* trajectory.
@@ -58,22 +60,34 @@ Result<std::unique_ptr<cqa::PlanNode>> MakeJoinPlan(const Database& db,
   return cqa::Optimize(std::move(compiled.plan), db);
 }
 
-/// Boxes that all contain the point (2000, 1000): corners in [1000, 2000]
-/// and extents in [1000, 2000]. Every pair overlaps, so no box test can
-/// spare FM a pair.
-std::vector<geom::Box> OverlappingBoxes(size_t count, uint64_t seed) {
+/// Stores that all contain the point (2000, 1000): boxes with corners in
+/// [1000, 2000] and extents in [1000, 2000], each cut by one diagonal
+/// member x + y <= 3000 + d, d in [0, 500]. Every pair overlaps, so no box
+/// test can spare FM a pair, and no store is a box, so every refine is FM.
+Relation OverlappingStores(size_t count, uint64_t seed) {
   WorkloadParams params;
   params.coord_min = 1000;
   params.coord_max = 2000;
   params.extent_min = 1000;
   params.extent_max = 2000;
   params.data_count = count;
-  return GenerateDataBoxes(seed, params);
+  const Relation boxes =
+      BoxesToConstraintRelation(GenerateDataBoxes(seed, params));
+  Rng rng(seed);
+  Relation out(boxes.schema());
+  for (Tuple tuple : boxes.tuples()) {
+    tuple.AddConstraint(Constraint::Le(
+        LinearExpr::Variable("x") + LinearExpr::Variable("y"),
+        LinearExpr::Constant(Rational(3000 + rng.UniformInt(0, 500)))));
+    // A box's tuple plus one member over the same schema always inserts.
+    IgnoreError(out.Insert(std::move(tuple)));
+  }
+  return out;
 }
 
-/// The adversarial query: unselective bands over boxes that pairwise
-/// overlap, so the join must refine every box with every box — quadratic
-/// constraint explosion.
+/// The adversarial query: unselective bands over stores that pairwise
+/// overlap, so the join must refine every store with every store by FM —
+/// quadratic constraint explosion.
 Result<std::unique_ptr<cqa::PlanNode>> MakeExplosionPlan(const Database& db) {
   const std::string script =
       "R0 = select x >= 0, x <= 3000 from Overlapping\n"
@@ -165,8 +179,7 @@ int main(int argc, char** argv) {
   Status created = db.Create(
       "Boxes", BoxesToConstraintRelation(GenerateDataBoxes(7, params)));
   if (created.ok()) {
-    created = db.Create("Overlapping", BoxesToConstraintRelation(
-                                           OverlappingBoxes(250, 7)));
+    created = db.Create("Overlapping", OverlappingStores(250, 7));
   }
   if (!created.ok()) {
     std::fprintf(stderr, "%s\n", created.ToString().c_str());
@@ -180,15 +193,25 @@ int main(int argc, char** argv) {
   }
 
   if (stress_runs > 0) {
-    // The explosion must still be running at 10x the deadline; otherwise
-    // the trips below would not show governance at work.
-    TripRun calibration = RunExplosionOnce(**explosion, db, 10 * kDeadlineUs);
-    if (!calibration.typed_trip) {
+    // The explosion must still be running FM at 10x the deadline;
+    // otherwise the trips below would not show governance at work.
+    TripRun calibration;
+    uint64_t calibration_eliminations = 0;
+    {
+      obs::CounterScope counters;
+      calibration = RunExplosionOnce(**explosion, db, 10 * kDeadlineUs);
+      calibration_eliminations = counters.counters().fm_eliminations;
+    }
+    if (!calibration.typed_trip || calibration_eliminations == 0) {
       std::fprintf(stderr,
-                   "stress calibration: the explosion query did not trip "
-                   "a %.0f ms deadline (%.1f ms); it is no longer "
+                   "stress calibration: the explosion query must trip a "
+                   "%.0f ms deadline doing FM eliminations, but it %s "
+                   "after %.1f ms with %llu eliminations; it is no longer "
                    "adversarial\n",
-                   10 * kDeadlineUs / 1000.0, calibration.elapsed_ms);
+                   10 * kDeadlineUs / 1000.0,
+                   calibration.typed_trip ? "tripped" : "did not trip",
+                   calibration.elapsed_ms,
+                   static_cast<unsigned long long>(calibration_eliminations));
       return 1;
     }
     // Adversarial mode: the explosion must trip with the typed status and

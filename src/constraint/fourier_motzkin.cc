@@ -193,6 +193,26 @@ Conjunction EliminateVariable(const Conjunction& input,
 
 Conjunction Project(const Conjunction& input,
                     const std::set<std::string>& keep) {
+  if (!input.IsKnownFalse() && EveryMemberSingleVariable(input)) {
+    // A box: eliminating a variable leaves the other variables' members
+    // as they are, or yields false when its own interval is empty.
+    Box dropped;
+    Conjunction out;
+    for (const Constraint& c : input.constraints()) {
+      const std::string& var = c.expr().terms().begin()->first;
+      if (keep.count(var)) {
+        out.Add(c);
+      } else {
+        Narrow(c, var, &dropped[var]);
+      }
+    }
+    if (dropped.empty()) return out;
+    obs::NoteBoxSolve();
+    for (auto& [var, interval] : dropped) {
+      if (Settle(&interval)) return Conjunction::False();
+    }
+    return out;
+  }
   Conjunction current = input;
   while (true) {
     if (obs::GovernanceAborting()) return current;
@@ -276,9 +296,6 @@ Conjunction RemoveRedundant(const Conjunction& input) {
 }
 
 Interval VariableInterval(const Conjunction& input, const std::string& var) {
-  if (EveryMemberSingleVariable(input)) {
-    return SingleVariableBounds(input, {var}).at(var);
-  }
   Conjunction onto = Project(input, {var});
   if (onto.IsKnownFalse()) return EmptyInterval();
   Interval interval;

@@ -8,11 +8,14 @@
 /// (§2.5 of the paper) executable for rational linear constraints:
 ///
 ///  - `EliminateVariable` / `Project` implement the existential quantifier —
-///    the engine behind the CQA *project* operator.
-///  - `IsSatisfiable` decides emptiness of a constraint tuple (eliminate
-///    every variable, inspect the residual ground constraints); it is sound
-///    and complete over the rationals (a dense order), including strict
-///    inequalities.
+///    the engine behind the CQA *project* operator. `Project` settles a
+///    box (every member mentions one variable) by its intervals, with
+///    FM's exact result and no elimination.
+///  - `IsSatisfiable` decides emptiness of a constraint tuple (project
+///    onto no variable, inspect the residual ground constraints); it is
+///    sound and complete over the rationals (a dense order), including
+///    strict inequalities. For a box it is one interval check per
+///    variable.
 ///  - `Entails` reduces to unsatisfiability of the conjunction with the
 ///    negated constraint.
 ///  - `RemoveRedundant` minimizes a tuple's representation, keeping query
@@ -21,10 +24,11 @@
 ///  - `VariableInterval` / `BoundingBox` extract the attribute ranges that
 ///    the index layer (§5) uses as R*-tree keys and that each relation
 ///    version caches for the CQA operators' filter-and-refine
-///    (`Relation::Boxes`). `SingleVariableBounds` reads ranges off
-///    single-variable members without eliminating anything: `Select`'s
-///    filter box, and the exact fast path of `BoundingBox` for box-shaped
-///    stores.
+///    (`Relation::Boxes`). `VariableInterval` projects onto its variable,
+///    so a box gets its exact interval without elimination.
+///    `SingleVariableBounds` reads ranges off single-variable members
+///    without eliminating anything: `Select`'s filter box, and the exact
+///    path of `BoundingBox` that reads every column of a box in one pass.
 ///
 /// Equalities are eliminated by Gaussian substitution before inequality
 /// pairing, which both preserves exactness and avoids the quadratic blowup
@@ -83,7 +87,11 @@ Conjunction EliminateVariable(const Conjunction& input,
                               const std::string& var);
 
 /// Projects onto `keep`: eliminates every variable of `input` not in
-/// `keep`, cheapest-first (fewest lower×upper products).
+/// `keep`, cheapest-first (fewest lower×upper products). When every member
+/// mentions one variable, the result is the kept variables' members, or
+/// `False()` when an eliminated variable's interval is empty; nothing is
+/// eliminated and `LayerCounters::box_solves` counts the call if it had a
+/// variable to eliminate.
 Conjunction Project(const Conjunction& input,
                     const std::set<std::string>& keep);
 
@@ -103,7 +111,7 @@ Conjunction RemoveRedundant(const Conjunction& input);
 /// Tightest interval containing the projection of `input`'s solution set
 /// onto `var`. An unsatisfiable input yields an empty interval; a variable
 /// that is unconstrained yields (-inf, +inf). When every member mentions
-/// one variable this is `SingleVariableBounds`, and no FM runs.
+/// one variable, `Project` settles the box and no FM runs.
 Interval VariableInterval(const Conjunction& input, const std::string& var);
 
 /// `VariableInterval` for each of `vars` in one call (the per-attribute

@@ -20,8 +20,9 @@
 ///    buffer(P, d) is sandwiched between P ⊕ inscribed_k(d) and
 ///    P ⊕ circumscribed_k(d), and the gap vanishes as k grows.
 ///
-/// The sandwich is testable exactly, and `bench_approximation` measures
-/// the error/size trade-off the paper asserts.
+/// The sandwich is testable exactly: `BufferTest.SandwichContainment`
+/// (tests/minkowski_test.cc) checks it, and
+/// `BufferTest.AccuracyImprovesWithSegments` checks the gap shrinking.
 
 #include <vector>
 

@@ -283,6 +283,7 @@ void PutTraceNode(Writer* w, const obs::TraceNode& node) {
   w->PutU64(node.counters.box_prunes);
   w->PutU64(node.counters.boxes_built);
   w->PutU64(node.counters.fm_eliminations);
+  w->PutU64(node.counters.box_solves);
   w->PutU64(node.counters.redundancy_culls);
   w->PutU64(node.counters.index_node_visits);
   w->PutU64(node.counters.index_leaf_hits);
@@ -311,6 +312,7 @@ Status GetTraceNode(Reader* r, obs::TraceNode* out, uint32_t depth) {
   CCDB_ASSIGN_OR_RETURN(node.counters.box_prunes, r->GetU64());
   CCDB_ASSIGN_OR_RETURN(node.counters.boxes_built, r->GetU64());
   CCDB_ASSIGN_OR_RETURN(node.counters.fm_eliminations, r->GetU64());
+  CCDB_ASSIGN_OR_RETURN(node.counters.box_solves, r->GetU64());
   CCDB_ASSIGN_OR_RETURN(node.counters.redundancy_culls, r->GetU64());
   CCDB_ASSIGN_OR_RETURN(node.counters.index_node_visits, r->GetU64());
   CCDB_ASSIGN_OR_RETURN(node.counters.index_leaf_hits, r->GetU64());

@@ -48,7 +48,9 @@ namespace ccdb::net {
 /// QueryOptions instead of a bare trace id, and its reply drops the
 /// always-true used_plan byte.
 /// v5: FETCH_TRACE nodes carry the boxes-built counter after box prunes.
-inline constexpr uint32_t kProtocolVersion = 5;
+/// v6: FETCH_TRACE nodes carry the box-solves counter after FM
+/// eliminations.
+inline constexpr uint32_t kProtocolVersion = 6;
 
 /// Upper bound on a frame's payload. Large enough for a bootstrap
 /// snapshot of any disk the tests or benches build (16 Ki pages), small

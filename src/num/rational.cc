@@ -149,6 +149,7 @@ Rational Rational::operator/(const Rational& other) const {
 }
 
 int Rational::Compare(const Rational& other) const {
+  if (den_ == other.den_) return num_.Compare(other.num_);
   // Denominators are positive, so sign(a/b - c/d) == sign(ad - cb).
   return (num_ * other.den_).Compare(other.num_ * den_);
 }

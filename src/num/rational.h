@@ -87,7 +87,8 @@ class Rational {
   bool operator>(const Rational& other) const { return Compare(other) > 0; }
   bool operator>=(const Rational& other) const { return Compare(other) >= 0; }
 
-  /// Three-way comparison via cross-multiplication (exact).
+  /// Three-way comparison (exact): numerators alone at equal denominators,
+  /// else cross-multiplication.
   int Compare(const Rational& other) const;
 
   /// Componentwise minimum / maximum.

@@ -13,6 +13,7 @@ LayerCounters& LayerCounters::operator+=(const LayerCounters& other) {
   box_prunes += other.box_prunes;
   boxes_built += other.boxes_built;
   fm_eliminations += other.fm_eliminations;
+  box_solves += other.box_solves;
   redundancy_culls += other.redundancy_culls;
   index_node_visits += other.index_node_visits;
   index_leaf_hits += other.index_leaf_hits;
@@ -27,6 +28,7 @@ LayerCounters LayerCounters::operator-(const LayerCounters& other) const {
   out.box_prunes = box_prunes - other.box_prunes;
   out.boxes_built = boxes_built - other.boxes_built;
   out.fm_eliminations = fm_eliminations - other.fm_eliminations;
+  out.box_solves = box_solves - other.box_solves;
   out.redundancy_culls = redundancy_culls - other.redundancy_culls;
   out.index_node_visits = index_node_visits - other.index_node_visits;
   out.index_leaf_hits = index_leaf_hits - other.index_leaf_hits;
@@ -37,7 +39,7 @@ LayerCounters LayerCounters::operator-(const LayerCounters& other) const {
 
 bool LayerCounters::IsZero() const {
   return conjunctions == 0 && box_prunes == 0 && boxes_built == 0 &&
-         fm_eliminations == 0 && redundancy_culls == 0 &&
+         fm_eliminations == 0 && box_solves == 0 && redundancy_culls == 0 &&
          index_node_visits == 0 && index_leaf_hits == 0 && pages_read == 0 &&
          pool_hits == 0;
 }
@@ -58,6 +60,7 @@ std::string LayerCounters::ToString() const {
       static_cast<unsigned long long>(pool_hits));
   std::string out = buf;
   if (boxes_built != 0) out += ", boxed " + std::to_string(boxes_built);
+  if (box_solves != 0) out += ", box solves " + std::to_string(box_solves);
   return out;
 }
 
@@ -124,12 +127,12 @@ std::string TraceNode::ToString(int indent) const {
 }
 
 std::string TraceNode::ToJson() const {
-  char buf[448];
+  char buf[512];
   std::snprintf(
       buf, sizeof(buf),
       "\"wall_us\":%.3f,\"self_us\":%.3f,\"in\":%llu,\"out\":%llu,"
       "\"conjunctions\":%llu,\"box_prunes\":%llu,\"boxes_built\":%llu,"
-      "\"fm_eliminations\":%llu,"
+      "\"fm_eliminations\":%llu,\"box_solves\":%llu,"
       "\"redundancy_culls\":%llu,\"index_node_visits\":%llu,"
       "\"index_leaf_hits\":%llu,\"pages_read\":%llu,\"pool_hits\":%llu",
       wall_us, self_us, static_cast<unsigned long long>(tuples_in),
@@ -138,6 +141,7 @@ std::string TraceNode::ToJson() const {
       static_cast<unsigned long long>(counters.box_prunes),
       static_cast<unsigned long long>(counters.boxes_built),
       static_cast<unsigned long long>(counters.fm_eliminations),
+      static_cast<unsigned long long>(counters.box_solves),
       static_cast<unsigned long long>(counters.redundancy_culls),
       static_cast<unsigned long long>(counters.index_node_visits),
       static_cast<unsigned long long>(counters.index_leaf_hits),

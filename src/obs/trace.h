@@ -10,13 +10,13 @@
 /// substrate for that observability:
 ///
 ///  - `LayerCounters` is the set of work counters every engine layer
-///    publishes: the constraint layer counts Fourier–Motzkin eliminations
-///    and redundancy culls, the CQA operators count constraint stores
-///    materialized (refine), tuples or pairs their box test rejected
-///    before any FM (filter), and the tuples a relation version's first
-///    reader boxed for the version's box cache, the R*-tree counts node
-///    visits and leaf hits, and the buffer pool counts page reads and
-///    cache hits.
+///    publishes: the constraint layer counts Fourier–Motzkin eliminations,
+///    the box projections it settled without any, and redundancy culls,
+///    the CQA operators count constraint stores materialized (refine),
+///    tuples or pairs their box test rejected before any FM (filter), and
+///    the tuples a relation version's first reader boxed for the
+///    version's box cache, the R*-tree counts node visits and leaf hits,
+///    and the buffer pool counts page reads and cache hits.
 ///  - A *thread-local trace context* makes publication cheap and
 ///    race-free: `Note*` helpers bump plain (non-atomic) fields of the
 ///    thread's active `LayerCounters`, or do nothing when tracing is off
@@ -44,6 +44,7 @@ struct LayerCounters {
   uint64_t box_prunes = 0;         ///< tuples/pairs a box test rejected (CQA)
   uint64_t boxes_built = 0;        ///< tuples boxed by a completed cache build
   uint64_t fm_eliminations = 0;    ///< Fourier–Motzkin variable eliminations
+  uint64_t box_solves = 0;         ///< projections of boxes settled without FM
   uint64_t redundancy_culls = 0;   ///< members dropped by RemoveRedundant
   uint64_t index_node_visits = 0;  ///< R*-tree nodes loaded
   uint64_t index_leaf_hits = 0;    ///< R*-tree leaf entries matched
@@ -56,7 +57,8 @@ struct LayerCounters {
 
   /// Compact one-line rendering, e.g.
   /// "conj 12, pruned 40, fm 8, culls 2, idx 3/1, io 4/2", with
-  /// ", boxed N" appended when a box-cache build ran.
+  /// ", boxed N" appended when a box-cache build ran and ", box solves N"
+  /// when a projection settled a box without FM.
   std::string ToString() const;
 };
 
@@ -87,6 +89,9 @@ inline void NoteBoxesBuilt(uint64_t n) {
 }
 inline void NoteFmElimination() {
   if (internal::g_active != nullptr) ++internal::g_active->fm_eliminations;
+}
+inline void NoteBoxSolve() {
+  if (internal::g_active != nullptr) ++internal::g_active->box_solves;
 }
 inline void NoteRedundancyCulls(uint64_t n) {
   if (internal::g_active != nullptr) {

@@ -65,12 +65,13 @@ std::string ServiceMetrics::ToString() const {
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "engine:   %llu conjunctions, %llu box prunes, "
-                "%llu tuples boxed, %llu fm eliminations, %llu culls, "
-                "idx %llu/%llu, pool %llu/%llu\n",
+                "%llu tuples boxed, %llu fm eliminations, %llu box solves, "
+                "%llu culls, idx %llu/%llu, pool %llu/%llu\n",
                 static_cast<unsigned long long>(conjunctions),
                 static_cast<unsigned long long>(box_prunes),
                 static_cast<unsigned long long>(boxes_built),
                 static_cast<unsigned long long>(fm_eliminations),
+                static_cast<unsigned long long>(box_solves),
                 static_cast<unsigned long long>(redundancy_culls),
                 static_cast<unsigned long long>(index_node_visits),
                 static_cast<unsigned long long>(index_leaf_hits),

@@ -45,6 +45,7 @@ struct ServiceMetrics {
   uint64_t box_prunes = 0;         ///< tuples/pairs rejected before FM
   uint64_t boxes_built = 0;        ///< tuples boxed by box-cache builds
   uint64_t fm_eliminations = 0;    ///< Fourier–Motzkin variable eliminations
+  uint64_t box_solves = 0;         ///< box projections settled without FM
   uint64_t redundancy_culls = 0;   ///< constraints dropped as redundant
   uint64_t index_node_visits = 0;  ///< R*-tree nodes loaded
   uint64_t index_leaf_hits = 0;    ///< R*-tree leaf entries matched

@@ -109,6 +109,7 @@ QueryService::QueryService(Database* base, ServiceOptions options)
       box_prunes_(registry_.GetCounter(obs::names::kCqaBoxPrunes)),
       boxes_built_(registry_.GetCounter(obs::names::kCqaBoxesBuilt)),
       fm_eliminations_(registry_.GetCounter(obs::names::kFmEliminations)),
+      box_solves_(registry_.GetCounter(obs::names::kFmBoxSolves)),
       redundancy_culls_(registry_.GetCounter(obs::names::kFmRedundancyCulls)),
       index_node_visits_(registry_.GetCounter(obs::names::kIndexNodeVisits)),
       index_leaf_hits_(registry_.GetCounter(obs::names::kIndexLeafHits)),
@@ -487,6 +488,7 @@ void QueryService::DrainCounters(const obs::LayerCounters& counters) {
   box_prunes_->Add(counters.box_prunes);
   boxes_built_->Add(counters.boxes_built);
   fm_eliminations_->Add(counters.fm_eliminations);
+  box_solves_->Add(counters.box_solves);
   redundancy_culls_->Add(counters.redundancy_culls);
   index_node_visits_->Add(counters.index_node_visits);
   index_leaf_hits_->Add(counters.index_leaf_hits);
@@ -982,6 +984,7 @@ ServiceMetrics QueryService::Metrics() const {
   m.box_prunes = box_prunes_->Value();
   m.boxes_built = boxes_built_->Value();
   m.fm_eliminations = fm_eliminations_->Value();
+  m.box_solves = box_solves_->Value();
   m.redundancy_culls = redundancy_culls_->Value();
   m.index_node_visits = index_node_visits_->Value();
   m.index_leaf_hits = index_leaf_hits_->Value();

@@ -494,6 +494,7 @@ class QueryService {
   obs::Counter* box_prunes_;
   obs::Counter* boxes_built_;
   obs::Counter* fm_eliminations_;
+  obs::Counter* box_solves_;
   obs::Counter* redundancy_culls_;
   obs::Counter* index_node_visits_;
   obs::Counter* index_leaf_hits_;

@@ -43,17 +43,29 @@ Relation BoxRelation(size_t count, uint64_t seed) {
   return BoxesToConstraintRelation(GenerateDataBoxes(seed, params));
 }
 
-/// Boxes that all contain the point (2000, 1000): corners in [1000, 2000]
-/// and extents in [1000, 2000]. Every pair overlaps, so a join over them
-/// cannot be pruned by a box test and FM refines every pair.
-Relation OverlappingBoxRelation(size_t count, uint64_t seed) {
+/// Stores that all contain the point (2000, 1000): boxes with corners in
+/// [1000, 2000] and extents in [1000, 2000], each cut by one diagonal
+/// member x + y <= 3000 + d, d in [0, 500]. Every pair overlaps, so a join
+/// over them cannot be pruned by a box test, and no store is a box, so FM
+/// refines every pair.
+Relation OverlappingStoreRelation(size_t count, uint64_t seed) {
   WorkloadParams params;
   params.coord_min = 1000;
   params.coord_max = 2000;
   params.extent_min = 1000;
   params.extent_max = 2000;
   params.data_count = count;
-  return BoxesToConstraintRelation(GenerateDataBoxes(seed, params));
+  const Relation boxes =
+      BoxesToConstraintRelation(GenerateDataBoxes(seed, params));
+  Rng rng(seed);
+  Relation out(boxes.schema());
+  for (Tuple tuple : boxes.tuples()) {
+    tuple.AddConstraint(Constraint::Le(
+        LinearExpr::Variable("x") + LinearExpr::Variable("y"),
+        LinearExpr::Constant(Rational(3000 + rng.UniformInt(0, 500)))));
+    EXPECT_TRUE(out.Insert(std::move(tuple)).ok());
+  }
+  return out;
 }
 
 // --- ExecContext unit mechanics (no service, no threads) ---
@@ -254,7 +266,7 @@ TEST(GovernanceBoxCacheTest, TripInsideTheBuildPublishesNothing) {
 
 TEST(GovernanceServiceTest, DeadlineOnExplosiveJoinReturnsTyped) {
   Database base;
-  ASSERT_TRUE(base.Create("Boxes", OverlappingBoxRelation(400, 7)).ok());
+  ASSERT_TRUE(base.Create("Boxes", OverlappingStoreRelation(400, 7)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 0;
@@ -290,7 +302,7 @@ TEST(GovernanceServiceTest, DeadlineOnExplosiveJoinReturnsTyped) {
 
 TEST(GovernanceServiceTest, TraceHonorsTheDeadlineOnExplosiveJoin) {
   Database base;
-  ASSERT_TRUE(base.Create("Boxes", OverlappingBoxRelation(400, 7)).ok());
+  ASSERT_TRUE(base.Create("Boxes", OverlappingStoreRelation(400, 7)).ok());
   std::ostringstream jsonl;
   obs::TraceSink sink(&jsonl);
   service::ServiceOptions options;
@@ -578,7 +590,7 @@ TEST(GovernanceServiceTest, CancelQueuedFailsFutureImmediately) {
 
 TEST(GovernanceServiceTest, CancelRunningQueryUnwinds) {
   Database base;
-  ASSERT_TRUE(base.Create("Boxes", OverlappingBoxRelation(400, 9)).ok());
+  ASSERT_TRUE(base.Create("Boxes", OverlappingStoreRelation(400, 9)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 0;

@@ -301,6 +301,7 @@ TEST(Wire, TraceNodeRoundTrips) {
   root.counters.box_prunes = 41;
   root.counters.boxes_built = 23;
   root.counters.fm_eliminations = 7;
+  root.counters.box_solves = 11;
   root.counters.pages_read = 3;
   obs::TraceNode child;
   child.label = "R0 = select x >= 100 from Boxes";
@@ -326,6 +327,7 @@ TEST(Wire, TraceNodeRoundTrips) {
   EXPECT_EQ(back.counters.box_prunes, root.counters.box_prunes);
   EXPECT_EQ(back.counters.boxes_built, root.counters.boxes_built);
   EXPECT_EQ(back.counters.fm_eliminations, root.counters.fm_eliminations);
+  EXPECT_EQ(back.counters.box_solves, root.counters.box_solves);
   EXPECT_EQ(back.counters.pages_read, root.counters.pages_read);
   ASSERT_EQ(back.children.size(), size_t{2});
   EXPECT_EQ(back.children[0].label, root.children[0].label);

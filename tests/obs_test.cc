@@ -271,6 +271,10 @@ TEST(ServiceTraceTest, ExplicitTraceUsesOptimizedPlan) {
   EXPECT_FALSE(report->root.children.empty());
   EXPECT_EQ(report->root.tuples_out, report->response.relation.size());
   EXPECT_GT(report->root.TotalCounters().conjunctions, uint64_t{0});
+  // Every store the script refines is a box: each is settled by its
+  // intervals, and none reaches Fourier–Motzkin.
+  EXPECT_GT(report->root.TotalCounters().box_solves, uint64_t{0});
+  EXPECT_EQ(report->root.TotalCounters().fm_eliminations, uint64_t{0});
 
   // A trace is a query: it went through the queue like Execute.
   const service::ServiceMetrics m = svc.Metrics();
@@ -278,7 +282,8 @@ TEST(ServiceTraceTest, ExplicitTraceUsesOptimizedPlan) {
   EXPECT_EQ(m.submitted, uint64_t{1});
   EXPECT_EQ(m.completed, uint64_t{1});
   EXPECT_GT(m.conjunctions, uint64_t{0});
-  EXPECT_GT(m.fm_eliminations, uint64_t{0});
+  EXPECT_GT(m.box_solves, uint64_t{0});
+  EXPECT_EQ(m.fm_eliminations, uint64_t{0});
 
   // The sink got one well-formed JSONL line for the trace.
   EXPECT_EQ(sink.events(), uint64_t{1});
@@ -286,6 +291,15 @@ TEST(ServiceTraceTest, ExplicitTraceUsesOptimizedPlan) {
   EXPECT_EQ(line.front(), '{');
   EXPECT_EQ(line.find('\n'), line.size() - 1) << "exactly one line";
   EXPECT_NE(line.find("\"trace\""), std::string::npos);
+
+  // A multi-variable atom makes every refined store a non-box: FM runs,
+  // and its work drains into the metrics.
+  auto diagonal = svc.Trace(session, "R0 = select x + y <= 900 from Boxes");
+  ASSERT_TRUE(diagonal.ok()) << diagonal.status().ToString();
+  EXPECT_GT(diagonal->root.TotalCounters().fm_eliminations, uint64_t{0});
+  const service::ServiceMetrics m2 = svc.Metrics();
+  EXPECT_EQ(m2.traced_queries, uint64_t{2});
+  EXPECT_GT(m2.fm_eliminations, uint64_t{0});
 }
 
 TEST(ServiceTraceTest, TransactionControlIsRefusedWithoutRunning) {

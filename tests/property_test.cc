@@ -123,6 +123,55 @@ TEST_P(FmProjectionProperty, ProjectionIsExact) {
   }
 }
 
+TEST_P(FmProjectionProperty, BoxProjectionMatchesEliminationSteps) {
+  // Boxes: every member mentions one variable, so Project settles them by
+  // their intervals. The reference is FM's own step, one dropped variable
+  // at a time. Constants in [-3, 3] over coefficients ±1, ±2 make bounds
+  // touch often, strict against closed at equal values, and leave some
+  // intervals empty.
+  const FmCase param = GetParam();
+  Rng rng(param.seed);
+  std::vector<std::string> names;
+  for (int v = 0; v < param.vars; ++v) {
+    names.push_back("v" + std::to_string(v));
+  }
+  for (int iter = 0; iter < 100; ++iter) {
+    Conjunction c;
+    for (int i = 0; i < param.constraints; ++i) {
+      const std::string& name =
+          names[static_cast<size_t>(rng.UniformInt(0, param.vars - 1))];
+      int64_t coeff = rng.UniformInt(1, 2) * (rng.UniformInt(0, 1) ? 1 : -1);
+      LinearExpr e = LinearExpr::Term(name, Rational(coeff));
+      e.AddConstant(Rational(rng.UniformInt(-3, 3)));
+      int op = static_cast<int>(rng.UniformInt(0, 2));
+      c.Add(Constraint(std::move(e), op == 0   ? ConstraintOp::kLe
+                                      : op == 1 ? ConstraintOp::kLt
+                                                : ConstraintOp::kEq));
+    }
+    std::set<std::string> keep;
+    for (const std::string& name : names) {
+      if (rng.UniformInt(0, 1)) keep.insert(name);
+    }
+    Conjunction reference = c;
+    Conjunction unsat_reference = c;
+    for (const std::string& name : names) {
+      if (!keep.count(name)) {
+        reference = fm::EliminateVariable(reference, name);
+      }
+      unsat_reference = fm::EliminateVariable(unsat_reference, name);
+    }
+    obs::CounterScope scope;
+    const Conjunction projected = fm::Project(c, keep);
+    EXPECT_TRUE(projected == reference)
+        << c.ToString() << ": " << projected.ToString() << " vs "
+        << reference.ToString();
+    EXPECT_EQ(fm::IsSatisfiable(c), !unsat_reference.IsKnownFalse())
+        << c.ToString();
+    EXPECT_EQ(scope.counters().fm_eliminations, 0u) << c.ToString();
+    EXPECT_GT(scope.counters().box_solves, 0u) << c.ToString();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ShapeSweep, FmProjectionProperty,
     ::testing::Values(FmCase{2, 3, 11}, FmCase{2, 6, 12}, FmCase{3, 4, 13},

@@ -81,6 +81,36 @@ TEST(RationalTest, ComparisonIsExact) {
   Rational close(BigInt::FromString("3333333333333333").value(),
                  BigInt::FromString("10000000000000000").value());
   EXPECT_GT(third, close);
+  // Equal denominators (1, then 3) compare by numerators alone.
+  EXPECT_EQ(Rational(3).Compare(Rational(5)), -1);
+  EXPECT_EQ(Rational(5).Compare(Rational(3)), 1);
+  EXPECT_EQ(Rational(-5).Compare(Rational(-3)), -1);
+  EXPECT_EQ(Rational(-3).Compare(Rational(2)), -1);
+  EXPECT_EQ(Rational(7).Compare(Rational(7)), 0);
+  EXPECT_EQ(Rational(-7).Compare(Rational(-7)), 0);
+  EXPECT_EQ(Rational(1, 3).Compare(Rational(2, 3)), -1);
+  EXPECT_EQ(Rational(-1, 3).Compare(Rational(-2, 3)), 1);
+  EXPECT_EQ(Rational(-4, 3).Compare(Rational(5, 3)), -1);
+  EXPECT_EQ(Rational(4, 3).Compare(Rational(4, 3)), 0);
+  // A multi-limb numerator against a small one.
+  const BigInt big = BigInt::Pow(BigInt(2), 70);
+  EXPECT_EQ(Rational(big).Compare(Rational(3)), 1);
+  EXPECT_EQ(Rational(-big).Compare(Rational(3)), -1);
+  EXPECT_EQ(Rational(3).Compare(Rational(big)), -1);
+  EXPECT_EQ(Rational(big, BigInt(3)).Compare(Rational(1, 3)), 1);
+  EXPECT_EQ(Rational(-big, BigInt(3)).Compare(Rational(-1, 3)), -1);
+  EXPECT_EQ(Rational(big).Compare(Rational(big)), 0);
+}
+
+TEST(RationalTest, CompareMatchesSignOfDifferenceRandomized) {
+  Rng rng(20031021);
+  for (int iter = 0; iter < 2000; ++iter) {
+    // Small denominators make equal ones common.
+    Rational a(rng.UniformInt(-30, 30), rng.UniformInt(1, 4));
+    Rational b(rng.UniformInt(-30, 30), rng.UniformInt(1, 4));
+    EXPECT_EQ(a.Compare(b), (a - b).Sign())
+        << a.ToString() << " vs " << b.ToString();
+  }
 }
 
 TEST(RationalTest, FieldAxiomsRandomized) {

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Adversarial governance stress: runs the Fourier–Motzkin explosion query
-# (an unselective self-join over boxes that all share a point, whose
-# constraint count grows quadratically) under a 50 ms deadline, 100 times,
-# via bench_governance --stress.
+# (an unselective self-join over stores that all share a point and each
+# carry a diagonal member, so FM refines every pair and the constraint
+# count grows quadratically) under a 50 ms deadline, 100 times, via
+# bench_governance --stress.
 #
 # Fails on:
-#   - the query finishing within 10x the deadline (checked once first:
-#     the workload is no longer adversarial),
+#   - the query finishing within 10x the deadline, or running no FM
+#     elimination (checked once first: the workload is no longer
+#     adversarial),
 #   - a hang (the whole loop is wrapped in a hard timeout),
 #   - a crash or sanitizer report (non-zero exit),
 #   - any run that does not return the typed kDeadlineExceeded,
