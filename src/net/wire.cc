@@ -279,16 +279,9 @@ void PutTraceNode(Writer* w, const obs::TraceNode& node) {
   w->PutU64(DoubleBits(node.self_us));
   w->PutU64(node.tuples_in);
   w->PutU64(node.tuples_out);
-  w->PutU64(node.counters.conjunctions);
-  w->PutU64(node.counters.box_prunes);
-  w->PutU64(node.counters.boxes_built);
-  w->PutU64(node.counters.fm_eliminations);
-  w->PutU64(node.counters.box_solves);
-  w->PutU64(node.counters.redundancy_culls);
-  w->PutU64(node.counters.index_node_visits);
-  w->PutU64(node.counters.index_leaf_hits);
-  w->PutU64(node.counters.pages_read);
-  w->PutU64(node.counters.pool_hits);
+  for (const obs::LayerCounterField& f : obs::kLayerCounterFields) {
+    w->PutU64(node.counters.*f.member);
+  }
   w->PutU32(static_cast<uint32_t>(node.children.size()));
   for (const obs::TraceNode& child : node.children) {
     PutTraceNode(w, child);
@@ -308,16 +301,9 @@ Status GetTraceNode(Reader* r, obs::TraceNode* out, uint32_t depth) {
   node.self_us = BitsToDouble(self_bits);
   CCDB_ASSIGN_OR_RETURN(node.tuples_in, r->GetU64());
   CCDB_ASSIGN_OR_RETURN(node.tuples_out, r->GetU64());
-  CCDB_ASSIGN_OR_RETURN(node.counters.conjunctions, r->GetU64());
-  CCDB_ASSIGN_OR_RETURN(node.counters.box_prunes, r->GetU64());
-  CCDB_ASSIGN_OR_RETURN(node.counters.boxes_built, r->GetU64());
-  CCDB_ASSIGN_OR_RETURN(node.counters.fm_eliminations, r->GetU64());
-  CCDB_ASSIGN_OR_RETURN(node.counters.box_solves, r->GetU64());
-  CCDB_ASSIGN_OR_RETURN(node.counters.redundancy_culls, r->GetU64());
-  CCDB_ASSIGN_OR_RETURN(node.counters.index_node_visits, r->GetU64());
-  CCDB_ASSIGN_OR_RETURN(node.counters.index_leaf_hits, r->GetU64());
-  CCDB_ASSIGN_OR_RETURN(node.counters.pages_read, r->GetU64());
-  CCDB_ASSIGN_OR_RETURN(node.counters.pool_hits, r->GetU64());
+  for (const obs::LayerCounterField& f : obs::kLayerCounterFields) {
+    CCDB_ASSIGN_OR_RETURN(node.counters.*f.member, r->GetU64());
+  }
   CCDB_ASSIGN_OR_RETURN(uint32_t n_children, r->GetU32());
   // Every child costs at least its label length prefix + the fixed
   // fields, so a count beyond the frame bound is lying.

@@ -143,10 +143,11 @@ void PutQueryResponse(Writer* w, const service::QueryResponse& response);
 Status GetQueryResponse(Reader* r, service::QueryResponse* out);
 
 /// Span-tree codec for FETCH_TRACE: every TraceNode field (label,
-/// timings, tuple counts, the seven layer counters) plus the children,
-/// recursively. The decoder bounds nesting at `kMaxTraceDepth` and fans
-/// out at most `kMaxFramePayload` worth of nodes — a hostile payload
-/// fails with kInvalidArgument instead of exhausting the stack.
+/// timings, tuple counts, the layer counters in `obs::kLayerCounterFields`
+/// order) plus the children, recursively. The decoder bounds nesting at
+/// `kMaxTraceDepth` and fans out at most `kMaxFramePayload` worth of nodes
+/// — a hostile payload fails with kInvalidArgument instead of exhausting
+/// the stack.
 inline constexpr uint32_t kMaxTraceDepth = 100;
 void PutTraceNode(Writer* w, const obs::TraceNode& node);
 Status GetTraceNode(Reader* r, obs::TraceNode* out, uint32_t depth = 0);

@@ -59,11 +59,7 @@ uint64_t Histogram::Snapshot::PercentileUpperBound(double fraction) const {
   uint64_t seen = 0;
   for (size_t i = 0; i < kBuckets; ++i) {
     seen += buckets[i];
-    if (seen >= rank) {
-      if (i == 0) return 0;
-      if (i >= 64) return UINT64_MAX;
-      return (uint64_t{1} << i) - 1;
-    }
+    if (seen >= rank) return BucketUpperBound(i);
   }
   return UINT64_MAX;
 }

@@ -64,9 +64,10 @@ class Histogram {
     uint64_t sum = 0;
     std::array<uint64_t, kBuckets> buckets{};
 
-    /// Nearest-rank percentile, resolved to the *upper bound* of the
+    /// Nearest-rank percentile, resolved to the `BucketUpperBound` of the
     /// bucket holding the rank (a conservative estimate: the true sample
-    /// is <= the returned value, within a factor of 2).
+    /// is <= the returned value, within a factor of 2 below the overflow
+    /// bucket, whose bound is UINT64_MAX).
     uint64_t PercentileUpperBound(double fraction) const;
 
     /// Largest sample value bucket `i` can hold: 0 for bucket 0,

@@ -9,39 +9,25 @@ thread_local LayerCounters* g_active = nullptr;
 }  // namespace internal
 
 LayerCounters& LayerCounters::operator+=(const LayerCounters& other) {
-  conjunctions += other.conjunctions;
-  box_prunes += other.box_prunes;
-  boxes_built += other.boxes_built;
-  fm_eliminations += other.fm_eliminations;
-  box_solves += other.box_solves;
-  redundancy_culls += other.redundancy_culls;
-  index_node_visits += other.index_node_visits;
-  index_leaf_hits += other.index_leaf_hits;
-  pages_read += other.pages_read;
-  pool_hits += other.pool_hits;
+  for (const LayerCounterField& f : kLayerCounterFields) {
+    this->*f.member += other.*f.member;
+  }
   return *this;
 }
 
 LayerCounters LayerCounters::operator-(const LayerCounters& other) const {
   LayerCounters out;
-  out.conjunctions = conjunctions - other.conjunctions;
-  out.box_prunes = box_prunes - other.box_prunes;
-  out.boxes_built = boxes_built - other.boxes_built;
-  out.fm_eliminations = fm_eliminations - other.fm_eliminations;
-  out.box_solves = box_solves - other.box_solves;
-  out.redundancy_culls = redundancy_culls - other.redundancy_culls;
-  out.index_node_visits = index_node_visits - other.index_node_visits;
-  out.index_leaf_hits = index_leaf_hits - other.index_leaf_hits;
-  out.pages_read = pages_read - other.pages_read;
-  out.pool_hits = pool_hits - other.pool_hits;
+  for (const LayerCounterField& f : kLayerCounterFields) {
+    out.*f.member = this->*f.member - other.*f.member;
+  }
   return out;
 }
 
 bool LayerCounters::IsZero() const {
-  return conjunctions == 0 && box_prunes == 0 && boxes_built == 0 &&
-         fm_eliminations == 0 && box_solves == 0 && redundancy_culls == 0 &&
-         index_node_visits == 0 && index_leaf_hits == 0 && pages_read == 0 &&
-         pool_hits == 0;
+  for (const LayerCounterField& f : kLayerCounterFields) {
+    if (this->*f.member != 0) return false;
+  }
+  return true;
 }
 
 std::string LayerCounters::ToString() const {
@@ -127,28 +113,19 @@ std::string TraceNode::ToString(int indent) const {
 }
 
 std::string TraceNode::ToJson() const {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "\"wall_us\":%.3f,\"self_us\":%.3f,\"in\":%llu,\"out\":%llu,"
-      "\"conjunctions\":%llu,\"box_prunes\":%llu,\"boxes_built\":%llu,"
-      "\"fm_eliminations\":%llu,\"box_solves\":%llu,"
-      "\"redundancy_culls\":%llu,\"index_node_visits\":%llu,"
-      "\"index_leaf_hits\":%llu,\"pages_read\":%llu,\"pool_hits\":%llu",
-      wall_us, self_us, static_cast<unsigned long long>(tuples_in),
-      static_cast<unsigned long long>(tuples_out),
-      static_cast<unsigned long long>(counters.conjunctions),
-      static_cast<unsigned long long>(counters.box_prunes),
-      static_cast<unsigned long long>(counters.boxes_built),
-      static_cast<unsigned long long>(counters.fm_eliminations),
-      static_cast<unsigned long long>(counters.box_solves),
-      static_cast<unsigned long long>(counters.redundancy_culls),
-      static_cast<unsigned long long>(counters.index_node_visits),
-      static_cast<unsigned long long>(counters.index_leaf_hits),
-      static_cast<unsigned long long>(counters.pages_read),
-      static_cast<unsigned long long>(counters.pool_hits));
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "\"wall_us\":%.3f,\"self_us\":%.3f,\"in\":%llu,\"out\":%llu",
+                wall_us, self_us, static_cast<unsigned long long>(tuples_in),
+                static_cast<unsigned long long>(tuples_out));
   std::string out = "{\"op\":\"" + JsonEscape(label) + "\",";
   out += buf;
+  for (const LayerCounterField& f : kLayerCounterFields) {
+    out += ",\"";
+    out += f.json_key;
+    out += "\":";
+    out += std::to_string(counters.*f.member);
+  }
   if (!children.empty()) {
     out += ",\"children\":[";
     for (size_t i = 0; i < children.size(); ++i) {

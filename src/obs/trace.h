@@ -30,15 +30,21 @@
 ///    `ToString` renders the EXPLAIN ANALYZE view and `ToJson` the
 ///    structured record a `TraceSink` exports.
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
+
+#include "obs/metric_names.h"
 
 namespace ccdb::obs {
 
 /// Work counters published by the engine layers while a query runs.
 /// Plain fields: a LayerCounters instance is only ever written by the
-/// thread that installed it (see CounterScope).
+/// thread that installed it (see CounterScope). Each field has one row in
+/// `kLayerCounterFields`, and all code but `ToString` and the `Note*`
+/// helpers reaches the fields through that table.
 struct LayerCounters {
   uint64_t conjunctions = 0;       ///< constraint stores materialized (CQA)
   uint64_t box_prunes = 0;         ///< tuples/pairs a box test rejected (CQA)
@@ -55,12 +61,56 @@ struct LayerCounters {
   LayerCounters operator-(const LayerCounters& other) const;
   bool IsZero() const;
 
-  /// Compact one-line rendering, e.g.
-  /// "conj 12, pruned 40, fm 8, culls 2, idx 3/1, io 4/2", with
+  /// Compact one-line rendering for `\trace` spans and the `\metrics`
+  /// engine line, e.g. "conj 12, pruned 40, fm 8, culls 2, idx 3/1, io 4/2"
+  /// (idx visits/leaf hits, io pages read/pool hits), with
   /// ", boxed N" appended when a box-cache build ran and ", box solves N"
   /// when a projection settled a box without FM.
   std::string ToString() const;
 };
+
+/// One LayerCounters field: the member, its key in the span JSON
+/// (`TraceNode::ToJson`), and the registry counter `QueryService` drains
+/// it into (metric_names.h).
+struct LayerCounterField {
+  uint64_t LayerCounters::*member;
+  const char* json_key;
+  const char* metric;
+};
+
+/// Every LayerCounters field, in the order FETCH_TRACE encodes them and
+/// the span JSON prints them: reordering rows changes both.
+inline constexpr LayerCounterField kLayerCounterFields[] = {
+    {&LayerCounters::conjunctions, "conjunctions", names::kCqaConjunctions},
+    {&LayerCounters::box_prunes, "box_prunes", names::kCqaBoxPrunes},
+    {&LayerCounters::boxes_built, "boxes_built", names::kCqaBoxesBuilt},
+    {&LayerCounters::fm_eliminations, "fm_eliminations",
+     names::kFmEliminations},
+    {&LayerCounters::box_solves, "box_solves", names::kFmBoxSolves},
+    {&LayerCounters::redundancy_culls, "redundancy_culls",
+     names::kFmRedundancyCulls},
+    {&LayerCounters::index_node_visits, "index_node_visits",
+     names::kIndexNodeVisits},
+    {&LayerCounters::index_leaf_hits, "index_leaf_hits",
+     names::kIndexLeafHits},
+    {&LayerCounters::pages_read, "pages_read", names::kStoragePagesRead},
+    {&LayerCounters::pool_hits, "pool_hits", names::kStoragePoolHits},
+};
+
+// As many rows as fields, and no field twice: every field has its row.
+static_assert(sizeof(LayerCounters) ==
+                  std::size(kLayerCounterFields) * sizeof(uint64_t),
+              "a LayerCounters field has no kLayerCounterFields row");
+static_assert([] {
+  for (size_t i = 0; i < std::size(kLayerCounterFields); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (kLayerCounterFields[i].member == kLayerCounterFields[j].member) {
+        return false;
+      }
+    }
+  }
+  return true;
+}(), "two kLayerCounterFields rows name the same field");
 
 namespace internal {
 /// The thread's active counter sink; nullptr = tracing off.

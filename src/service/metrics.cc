@@ -63,21 +63,7 @@ std::string ServiceMetrics::ToString() const {
                 static_cast<unsigned long long>(slow_queries),
                 static_cast<unsigned long long>(traced_queries));
   out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "engine:   %llu conjunctions, %llu box prunes, "
-                "%llu tuples boxed, %llu fm eliminations, %llu box solves, "
-                "%llu culls, idx %llu/%llu, pool %llu/%llu\n",
-                static_cast<unsigned long long>(conjunctions),
-                static_cast<unsigned long long>(box_prunes),
-                static_cast<unsigned long long>(boxes_built),
-                static_cast<unsigned long long>(fm_eliminations),
-                static_cast<unsigned long long>(box_solves),
-                static_cast<unsigned long long>(redundancy_culls),
-                static_cast<unsigned long long>(index_node_visits),
-                static_cast<unsigned long long>(index_leaf_hits),
-                static_cast<unsigned long long>(pool_hits),
-                static_cast<unsigned long long>(pool_misses));
-  out += buf;
+  out += "engine:   " + engine.ToString() + "\n";
   const uint64_t lookups = cache_hits + cache_misses;
   std::snprintf(buf, sizeof(buf),
                 "cache:    %llu hits / %llu lookups (%.1f%%), %llu entries\n",

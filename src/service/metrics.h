@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/registry.h"
+#include "obs/trace.h"
 #include "util/mutex.h"
 
 namespace ccdb::service {
@@ -41,16 +42,7 @@ struct ServiceMetrics {
   uint64_t cache_entries = 0;
   // Engine work totals over all executed queries (drained from per-query
   // trace contexts; see obs/trace.h).
-  uint64_t conjunctions = 0;       ///< constraint stores materialized
-  uint64_t box_prunes = 0;         ///< tuples/pairs rejected before FM
-  uint64_t boxes_built = 0;        ///< tuples boxed by box-cache builds
-  uint64_t fm_eliminations = 0;    ///< Fourier–Motzkin variable eliminations
-  uint64_t box_solves = 0;         ///< box projections settled without FM
-  uint64_t redundancy_culls = 0;   ///< constraints dropped as redundant
-  uint64_t index_node_visits = 0;  ///< R*-tree nodes loaded
-  uint64_t index_leaf_hits = 0;    ///< R*-tree leaf entries matched
-  uint64_t pool_hits = 0;          ///< buffer-pool hits during queries
-  uint64_t pool_misses = 0;        ///< buffer-pool misses during queries
+  obs::LayerCounters engine;
   // Transactions & MVCC.
   uint64_t txn_begins = 0;      ///< BEGIN statements accepted
   uint64_t txn_commits = 0;     ///< transactions committed (incl. empty)

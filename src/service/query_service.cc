@@ -105,16 +105,6 @@ QueryService::QueryService(Database* base, ServiceOptions options)
       failed_(registry_.GetCounter(obs::names::kQueriesFailed)),
       slow_(registry_.GetCounter(obs::names::kQueriesSlow)),
       traced_(registry_.GetCounter(obs::names::kQueriesTraced)),
-      conjunctions_(registry_.GetCounter(obs::names::kCqaConjunctions)),
-      box_prunes_(registry_.GetCounter(obs::names::kCqaBoxPrunes)),
-      boxes_built_(registry_.GetCounter(obs::names::kCqaBoxesBuilt)),
-      fm_eliminations_(registry_.GetCounter(obs::names::kFmEliminations)),
-      box_solves_(registry_.GetCounter(obs::names::kFmBoxSolves)),
-      redundancy_culls_(registry_.GetCounter(obs::names::kFmRedundancyCulls)),
-      index_node_visits_(registry_.GetCounter(obs::names::kIndexNodeVisits)),
-      index_leaf_hits_(registry_.GetCounter(obs::names::kIndexLeafHits)),
-      pages_read_(registry_.GetCounter(obs::names::kStoragePagesRead)),
-      pool_hits_(registry_.GetCounter(obs::names::kStoragePoolHits)),
       txn_begins_(registry_.GetCounter(obs::names::kTxnBegins)),
       txn_commits_(registry_.GetCounter(obs::names::kTxnCommits)),
       txn_rollbacks_(registry_.GetCounter(obs::names::kTxnRollbacks)),
@@ -130,6 +120,9 @@ QueryService::QueryService(Database* base, ServiceOptions options)
       latency_hist_(registry_.GetHistogram(obs::names::kQueryLatencyUs)),
       fm_hist_(registry_.GetHistogram(obs::names::kQueryFmEliminations)),
       tuples_out_hist_(registry_.GetHistogram(obs::names::kQueryTuplesOut)) {
+  for (size_t i = 0; i < engine_.size(); ++i) {
+    engine_[i] = registry_.GetCounter(obs::kLayerCounterFields[i].metric);
+  }
   if (base != nullptr) catalog_.Seed(*base);
   const size_t workers = std::max<size_t>(1, options_.num_workers);
   workers_.reserve(workers);
@@ -484,16 +477,9 @@ void QueryService::RecordGovernanceOutcome(const obs::ExecContext& ctx,
 
 void QueryService::DrainCounters(const obs::LayerCounters& counters) {
   if (counters.IsZero()) return;
-  conjunctions_->Add(counters.conjunctions);
-  box_prunes_->Add(counters.box_prunes);
-  boxes_built_->Add(counters.boxes_built);
-  fm_eliminations_->Add(counters.fm_eliminations);
-  box_solves_->Add(counters.box_solves);
-  redundancy_culls_->Add(counters.redundancy_culls);
-  index_node_visits_->Add(counters.index_node_visits);
-  index_leaf_hits_->Add(counters.index_leaf_hits);
-  pages_read_->Add(counters.pages_read);
-  pool_hits_->Add(counters.pool_hits);
+  for (size_t i = 0; i < engine_.size(); ++i) {
+    engine_[i]->Add(counters.*obs::kLayerCounterFields[i].member);
+  }
 }
 
 Result<QueryResponse> QueryService::RunScript(Task* task,
@@ -980,16 +966,9 @@ ServiceMetrics QueryService::Metrics() const {
   m.failed = failed_->Value();
   m.slow_queries = slow_->Value();
   m.traced_queries = traced_->Value();
-  m.conjunctions = conjunctions_->Value();
-  m.box_prunes = box_prunes_->Value();
-  m.boxes_built = boxes_built_->Value();
-  m.fm_eliminations = fm_eliminations_->Value();
-  m.box_solves = box_solves_->Value();
-  m.redundancy_culls = redundancy_culls_->Value();
-  m.index_node_visits = index_node_visits_->Value();
-  m.index_leaf_hits = index_leaf_hits_->Value();
-  m.pool_hits = pool_hits_->Value();
-  m.pool_misses = pages_read_->Value();
+  for (size_t i = 0; i < engine_.size(); ++i) {
+    m.engine.*obs::kLayerCounterFields[i].member = engine_[i]->Value();
+  }
   m.txn_begins = txn_begins_->Value();
   m.txn_commits = txn_commits_->Value();
   m.txn_rollbacks = txn_rollbacks_->Value();

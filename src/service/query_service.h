@@ -49,6 +49,7 @@
 ///    Scripts that read session-local steps, and any query inside a
 ///    transaction, are executed uncached.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -490,16 +491,8 @@ class QueryService {
   obs::Counter* failed_;
   obs::Counter* slow_;
   obs::Counter* traced_;
-  obs::Counter* conjunctions_;
-  obs::Counter* box_prunes_;
-  obs::Counter* boxes_built_;
-  obs::Counter* fm_eliminations_;
-  obs::Counter* box_solves_;
-  obs::Counter* redundancy_culls_;
-  obs::Counter* index_node_visits_;
-  obs::Counter* index_leaf_hits_;
-  obs::Counter* pages_read_;
-  obs::Counter* pool_hits_;
+  /// One registry counter per `obs::kLayerCounterFields` row, same order.
+  std::array<obs::Counter*, std::size(obs::kLayerCounterFields)> engine_;
   obs::Counter* txn_begins_;
   obs::Counter* txn_commits_;
   obs::Counter* txn_rollbacks_;

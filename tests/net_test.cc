@@ -297,12 +297,17 @@ TEST(Wire, TraceNodeRoundTrips) {
   root.self_us = 12.25;
   root.tuples_in = 80;
   root.tuples_out = 17;
+  // Ten distinct values: a codec that drops or swaps a counter shows.
   root.counters.conjunctions = 99;
   root.counters.box_prunes = 41;
   root.counters.boxes_built = 23;
   root.counters.fm_eliminations = 7;
   root.counters.box_solves = 11;
+  root.counters.redundancy_culls = 13;
+  root.counters.index_node_visits = 17;
+  root.counters.index_leaf_hits = 19;
   root.counters.pages_read = 3;
+  root.counters.pool_hits = 29;
   obs::TraceNode child;
   child.label = "R0 = select x >= 100 from Boxes";
   child.wall_us = 600.0;
@@ -328,7 +333,12 @@ TEST(Wire, TraceNodeRoundTrips) {
   EXPECT_EQ(back.counters.boxes_built, root.counters.boxes_built);
   EXPECT_EQ(back.counters.fm_eliminations, root.counters.fm_eliminations);
   EXPECT_EQ(back.counters.box_solves, root.counters.box_solves);
+  EXPECT_EQ(back.counters.redundancy_culls, root.counters.redundancy_culls);
+  EXPECT_EQ(back.counters.index_node_visits,
+            root.counters.index_node_visits);
+  EXPECT_EQ(back.counters.index_leaf_hits, root.counters.index_leaf_hits);
   EXPECT_EQ(back.counters.pages_read, root.counters.pages_read);
+  EXPECT_EQ(back.counters.pool_hits, root.counters.pool_hits);
   ASSERT_EQ(back.children.size(), size_t{2});
   EXPECT_EQ(back.children[0].label, root.children[0].label);
   EXPECT_EQ(back.children[0].counters.index_node_visits, uint64_t{5});
@@ -337,6 +347,46 @@ TEST(Wire, TraceNodeRoundTrips) {
   EXPECT_EQ(back.ToString(), root.ToString());
   EXPECT_EQ(back.TotalCounters().conjunctions,
             root.TotalCounters().conjunctions);
+}
+
+TEST(Wire, TraceNodeBytesArePinned) {
+  // One node's FETCH_TRACE bytes: the label (u32 length + bytes), wall
+  // and self time as IEEE-754 bits, tuples in and out, the ten layer
+  // counters in struct order, and the child count, all little-endian. A
+  // change here is a wire change and needs a kProtocolVersion bump.
+  obs::TraceNode node;
+  node.label = "Scan";
+  node.wall_us = 1.5;
+  node.self_us = 0.25;
+  node.tuples_in = 0x21;
+  node.tuples_out = 0x22;
+  node.counters.conjunctions = 1;
+  node.counters.box_prunes = 2;
+  node.counters.boxes_built = 3;
+  node.counters.fm_eliminations = 4;
+  node.counters.box_solves = 5;
+  node.counters.redundancy_culls = 6;
+  node.counters.index_node_visits = 7;
+  node.counters.index_leaf_hits = 8;
+  node.counters.pages_read = 9;
+  node.counters.pool_hits = 10;
+  Writer w;
+  net::PutTraceNode(&w, node);
+  std::string hex;
+  for (uint8_t byte : w.buffer()) {
+    hex += "0123456789abcdef"[byte >> 4];
+    hex += "0123456789abcdef"[byte & 0xf];
+  }
+  EXPECT_EQ(hex,
+            "040000005363616e"                   // "Scan"
+            "000000000000f83f000000000000d03f"   // 1.5, 0.25
+            "21000000000000002200000000000000"   // in, out
+            "01000000000000000200000000000000"   // conj, pruned
+            "03000000000000000400000000000000"   // boxed, fm
+            "05000000000000000600000000000000"   // box solves, culls
+            "07000000000000000800000000000000"   // idx visits, leaf hits
+            "09000000000000000a00000000000000"   // pages read, pool hits
+            "00000000");                         // no children
 }
 
 TEST(Wire, TraceNodeDeeperThanGuardIsRejected) {

@@ -5,6 +5,7 @@
 // export well-formedness.
 
 #include <atomic>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -64,6 +65,15 @@ TEST(HistogramTest, PercentileUpperBoundIsConservative) {
   EXPECT_GE(snap.PercentileUpperBound(0.99), uint64_t{990});
   // Percentiles are monotone in the fraction.
   EXPECT_LE(p50, snap.PercentileUpperBound(0.90));
+  // A sample past the last finite bucket lands in the overflow bucket,
+  // whose bound is +Inf (UINT64_MAX), never one below the sample.
+  const uint64_t huge = uint64_t{1} << 45;
+  hist.Record(huge);
+  const obs::Histogram::Snapshot with_huge = hist.snapshot();
+  EXPECT_GE(with_huge.PercentileUpperBound(1.0), huge);
+  EXPECT_EQ(with_huge.PercentileUpperBound(1.0),
+            obs::Histogram::Snapshot::BucketUpperBound(
+                obs::Histogram::kBuckets - 1));
 }
 
 TEST(RegistryTest, SameNameYieldsSameHandleUnderRaces) {
@@ -112,6 +122,69 @@ TEST(CounterScopeTest, NestedScopesFoldIntoParent) {
     EXPECT_EQ(outer.counters().redundancy_culls, uint64_t{3});
   }
   EXPECT_FALSE(obs::TracingActive());
+}
+
+/// Every LayerCounters field by name, kept apart from the engine's own
+/// field table so that a field the table misses shows here.
+constexpr uint64_t obs::LayerCounters::*kEveryCounter[] = {
+    &obs::LayerCounters::conjunctions,
+    &obs::LayerCounters::box_prunes,
+    &obs::LayerCounters::boxes_built,
+    &obs::LayerCounters::fm_eliminations,
+    &obs::LayerCounters::box_solves,
+    &obs::LayerCounters::redundancy_culls,
+    &obs::LayerCounters::index_node_visits,
+    &obs::LayerCounters::index_leaf_hits,
+    &obs::LayerCounters::pages_read,
+    &obs::LayerCounters::pool_hits,
+};
+
+TEST(LayerCountersTest, ArithmeticCoversEveryField) {
+  ASSERT_EQ(sizeof(obs::LayerCounters),
+            std::size(kEveryCounter) * sizeof(uint64_t))
+      << "a LayerCounters field is missing from kEveryCounter";
+  // Distinct values per field, so a dropped or swapped field shows.
+  obs::LayerCounters big;
+  obs::LayerCounters small;
+  for (size_t i = 0; i < std::size(kEveryCounter); ++i) {
+    big.*kEveryCounter[i] = 1000 * (i + 1);
+    small.*kEveryCounter[i] = i + 1;
+  }
+  obs::LayerCounters sum = big;
+  sum += small;
+  const obs::LayerCounters difference = big - small;
+  for (size_t i = 0; i < std::size(kEveryCounter); ++i) {
+    EXPECT_EQ(sum.*kEveryCounter[i], 1001 * (i + 1)) << "field " << i;
+    EXPECT_EQ(difference.*kEveryCounter[i], 999 * (i + 1)) << "field " << i;
+  }
+
+  EXPECT_TRUE(obs::LayerCounters{}.IsZero());
+  for (size_t i = 0; i < std::size(kEveryCounter); ++i) {
+    obs::LayerCounters one;
+    one.*kEveryCounter[i] = 1;
+    EXPECT_FALSE(one.IsZero()) << "field " << i;
+  }
+}
+
+TEST(TraceTest, SpanJsonIsPinned) {
+  // One span's JSON, key for key: the counters in struct order under
+  // their field names, as the trace sink writes them.
+  obs::TraceNode node;
+  node.label = "Scan \"Boxes\"";
+  node.wall_us = 1.5;
+  node.self_us = 0.25;
+  node.tuples_in = 33;
+  node.tuples_out = 34;
+  for (size_t i = 0; i < std::size(kEveryCounter); ++i) {
+    node.counters.*kEveryCounter[i] = i + 1;
+  }
+  EXPECT_EQ(node.ToJson(),
+            "{\"op\":\"Scan \\\"Boxes\\\"\",\"wall_us\":1.500,"
+            "\"self_us\":0.250,\"in\":33,\"out\":34,\"conjunctions\":1,"
+            "\"box_prunes\":2,\"boxes_built\":3,\"fm_eliminations\":4,"
+            "\"box_solves\":5,\"redundancy_culls\":6,"
+            "\"index_node_visits\":7,\"index_leaf_hits\":8,"
+            "\"pages_read\":9,\"pool_hits\":10}");
 }
 
 // --- Trace trees from the executor ----------------------------------------
@@ -184,9 +257,8 @@ TEST(TraceTest, BoxCacheBuildShowsOnItsFirstReader) {
   EXPECT_EQ(warm->root.ToString().find("boxed"), std::string::npos);
   EXPECT_TRUE(warm->response.relation.tuples() ==
               cold->response.relation.tuples());
-  EXPECT_EQ(svc.Metrics().boxes_built, 60u);
-  EXPECT_NE(svc.Metrics().ToString().find("60 tuples boxed"),
-            std::string::npos);
+  EXPECT_EQ(svc.Metrics().engine.boxes_built, 60u);
+  EXPECT_NE(svc.Metrics().ToString().find(", boxed 60"), std::string::npos);
 }
 
 TEST(TraceTest, FilterAndRefineShowSideBySide) {
@@ -212,11 +284,28 @@ TEST(TraceTest, FilterAndRefineShowSideBySide) {
   EXPECT_NE(root.ToString().find(", pruned "), std::string::npos);
   EXPECT_NE(root.ToJson().find("\"box_prunes\":"), std::string::npos);
 
-  service::QueryService svc(&db);
+  // The served run drains the same work into the registry, counter for
+  // counter. Its own copy of the data builds its own boxes: copies of one
+  // relation version share a box cache, which the run above filled.
+  EXPECT_GT(total.boxes_built, uint64_t{0});
+  Database served = BoxDatabase(60);
+  service::QueryService svc(&served);
   const service::SessionId session = svc.OpenSession();
   ASSERT_TRUE(svc.Execute(session, kJoinScript).ok());
-  EXPECT_EQ(svc.Metrics().box_prunes, total.box_prunes);
-  EXPECT_NE(svc.Metrics().ToString().find("box prunes"), std::string::npos);
+  const obs::MetricsRegistry::Snapshot snap = svc.MetricsSnapshot();
+  EXPECT_EQ(snap.Value(obs::names::kCqaConjunctions), total.conjunctions);
+  EXPECT_EQ(snap.Value(obs::names::kCqaBoxPrunes), total.box_prunes);
+  EXPECT_EQ(snap.Value(obs::names::kCqaBoxesBuilt), total.boxes_built);
+  EXPECT_EQ(snap.Value(obs::names::kFmEliminations), total.fm_eliminations);
+  EXPECT_EQ(snap.Value(obs::names::kFmBoxSolves), total.box_solves);
+  EXPECT_EQ(snap.Value(obs::names::kFmRedundancyCulls),
+            total.redundancy_culls);
+  EXPECT_EQ(snap.Value(obs::names::kIndexNodeVisits),
+            total.index_node_visits);
+  EXPECT_EQ(snap.Value(obs::names::kIndexLeafHits), total.index_leaf_hits);
+  EXPECT_EQ(snap.Value(obs::names::kStoragePagesRead), total.pages_read);
+  EXPECT_EQ(snap.Value(obs::names::kStoragePoolHits), total.pool_hits);
+  EXPECT_NE(svc.Metrics().ToString().find(", pruned "), std::string::npos);
 }
 
 TEST(TraceTest, JsonOutputIsWellFormed) {
@@ -281,9 +370,9 @@ TEST(ServiceTraceTest, ExplicitTraceUsesOptimizedPlan) {
   EXPECT_EQ(m.traced_queries, uint64_t{1});
   EXPECT_EQ(m.submitted, uint64_t{1});
   EXPECT_EQ(m.completed, uint64_t{1});
-  EXPECT_GT(m.conjunctions, uint64_t{0});
-  EXPECT_GT(m.box_solves, uint64_t{0});
-  EXPECT_EQ(m.fm_eliminations, uint64_t{0});
+  EXPECT_GT(m.engine.conjunctions, uint64_t{0});
+  EXPECT_GT(m.engine.box_solves, uint64_t{0});
+  EXPECT_EQ(m.engine.fm_eliminations, uint64_t{0});
 
   // The sink got one well-formed JSONL line for the trace.
   EXPECT_EQ(sink.events(), uint64_t{1});
@@ -299,7 +388,7 @@ TEST(ServiceTraceTest, ExplicitTraceUsesOptimizedPlan) {
   EXPECT_GT(diagonal->root.TotalCounters().fm_eliminations, uint64_t{0});
   const service::ServiceMetrics m2 = svc.Metrics();
   EXPECT_EQ(m2.traced_queries, uint64_t{2});
-  EXPECT_GT(m2.fm_eliminations, uint64_t{0});
+  EXPECT_GT(m2.engine.fm_eliminations, uint64_t{0});
 }
 
 TEST(ServiceTraceTest, TransactionControlIsRefusedWithoutRunning) {
@@ -496,7 +585,7 @@ TEST(ServiceTraceTest, ConcurrentQueriesPublishExactEngineTotals) {
   EXPECT_EQ(m.completed, uint64_t{kClients * kQueriesEach});
   // Every select materializes at least one constraint store per output
   // tuple, so engine counters drained from all workers must be visible.
-  EXPECT_GT(m.conjunctions, uint64_t{0});
+  EXPECT_GT(m.engine.conjunctions, uint64_t{0});
 }
 
 }  // namespace

@@ -709,7 +709,7 @@ TEST(QueryServiceTest, ConcurrentFirstReadersOfOneVersionAgree) {
     }
     // The cold round built at least once and at most once per reader;
     // the warm round read the published vector.
-    const uint64_t built = service.Metrics().boxes_built;
+    const uint64_t built = service.Metrics().engine.boxes_built;
     if (round == 0) {
       EXPECT_GE(built, kTuples);
       EXPECT_LE(built, kTuples * kReaders);
