@@ -30,7 +30,6 @@
 #include "geom/convert.h"                  // constraint <-> vector (§6)
 #include "geom/decompose.h"                // convex decomposition
 #include "geom/clip.h"                     // exact convex clipping
-#include "geom/minkowski.h"                // buffers via Minkowski sums
 #include "geom/polygon.h"                  // vector geometry
 #include "index/rstar_tree.h"              // the R*-tree
 #include "index/strategy.h"                // joint vs separate indexing

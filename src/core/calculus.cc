@@ -1,6 +1,6 @@
 #include "core/calculus.h"
 
-#include <algorithm>
+#include <optional>
 
 namespace ccdb::cqc {
 
@@ -126,38 +126,59 @@ std::string Formula::ToString() const {
 
 namespace {
 
-/// The universal relation over constraint-rational variables: one tuple
-/// with an empty store (broad semantics = every assignment).
-Result<Relation> Universe(const std::set<std::string>& vars) {
-  std::vector<Attribute> attrs;
-  for (const std::string& var : vars) {
-    attrs.push_back(Schema::ConstraintRational(var));
-  }
-  CCDB_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(attrs)));
-  Relation rel(std::move(schema));
-  CCDB_RETURN_IF_ERROR(rel.Insert(Tuple()));
-  return rel;
+using cqa::PlanNode;
+
+/// A compiled subformula: its plan and the schema that plan produces.
+struct Compiled {
+  std::unique_ptr<PlanNode> plan;
+  Schema schema;
+};
+
+/// Types `node`, built with null children, from `inputs`' schemas
+/// (cqa::OutputSchema) and hands it their plans as its children.
+Result<Compiled> Typed(std::unique_ptr<PlanNode> node,
+                       std::initializer_list<Compiled*> inputs,
+                       const Database& db) {
+  std::vector<Schema> schemas;
+  for (const Compiled* input : inputs) schemas.push_back(input->schema);
+  CCDB_ASSIGN_OR_RETURN(Schema schema, cqa::OutputSchema(*node, schemas, db));
+  size_t i = 0;
+  for (Compiled* input : inputs) node->children[i++] = std::move(input->plan);
+  return Compiled{std::move(node), std::move(schema)};
 }
 
-/// Evaluates a database atom R(v1, ..., vk): positional rename with
+/// A `Values` leaf of one tuple over `attrs`: `tuple`'s values, null on the
+/// other relational attributes, broad on the constraint ones. Over
+/// constraint attributes it is their universe; over none, TRUE.
+Result<Compiled> Constant(std::vector<Attribute> attrs, Tuple tuple = Tuple()) {
+  CCDB_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(attrs)));
+  auto rel = std::make_shared<Relation>(schema);
+  CCDB_RETURN_IF_ERROR(rel->Insert(std::move(tuple)));
+  Compiled out{std::make_unique<PlanNode>(), std::move(schema)};
+  out.plan->op = PlanNode::Op::kValues;
+  out.plan->values = std::move(rel);
+  return out;
+}
+
+/// A database atom R(v1, ..., vk): positional renames, with
 /// repeated-variable equality handling.
-Result<Relation> EvalRelationAtom(const Formula& f, const Database& db) {
-  CCDB_ASSIGN_OR_RETURN(const Relation* base, db.Get(f.relation()));
-  if (f.vars().size() != base->schema().arity()) {
+Result<Compiled> CompileRelationAtom(const Formula& f, const Database& db) {
+  CCDB_ASSIGN_OR_RETURN(Compiled current,
+                        Typed(PlanNode::Scan(f.relation()), {}, db));
+  if (f.vars().size() != current.schema.arity()) {
     return Status::InvalidArgument(
-        f.relation() + " has arity " + std::to_string(base->schema().arity()) +
+        f.relation() + " has arity " + std::to_string(current.schema.arity()) +
         ", got " + std::to_string(f.vars().size()) + " variables");
   }
   // Rename every attribute to a unique placeholder first (the relation's
   // own attribute names must not collide with the target variables).
-  Relation current = *base;
+  const std::vector<Attribute> attrs = current.schema.attributes();
   std::vector<std::string> temps;
-  for (size_t i = 0; i < f.vars().size(); ++i) {
-    std::string temp = "#cqc" + std::to_string(i);
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    temps.push_back("#cqc" + std::to_string(i));
     CCDB_ASSIGN_OR_RETURN(
-        current,
-        cqa::Rename(current, current.schema().attributes()[i].name, temp));
-    temps.push_back(std::move(temp));
+        current, Typed(PlanNode::RenameAttr(nullptr, attrs[i].name, temps[i]),
+                       {&current}, db));
   }
   // Repeated variables become equality selections on the placeholders.
   Predicate equalities;
@@ -167,10 +188,7 @@ Result<Relation> EvalRelationAtom(const Formula& f, const Database& db) {
     auto [it, inserted] = first_position.emplace(f.vars()[i], i);
     if (inserted) {
       keep.push_back(temps[i]);
-      continue;
-    }
-    const Attribute& attr = current.schema().attributes()[i];
-    if (attr.domain == AttributeDomain::kString) {
+    } else if (attrs[i].domain == AttributeDomain::kString) {
       equalities.strings.push_back(
           StringAtom::EqualsAttr(temps[it->second], temps[i]));
     } else {
@@ -180,138 +198,119 @@ Result<Relation> EvalRelationAtom(const Formula& f, const Database& db) {
     }
   }
   if (!equalities.empty()) {
-    CCDB_ASSIGN_OR_RETURN(current, cqa::Select(current, equalities));
-    CCDB_ASSIGN_OR_RETURN(current, cqa::Project(current, keep));
+    CCDB_ASSIGN_OR_RETURN(
+        current, Typed(PlanNode::Select(nullptr, std::move(equalities)),
+                       {&current}, db));
+    CCDB_ASSIGN_OR_RETURN(
+        current, Typed(PlanNode::Project(nullptr, keep), {&current}, db));
   }
   // Placeholders -> variables.
   for (const auto& [var, position] : first_position) {
-    CCDB_ASSIGN_OR_RETURN(current,
-                          cqa::Rename(current, temps[position], var));
+    CCDB_ASSIGN_OR_RETURN(
+        current, Typed(PlanNode::RenameAttr(nullptr, temps[position], var),
+                       {&current}, db));
   }
   return current;
 }
 
-Result<Relation> Eval(const Formula& f, const Database& db);
+Result<Compiled> CompileFormula(const Formula& f, const Database& db);
 
 /// Flattens an AND tree into conjuncts.
-void CollectConjuncts(const FormulaPtr& f, std::vector<const Formula*>* out) {
-  if (f->kind() == Formula::Kind::kAnd) {
-    CollectConjuncts(f->lhs(), out);
-    CollectConjuncts(f->rhs(), out);
+void CollectConjuncts(const Formula& f, std::vector<const Formula*>* out) {
+  if (f.kind() == Formula::Kind::kAnd) {
+    CollectConjuncts(*f.lhs(), out);
+    CollectConjuncts(*f.rhs(), out);
     return;
   }
-  out->push_back(f.get());
+  out->push_back(&f);
 }
 
-/// Evaluates a conjunction: join the relation-valued conjuncts, extend
-/// with universal variables for uncovered atom variables, then select.
-Result<Relation> EvalConjunction(const std::vector<const Formula*>& conjuncts,
-                                 const Database& db) {
+/// A conjunction (or a lone atom): a join chain of the relation-valued
+/// conjuncts, extended with universal variables for uncovered atom
+/// variables, under one selection of the atoms.
+Result<Compiled> CompileConjunction(const Formula& f, const Database& db) {
+  std::vector<const Formula*> conjuncts;
+  CollectConjuncts(f, &conjuncts);
   Predicate atoms;
   std::vector<const Formula*> relational;
   std::set<std::string> atom_vars;
   for (const Formula* c : conjuncts) {
-    switch (c->kind()) {
-      case Formula::Kind::kAtom: {
-        atoms.linear.push_back(c->constraint());
-        auto vars = c->constraint().Variables();
-        atom_vars.insert(vars.begin(), vars.end());
-        break;
-      }
-      case Formula::Kind::kStrAtom: {
-        atoms.strings.push_back(c->string_atom());
-        atom_vars.insert(c->string_atom().attribute);
-        if (c->string_atom().kind == StringAtom::Kind::kAttrEqualsAttr) {
-          atom_vars.insert(c->string_atom().attribute2);
-        }
-        break;
-      }
-      default:
-        relational.push_back(c);
+    if (c->kind() == Formula::Kind::kAtom) {
+      atoms.linear.push_back(c->constraint());
+    } else if (c->kind() == Formula::Kind::kStrAtom) {
+      atoms.strings.push_back(c->string_atom());
+    } else {
+      relational.push_back(c);
+      continue;
     }
+    std::set<std::string> vars = c->FreeVariables();
+    atom_vars.insert(vars.begin(), vars.end());
   }
 
-  std::optional<Relation> joined;
-  for (const Formula* c : relational) {
-    CCDB_ASSIGN_OR_RETURN(Relation rel, Eval(*c, db));
-    if (!joined) {
-      joined = std::move(rel);
-    } else {
-      CCDB_ASSIGN_OR_RETURN(joined, cqa::NaturalJoin(*joined, rel));
+  std::optional<Compiled> joined;
+  auto join = [&](Compiled rel) -> Status {
+    if (joined) {
+      CCDB_ASSIGN_OR_RETURN(
+          rel, Typed(PlanNode::Join(nullptr, nullptr), {&*joined, &rel}, db));
     }
+    joined = std::move(rel);
+    return Status::OK();
+  };
+  for (const Formula* c : relational) {
+    CCDB_ASSIGN_OR_RETURN(Compiled rel, CompileFormula(*c, db));
+    CCDB_RETURN_IF_ERROR(join(std::move(rel)));
   }
 
   // Variables the atoms mention but no relation binds.
   std::set<std::string> missing;
   for (const std::string& var : atom_vars) {
-    if (!joined || !joined->schema().Has(var)) missing.insert(var);
+    if (!joined || !joined->schema.Has(var)) missing.insert(var);
   }
   // String atoms need bound string attributes — except a positive literal
-  // equality, which denotes a singleton we can materialize.
+  // equality, which denotes a singleton constant.
   for (auto it = atoms.strings.begin(); it != atoms.strings.end();) {
     const StringAtom& atom = *it;
-    bool bound = joined && joined->schema().Has(atom.attribute);
-    if (!bound) {
-      if (atom.kind == StringAtom::Kind::kAttrEqualsLiteral &&
-          !atom.negated) {
-        CCDB_ASSIGN_OR_RETURN(
-            Schema schema,
-            Schema::Make({Schema::RelationalString(atom.attribute)}));
-        Relation singleton(schema);
-        Tuple t;
-        t.SetValue(atom.attribute, Value::String(atom.literal));
-        CCDB_RETURN_IF_ERROR(singleton.Insert(std::move(t)));
-        if (!joined) {
-          joined = std::move(singleton);
-        } else {
-          CCDB_ASSIGN_OR_RETURN(joined, cqa::NaturalJoin(*joined, singleton));
-        }
-        missing.erase(atom.attribute);
-        it = atoms.strings.erase(it);
-        continue;
-      }
+    if (joined && joined->schema.Has(atom.attribute)) {
+      ++it;
+    } else if (atom.kind == StringAtom::Kind::kAttrEqualsLiteral &&
+               !atom.negated) {
+      Tuple t;
+      t.SetValue(atom.attribute, Value::String(atom.literal));
+      CCDB_ASSIGN_OR_RETURN(
+          Compiled singleton,
+          Constant({Schema::RelationalString(atom.attribute)}, std::move(t)));
+      CCDB_RETURN_IF_ERROR(join(std::move(singleton)));
+      missing.erase(atom.attribute);
+      it = atoms.strings.erase(it);
+    } else {
       return Status::Unsupported(
           "string variable '" + atom.attribute +
           "' is not bound by any relation atom (unsafe)");
     }
-    ++it;
   }
-  // Any leftover missing variable is rational: cover it with the universe.
-  if (!missing.empty()) {
-    CCDB_ASSIGN_OR_RETURN(Relation universe, Universe(missing));
-    if (!joined) {
-      joined = std::move(universe);
-    } else {
-      CCDB_ASSIGN_OR_RETURN(joined, cqa::NaturalJoin(*joined, universe));
+  // Any leftover missing variable is rational: cover it with the universe,
+  // which over no variables is TRUE, the conjunction of nothing.
+  if (!missing.empty() || !joined) {
+    std::vector<Attribute> universe;
+    for (const std::string& var : missing) {
+      universe.push_back(Schema::ConstraintRational(var));
     }
+    CCDB_ASSIGN_OR_RETURN(Compiled rel, Constant(std::move(universe)));
+    CCDB_RETURN_IF_ERROR(join(std::move(rel)));
   }
-  if (!joined) {
-    // Conjunction of nothing: the zero-ary TRUE relation.
-    Relation truth{Schema()};
-    CCDB_RETURN_IF_ERROR(truth.Insert(Tuple()));
-    joined = std::move(truth);
-  }
-  if (atoms.empty()) return *joined;
-  return cqa::Select(*joined, atoms);
+  if (atoms.empty()) return std::move(*joined);
+  return Typed(PlanNode::Select(nullptr, std::move(atoms)), {&*joined}, db);
 }
 
-/// Pads `rel` to `target` (a superset schema): missing constraint
-/// attributes are broad; missing relational attributes stay null.
-Result<Relation> PadToSchema(const Relation& rel, const Schema& target) {
-  Relation out(target);
-  for (const Tuple& t : rel.tuples()) {
-    CCDB_RETURN_IF_ERROR(out.Insert(t));
-  }
-  return out;
-}
-
-Result<Relation> EvalOr(const Formula& f, const Database& db) {
-  CCDB_ASSIGN_OR_RETURN(Relation lhs, Eval(*f.lhs(), db));
-  CCDB_ASSIGN_OR_RETURN(Relation rhs, Eval(*f.rhs(), db));
-  // Target schema: union of attributes, name-sorted for determinism.
+/// A disjunction: the union of both branches, each padded to the other's
+/// variables by a join with a constant (missing constraint attributes are
+/// broad, missing relational ones null) and projected into name order.
+Result<Compiled> CompileOr(const Formula& f, const Database& db) {
+  CCDB_ASSIGN_OR_RETURN(Compiled lhs, CompileFormula(*f.lhs(), db));
+  CCDB_ASSIGN_OR_RETURN(Compiled rhs, CompileFormula(*f.rhs(), db));
   std::map<std::string, Attribute> merged;
-  for (const Relation* side : {&lhs, &rhs}) {
-    for (const Attribute& attr : side->schema().attributes()) {
+  for (const Compiled* side : {&lhs, &rhs}) {
+    for (const Attribute& attr : side->schema.attributes()) {
       auto [it, inserted] = merged.emplace(attr.name, attr);
       if (!inserted && it->second != attr) {
         return Status::InvalidArgument(
@@ -320,60 +319,60 @@ Result<Relation> EvalOr(const Formula& f, const Database& db) {
       }
     }
   }
-  std::vector<Attribute> attrs;
-  for (auto& [name, attr] : merged) attrs.push_back(attr);
-  CCDB_ASSIGN_OR_RETURN(Schema target, Schema::Make(std::move(attrs)));
-  CCDB_ASSIGN_OR_RETURN(Relation padded_lhs, PadToSchema(lhs, target));
-  CCDB_ASSIGN_OR_RETURN(Relation padded_rhs, PadToSchema(rhs, target));
-  return cqa::Union(padded_lhs, padded_rhs);
-}
-
-Result<Relation> EvalNot(const Formula& f, const Database& db) {
-  CCDB_ASSIGN_OR_RETURN(Relation inner, Eval(*f.lhs(), db));
-  for (const Attribute& attr : inner.schema().attributes()) {
-    if (attr.kind != AttributeKind::kConstraint) {
-      return Status::Unsupported(
-          "negation over relational variable '" + attr.name +
-          "' is unsafe (infinite uninterpreted domain)");
+  std::vector<std::string> names;
+  for (const auto& [name, attr] : merged) names.push_back(name);
+  for (Compiled* side : {&lhs, &rhs}) {
+    std::vector<Attribute> absent;
+    for (const auto& [name, attr] : merged) {
+      if (!side->schema.Has(name)) absent.push_back(attr);
     }
+    if (!absent.empty()) {
+      CCDB_ASSIGN_OR_RETURN(Compiled pad, Constant(std::move(absent)));
+      CCDB_ASSIGN_OR_RETURN(
+          *side, Typed(PlanNode::Join(nullptr, nullptr), {side, &pad}, db));
+    }
+    CCDB_ASSIGN_OR_RETURN(
+        *side, Typed(PlanNode::Project(nullptr, names), {side}, db));
   }
-  Relation universe(inner.schema());
-  CCDB_RETURN_IF_ERROR(universe.Insert(Tuple()));
-  return cqa::Difference(universe, inner);
+  return Typed(PlanNode::UnionOf(nullptr, nullptr), {&lhs, &rhs}, db);
 }
 
-Result<Relation> Eval(const Formula& f, const Database& db) {
+Result<Compiled> CompileFormula(const Formula& f, const Database& db) {
   switch (f.kind()) {
+    case Formula::Kind::kRelation:
+      return CompileRelationAtom(f, db);
     case Formula::Kind::kAtom:
     case Formula::Kind::kStrAtom:
-    case Formula::Kind::kRelation:
-    case Formula::Kind::kAnd: {
-      if (f.kind() == Formula::Kind::kRelation) {
-        return EvalRelationAtom(f, db);
-      }
-      std::vector<const Formula*> conjuncts;
-      if (f.kind() == Formula::Kind::kAnd) {
-        CollectConjuncts(f.lhs(), &conjuncts);
-        CollectConjuncts(f.rhs(), &conjuncts);
-      } else {
-        conjuncts.push_back(&f);
-      }
-      return EvalConjunction(conjuncts, db);
-    }
+    case Formula::Kind::kAnd:
+      return CompileConjunction(f, db);
     case Formula::Kind::kOr:
-      return EvalOr(f, db);
-    case Formula::Kind::kNot:
-      return EvalNot(f, db);
+      return CompileOr(f, db);
+    case Formula::Kind::kNot: {
+      // The difference from the universe of the inner formula's variables,
+      // which must all be constraint variables.
+      CCDB_ASSIGN_OR_RETURN(Compiled inner, CompileFormula(*f.lhs(), db));
+      for (const Attribute& attr : inner.schema.attributes()) {
+        if (attr.kind != AttributeKind::kConstraint) {
+          return Status::Unsupported(
+              "negation over relational variable '" + attr.name +
+              "' is unsafe (infinite uninterpreted domain)");
+        }
+      }
+      CCDB_ASSIGN_OR_RETURN(Compiled universe,
+                            Constant(inner.schema.attributes()));
+      return Typed(PlanNode::DifferenceOf(nullptr, nullptr),
+                   {&universe, &inner}, db);
+    }
     case Formula::Kind::kExists: {
-      CCDB_ASSIGN_OR_RETURN(Relation inner, Eval(*f.lhs(), db));
-      if (!inner.schema().Has(f.bound_var())) {
+      CCDB_ASSIGN_OR_RETURN(Compiled inner, CompileFormula(*f.lhs(), db));
+      if (!inner.schema.Has(f.bound_var())) {
         return inner;  // vacuous quantification
       }
       std::vector<std::string> keep;
-      for (const Attribute& attr : inner.schema().attributes()) {
+      for (const Attribute& attr : inner.schema.attributes()) {
         if (attr.name != f.bound_var()) keep.push_back(attr.name);
       }
-      return cqa::Project(inner, keep);
+      return Typed(PlanNode::Project(nullptr, std::move(keep)), {&inner}, db);
     }
   }
   return Status::Internal("unknown formula kind");
@@ -381,8 +380,16 @@ Result<Relation> Eval(const Formula& f, const Database& db) {
 
 }  // namespace
 
+Result<std::unique_ptr<cqa::PlanNode>> Compile(const Formula& formula,
+                                               const Database& db) {
+  CCDB_ASSIGN_OR_RETURN(Compiled compiled, CompileFormula(formula, db));
+  return std::move(compiled.plan);
+}
+
 Result<Relation> Evaluate(const Formula& formula, const Database& db) {
-  return Eval(formula, db);
+  CCDB_ASSIGN_OR_RETURN(std::unique_ptr<cqa::PlanNode> plan,
+                        Compile(formula, db));
+  return cqa::Execute(*cqa::Optimize(std::move(plan), db), db);
 }
 
 }  // namespace ccdb::cqc

@@ -8,7 +8,8 @@
 /// constraints", and CQA "was proven to have equivalent expressiveness to
 /// CQC" — the declarative layer of Figure 1 that gets translated to
 /// algebra for evaluation. CCDB makes the equivalence executable: a CQC
-/// formula is compiled bottom-up into CQA operations.
+/// formula compiles bottom-up into a CQA plan, which `cqa::Optimize`
+/// reorders and `cqa::Execute` runs like any step script.
 ///
 /// Semantics match the CDB framework exactly:
 ///  - a constraint atom `x + y <= 2` alone IS a valid (infinite but
@@ -28,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "core/operators.h"
+#include "core/plan.h"
 #include "data/database.h"
 
 namespace ccdb::cqc {
@@ -101,10 +102,14 @@ class Formula {
   FormulaPtr rhs_;                                 // kAnd/kOr
 };
 
-/// Evaluates a CQC formula against `db` by translation to CQA. The output
-/// schema has one attribute per free variable: variables bound to
-/// relational attributes keep that kind/domain (conflicts are errors);
-/// all others become rational constraint attributes.
+/// Translates a CQC formula into a CQA plan over `db`. The output schema
+/// has one attribute per free variable: variables bound to relational
+/// attributes keep that kind/domain (conflicts are errors); all others
+/// become rational constraint attributes.
+Result<std::unique_ptr<cqa::PlanNode>> Compile(const Formula& formula,
+                                               const Database& db);
+
+/// Compile, then cqa::Optimize and cqa::Execute.
 Result<Relation> Evaluate(const Formula& formula, const Database& db);
 
 }  // namespace ccdb::cqc

@@ -256,24 +256,6 @@ Result<Relation> NaturalJoin(const Relation& lhs, const Relation& rhs) {
   return out;
 }
 
-Result<Relation> CrossProduct(const Relation& lhs, const Relation& rhs) {
-  for (const Attribute& attr : lhs.schema().attributes()) {
-    if (rhs.schema().Has(attr.name)) {
-      return Status::InvalidArgument(
-          "cross product requires disjoint schemas; shared attribute '" +
-          attr.name + "' (use NaturalJoin or Rename)");
-    }
-  }
-  return NaturalJoin(lhs, rhs);
-}
-
-Result<Relation> Intersect(const Relation& lhs, const Relation& rhs) {
-  if (lhs.schema() != rhs.schema()) {
-    return Status::InvalidArgument("intersection requires identical schemas");
-  }
-  return NaturalJoin(lhs, rhs);
-}
-
 Result<Relation> Union(const Relation& lhs, const Relation& rhs) {
   if (lhs.schema() != rhs.schema()) {
     return Status::InvalidArgument("union requires identical schemas: " +

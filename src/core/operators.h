@@ -42,13 +42,6 @@ Result<Relation> Project(const Relation& input,
 /// (kept only when satisfiable).
 Result<Relation> NaturalJoin(const Relation& lhs, const Relation& rhs);
 
-/// R1 × R2: cross product — natural join of relations with disjoint
-/// attribute sets (provided for convenience; checked).
-Result<Relation> CrossProduct(const Relation& lhs, const Relation& rhs);
-
-/// R1 ∩ R2: intersection — natural join of same-schema relations.
-Result<Relation> Intersect(const Relation& lhs, const Relation& rhs);
-
 /// R1 ∪ R2: union of same-schema relations (deduplicated).
 Result<Relation> Union(const Relation& lhs, const Relation& rhs);
 

@@ -132,6 +132,7 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   node->id_attr = id_attr;
   node->shared = shared;
   node->schema = schema;
+  node->values = values;
   for (const auto& child : children) {
     node->children.push_back(child->Clone());
   }
@@ -169,6 +170,8 @@ std::string PlanNode::Label() const {
       return "KNearest [k " + std::to_string(k) + " using " + id_attr + "]";
     case Op::kShared:
       return "Shared " + relation_name;
+    case Op::kValues:
+      return "Values " + values->schema().ToString();
   }
   return "?";
 }
@@ -188,6 +191,8 @@ Result<Schema> OutputSchema(const PlanNode& plan,
     }
     case PlanNode::Op::kShared:
       return plan.schema;
+    case PlanNode::Op::kValues:
+      return plan.values->schema();
     case PlanNode::Op::kSelect:
       CCDB_RETURN_IF_ERROR(ValidatePredicate(inputs[0], plan.predicate));
       return inputs[0];
@@ -231,9 +236,9 @@ Result<Schema> InferSchema(const PlanNode& plan, const Database& db) {
 
 namespace {
 
-/// An operator's output: owned, or borrowed from the catalog (a scan) or
-/// from the memo of shared steps. Operators only read their inputs, so a
-/// scan hands them the catalog's relation instead of a copy.
+/// An operator's output: owned, or borrowed from the catalog (a scan), the
+/// plan (a constant) or the memo of shared steps. Operators only read their
+/// inputs, so a scan hands them the catalog's relation instead of a copy.
 class Output {
  public:
   explicit Output(const Relation* borrowed) : rel_(borrowed) {}
@@ -287,6 +292,7 @@ Result<Relation> Compute(const PlanNode& plan, std::vector<Output>& inputs) {
     }
     case PlanNode::Op::kScan:
     case PlanNode::Op::kShared:
+    case PlanNode::Op::kValues:
       break;
   }
   return Status::Internal("not a computing plan op");
@@ -299,6 +305,7 @@ Result<Output> Evaluate(const PlanNode& plan, const Database& db, Memo* memo,
     CCDB_ASSIGN_OR_RETURN(const Relation* rel, db.Get(plan.relation_name));
     return Output(rel);
   }
+  if (plan.op == PlanNode::Op::kValues) return Output(plan.values.get());
   if (plan.op == PlanNode::Op::kShared) {
     auto it = memo->find(plan.shared.get());
     if (it == memo->end()) {

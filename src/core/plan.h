@@ -52,6 +52,7 @@ struct PlanNode {
     kBufferJoin,  ///< feature pairs of two children within `distance`
     kKNearest,    ///< each left feature's `k` nearest right features
     kShared,      ///< a step read more than once: one subplan, run once
+    kValues,      ///< leaf: a constant relation carried by the plan
   };
 
   Op op;
@@ -70,6 +71,7 @@ struct PlanNode {
   /// reference reads it instead of walking the subplan again, so typing a
   /// plan costs its size, not the number of paths through its steps.
   Schema schema;
+  std::shared_ptr<const Relation> values;  ///< kValues, shared by copies
   std::vector<std::unique_ptr<PlanNode>> children;
 
   /// Leaf scanning a stored relation.
@@ -125,10 +127,11 @@ struct PlanNode {
 Result<Schema> InferSchema(const PlanNode& plan, const Database& db);
 
 /// The schema `plan`'s own operator produces from its children's schemas
-/// (`inputs`, in child order; empty for kScan and kShared, which read `db`
-/// and the recorded step schema). These are the typing rules InferSchema
-/// applies at every node; the compiler applies them to each statement as
-/// it builds it, from its operands' already-known schemas.
+/// (`inputs`, in child order; empty for the leaves kScan, kShared and
+/// kValues, which read `db`, the recorded step schema and the constant).
+/// These are the typing rules InferSchema applies at every node; the
+/// compiler applies them to each statement as it builds it, from its
+/// operands' already-known schemas.
 Result<Schema> OutputSchema(const PlanNode& plan,
                             const std::vector<Schema>& inputs,
                             const Database& db);

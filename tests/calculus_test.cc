@@ -1,9 +1,13 @@
 #include "core/calculus.h"
 
+#include <algorithm>
+#include <chrono>
+
 #include <gtest/gtest.h>
 
 #include "lang/data_parser.h"
 #include "lang/query.h"
+#include "obs/governance.h"
 #include "util/random.h"
 
 namespace ccdb::cqc {
@@ -227,6 +231,306 @@ TEST_F(CalculusTest, CalculusMatchesAlgebraOnHurricaneQueries) {
     }
   }
 }
+
+/// The labels from `plan` down to the leaf labelled `leaf` (empty if none).
+std::vector<std::string> PathTo(const cqa::PlanNode& plan,
+                                const std::string& leaf) {
+  if (plan.Label() == leaf) return {leaf};
+  for (const auto& child : plan.children) {
+    std::vector<std::string> path = PathTo(*child, leaf);
+    if (!path.empty()) {
+      path.insert(path.begin(), plan.Label());
+      return path;
+    }
+  }
+  return {};
+}
+
+TEST_F(CalculusTest, OptimizerMovesQuery3TimeWindowBelowTheJoin) {
+  // ∃x ∃y ∃t. Hurricane(t, x, y) AND Land(id, x, y) AND 4 <= t AND t <= 9:
+  // compiled, the window selects the join's output; optimized, it selects
+  // the Hurricane scan, below the join.
+  FormulaPtr body = Formula::And(
+      Formula::And(Formula::Rel("Hurricane", {"t", "x", "y"}),
+                   Formula::Rel("Land", {"id", "x", "y"})),
+      Formula::And(Formula::Atom(Constraint::Ge(V("t"), C(4))),
+                   Formula::Atom(Constraint::Le(V("t"), C(9)))));
+  auto plan = Compile(*Formula::ExistsAll({"x", "y", "t"}, body), db_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string window = "Select [-t <= -4, t <= 9]";
+  auto index_of = [](const std::vector<std::string>& path,
+                     const std::string& label) {
+    return std::find(path.begin(), path.end(), label) - path.begin();
+  };
+
+  std::vector<std::string> compiled = PathTo(**plan, "Scan Hurricane");
+  ASSERT_FALSE(compiled.empty()) << (*plan)->ToString();
+  EXPECT_LT(index_of(compiled, window), index_of(compiled, "Join"))
+      << (*plan)->ToString();
+
+  std::unique_ptr<cqa::PlanNode> optimized =
+      cqa::Optimize(std::move(*plan), db_);
+  std::vector<std::string> path = PathTo(*optimized, "Scan Hurricane");
+  ASSERT_GE(path.size(), 2u) << optimized->ToString();
+  EXPECT_EQ(path[path.size() - 2], window) << optimized->ToString();
+  EXPECT_LT(index_of(path, "Join"), index_of(path, window))
+      << optimized->ToString();
+}
+
+TEST_F(CalculusTest, GovernedEvaluateReturnsTheTripStatus) {
+  // A context that trips at its first check: the optimizer stops
+  // rewriting and the executor's first check-point reports the trip.
+  obs::GovernanceLimits limits;
+  limits.trip_at_check = 1;
+  limits.check_stride = 1;
+  obs::ExecContext ctx(limits, std::chrono::steady_clock::now());
+  obs::ExecContextScope scope(&ctx);
+  auto rel = Evaluate(*Formula::Rel("Hurricane", {"t", "x", "y"}), db_);
+  ASSERT_FALSE(rel.ok()) << "no relation under a tripped context";
+  EXPECT_EQ(rel.status().code(), StatusCode::kCancelled);
+}
+
+// --- The calculus against a direct point oracle ------------------------------
+
+// Constraint variables x, y (and z); string variables s and u. "r" is a word
+// no stored row holds.
+const std::vector<std::string> kNumbers = {"x", "y", "z"};
+const std::vector<std::string> kStrings = {"s", "u"};
+const std::vector<std::string> kWords = {"p", "q", "r"};
+
+bool IsString(const std::string& var) {
+  return std::count(kStrings.begin(), kStrings.end(), var) > 0;
+}
+
+/// R(k, m, a, b) with two string and two constraint attributes, and the
+/// constraint-only T(a, b): a few random rows each, boxes with an
+/// occasional diagonal member, and some of R's strings null.
+Database RandomCatalog(Rng& rng) {
+  const Schema r = Schema::Make({Schema::RelationalString("k"),
+                                 Schema::RelationalString("m"),
+                                 Schema::ConstraintRational("a"),
+                                 Schema::ConstraintRational("b")})
+                       .value();
+  const Schema t = Schema::Make({Schema::ConstraintRational("a"),
+                                 Schema::ConstraintRational("b")})
+                       .value();
+  auto rows = [&](const Schema& schema, int64_t most) {
+    Relation rel(schema);
+    for (int64_t n = rng.UniformInt(1, most); n > 0; --n) {
+      Tuple row;
+      for (const Attribute& attr : schema.attributes()) {
+        if (attr.kind == AttributeKind::kRelational) {
+          if (rng.UniformInt(0, 5) != 0) {
+            row.SetValue(attr.name,
+                         Value::String(kWords[rng.UniformInt(0, 1)]));
+          }
+          continue;
+        }
+        const int64_t lo = rng.UniformInt(-3, 2);
+        row.AddConstraint(Constraint::Ge(V(attr.name), C(lo)));
+        row.AddConstraint(
+            Constraint::Le(V(attr.name), C(lo + rng.UniformInt(0, 3))));
+      }
+      if (rng.UniformInt(0, 2) == 0) {
+        row.AddConstraint(
+            Constraint::Le(V("a") + V("b"), C(rng.UniformInt(-2, 3))));
+      }
+      EXPECT_TRUE(rel.Insert(std::move(row)).ok());
+    }
+    return rel;
+  };
+  Database db;
+  EXPECT_TRUE(db.Create("R", rows(r, 4)).ok());
+  EXPECT_TRUE(db.Create("T", rows(t, 2)).ok());
+  return db;
+}
+
+/// Random EXISTS-free formulas over R and T.
+class FormulaGenerator {
+ public:
+  FormulaGenerator(Rng* rng, int64_t numbers) : rng_(*rng), numbers_(numbers) {}
+
+  /// At most `depth` connectives deep. Without `strings` the formula has
+  /// constraint variables only, so it may be negated; negations do not
+  /// nest, which keeps complements small.
+  FormulaPtr Make(int depth, bool strings) {
+    switch (rng_.UniformInt(0, depth == 0 ? 2 : 7)) {
+      case 0:
+        return Linear();
+      case 1:
+        return RelAtom(strings);
+      case 2:
+        return strings ? Formula::And(RelAtom(true), StrAtom()) : Linear();
+      case 3:
+        return strings ? StrAtom() : Make(depth - 1, false);
+      case 4:
+      case 5:
+        return Formula::And(Make(depth - 1, strings), Make(depth - 1, strings));
+      case 6:
+        return Formula::Or(Make(depth - 1, strings), Make(depth - 1, strings));
+      default:
+        return strings ? Formula::Not(Make(1, false)) : Linear();
+    }
+  }
+
+ private:
+  std::string Number() { return kNumbers[rng_.UniformInt(0, numbers_ - 1)]; }
+  std::string String() { return kStrings[rng_.UniformInt(0, 1)]; }
+  std::string Word() { return kWords[rng_.UniformInt(0, 2)]; }
+  Rational Coefficient() {
+    return Rational(rng_.UniformInt(1, 2) * (rng_.UniformInt(0, 1) ? 1 : -1));
+  }
+
+  /// One or two constraint variables, e.g. -2x + y - 1 <= 0.
+  FormulaPtr Linear() {
+    const std::string first = Number();
+    LinearExpr e = V(first) * Coefficient() + C(rng_.UniformInt(-3, 3));
+    if (const std::string second = Number();
+        second != first && rng_.UniformInt(0, 1)) {
+      e = e + V(second) * Coefficient();
+    }
+    const ConstraintOp ops[] = {ConstraintOp::kLe, ConstraintOp::kLt,
+                                ConstraintOp::kEq};
+    return Formula::Atom(Constraint(std::move(e), ops[rng_.UniformInt(0, 2)]));
+  }
+
+  /// R(s, u, x, y) or, without strings, T(x, y); variables may repeat.
+  FormulaPtr RelAtom(bool strings) {
+    if (!strings) return Formula::Rel("T", {Number(), Number()});
+    return Formula::Rel("R", {String(), String(), Number(), Number()});
+  }
+
+  /// s = "p", s != "q" or s = u.
+  FormulaPtr StrAtom() {
+    switch (rng_.UniformInt(0, 2)) {
+      case 0:
+        return Formula::StrAtom(StringAtom::EqualsLiteral(String(), Word()));
+      case 1:
+        return Formula::StrAtom(StringAtom::NotEqualsLiteral(String(), Word()));
+      default:
+        return Formula::StrAtom(StringAtom::EqualsAttr("s", "u"));
+    }
+  }
+
+  Rng& rng_;
+  int64_t numbers_;
+};
+
+/// The CDB reading of `f` at `point`, which assigns every variable.
+bool Holds(const Formula& f, const PointRow& point, const Database& db) {
+  switch (f.kind()) {
+    case Formula::Kind::kAtom:
+      return f.constraint().IsSatisfiedBy(point.constraint);
+    case Formula::Kind::kStrAtom: {
+      const StringAtom& atom = f.string_atom();
+      const Value& lhs = point.relational.at(atom.attribute);
+      const Value rhs = atom.kind == StringAtom::Kind::kAttrEqualsAttr
+                            ? point.relational.at(atom.attribute2)
+                            : Value::String(atom.literal);
+      return (lhs.AsString() == rhs.AsString()) != atom.negated;
+    }
+    case Formula::Kind::kRelation: {
+      // The stored relation's own point semantics at the variables'
+      // values: a repeated variable puts one value in both positions.
+      const Relation& base = *db.Get(f.relation()).value();
+      PointRow at;
+      for (size_t i = 0; i < f.vars().size(); ++i) {
+        const Attribute& attr = base.schema().attributes()[i];
+        if (attr.kind == AttributeKind::kRelational) {
+          at.relational[attr.name] = point.relational.at(f.vars()[i]);
+        } else {
+          at.constraint[attr.name] = point.constraint.at(f.vars()[i]);
+        }
+      }
+      return base.ContainsPoint(at);
+    }
+    case Formula::Kind::kAnd:
+      return Holds(*f.lhs(), point, db) && Holds(*f.rhs(), point, db);
+    case Formula::Kind::kOr: {
+      // A branch is padded to the other's variables: broad on a missing
+      // constraint variable, null on a missing string variable, and a null
+      // matches no point (narrow), so such a branch contributes nothing.
+      auto contributes = [&](const Formula& branch, const Formula& other) {
+        const std::set<std::string> own = branch.FreeVariables();
+        for (const std::string& var : other.FreeVariables()) {
+          if (IsString(var) && !own.count(var)) return false;
+        }
+        return Holds(branch, point, db);
+      };
+      return contributes(*f.lhs(), *f.rhs()) ||
+             contributes(*f.rhs(), *f.lhs());
+    }
+    case Formula::Kind::kNot:
+      return !Holds(*f.lhs(), point, db);
+    case Formula::Kind::kExists:
+      break;
+  }
+  ADD_FAILURE() << "no direct reading for " << f.ToString();
+  return false;
+}
+
+/// Every variable: constraint values in halves from -3 to 3, string
+/// values from kWords.
+PointRow RandomPoint(Rng& rng) {
+  PointRow p;
+  for (const std::string& var : kNumbers) {
+    p.constraint[var] = Rational(rng.UniformInt(-6, 6), 2);
+  }
+  for (const std::string& var : kStrings) {
+    p.relational[var] = Value::String(kWords[rng.UniformInt(0, 2)]);
+  }
+  return p;
+}
+
+std::string Describe(const PointRow& p) {
+  std::string out;
+  for (const auto& [var, value] : p.constraint) {
+    out += var + "=" + value.ToString() + " ";
+  }
+  for (const auto& [var, value] : p.relational) {
+    out += var + "=" + value.AsString() + " ";
+  }
+  return out;
+}
+
+class CalculusPointProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CalculusPointProperty, EvaluateMatchesTheDirectReading) {
+  Rng rng(GetParam());
+  const Database db = RandomCatalog(rng);
+  FormulaGenerator gen(&rng, 2 + static_cast<int64_t>(GetParam() % 2));
+  int evaluated = 0;
+  for (int iter = 0; iter < 80; ++iter) {
+    const FormulaPtr f = gen.Make(3, true);
+    Result<Relation> rel = Evaluate(*f, db);
+    if (!rel.ok()) {
+      // The safety refusals: a string variable no relation binds, or one
+      // a linear universe binds as a number.
+      const StatusCode code = rel.status().code();
+      EXPECT_TRUE(code == StatusCode::kUnsupported ||
+                  code == StatusCode::kInvalidArgument)
+          << f->ToString() << ": " << rel.status().ToString();
+      continue;
+    }
+    ++evaluated;
+    int mismatches = 0;
+    std::string first;
+    for (int i = 0; i < 40; ++i) {
+      const PointRow p = RandomPoint(rng);
+      if (rel->ContainsPoint(p) != Holds(*f, p, db) && mismatches++ == 0) {
+        first = Describe(p);
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << f->ToString() << ", first at " << first;
+  }
+  EXPECT_GE(evaluated, 50);
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedSweep, CalculusPointProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace ccdb::cqc

@@ -1,4 +1,4 @@
-#include "geom/minkowski.h"
+#include "minkowski.h"
 
 #include <cmath>
 

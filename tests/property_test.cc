@@ -15,6 +15,27 @@ namespace {
 LinearExpr V(const std::string& n) { return LinearExpr::Variable(n); }
 LinearExpr C(int64_t v) { return LinearExpr::Constant(Rational(v)); }
 
+/// R1 × R2 and R1 ∩ R2 of the reference semantics: the natural join, after
+/// the schema check each implies. The checks live here, not in the step
+/// compiler's copy, so that the reference stays independent of it.
+Result<Relation> CrossProduct(const Relation& lhs, const Relation& rhs) {
+  for (const Attribute& attr : lhs.schema().attributes()) {
+    if (rhs.schema().Has(attr.name)) {
+      return Status::InvalidArgument(
+          "cross product requires disjoint schemas; shared attribute '" +
+          attr.name + "'");
+    }
+  }
+  return cqa::NaturalJoin(lhs, rhs);
+}
+
+Result<Relation> Intersect(const Relation& lhs, const Relation& rhs) {
+  if (lhs.schema() != rhs.schema()) {
+    return Status::InvalidArgument("intersection requires identical schemas");
+  }
+  return cqa::NaturalJoin(lhs, rhs);
+}
+
 // --- BigInt: division identities over magnitude ranges -------------------------
 
 class BigIntDivisionProperty
@@ -404,7 +425,7 @@ TEST_P(OperatorClosureProperty, AlgebraMatchesPointSemantics) {
         }, "join");
     const Relation intersected = SameColdWarmAndCopied(
         r1, r2, [](const Relation& a, const Relation& b) {
-          return cqa::Intersect(a, b);
+          return Intersect(a, b);
         }, "intersect");
     const Relation selected = SameColdWarmAndCopied(
         r1, r1, [&](const Relation& a, const Relation&) {
@@ -584,7 +605,7 @@ TEST_P(FilterRefineProperty, SelectAndJoinMatchRefiningEveryTupleAndPair) {
     ExpectSameTuples(SameColdWarmAndCopied(
                          lhs, other,
                          [](const Relation& a, const Relation& b) {
-                           return cqa::Intersect(a, b);
+                           return Intersect(a, b);
                          },
                          "intersect", &work),
                      RefineEveryPair(lhs, other), "intersect");
@@ -724,8 +745,8 @@ INSTANTIATE_TEST_SUITE_P(SeedSweep, SerdeTruncationProperty,
 /// The reference semantics of one statement: compiled alone, executed
 /// unoptimized against the catalog overlaid with the earlier results
 /// (`db`), and its result registered under its name. `product` and
-/// `intersect` run through their own operators instead, so the compiler
-/// must reproduce those operators' schema checks.
+/// `intersect` run through the reference's own helpers instead, so the
+/// compiler must reproduce their schema checks.
 Status RunStep(const std::string& statement, Database* db,
                std::string* step) {
   std::istringstream words(statement);
@@ -735,8 +756,7 @@ Status RunStep(const std::string& statement, Database* db,
     if (op == "product" || op == "intersect") {
       CCDB_ASSIGN_OR_RETURN(const Relation* a, db->Get(lhs));
       CCDB_ASSIGN_OR_RETURN(const Relation* b, db->Get(rhs));
-      return op == "product" ? cqa::CrossProduct(*a, *b)
-                             : cqa::Intersect(*a, *b);
+      return op == "product" ? CrossProduct(*a, *b) : Intersect(*a, *b);
     }
     CCDB_ASSIGN_OR_RETURN(lang::CompiledScript one,
                           lang::CompileScript(statement, *db));

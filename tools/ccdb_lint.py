@@ -57,6 +57,13 @@ Enforces the repo's documented contracts that the compiler cannot:
                   Also: no bare TryLock spin loops — a loop that retries
                   TryLock must be bounded by a deadline, stop flag, or
                   Backoff (spinning on a held lock is a latent livelock).
+  one-executor    the CQA operator functions (cqa::Select, Project,
+                  NaturalJoin, Union, Difference, Rename) are called only
+                  by the plan executor (core/plan.cc), by each other in
+                  core/operators.cc, and by StoredRelation's refine
+                  (core/access.cc) — every query, the calculus's included,
+                  runs as a PlanNode tree that cqa::Optimize sees, never
+                  through a private evaluator.
 
 Run from anywhere:  tools/ccdb_lint.py  (exit 0 = clean).
 """
@@ -367,6 +374,50 @@ def check_net_retries(path: Path, clean: str) -> None:
                    "deadline, a stop flag, or a Backoff schedule")
 
 
+# --- Rule: one-executor ----------------------------------------------------
+
+CQA_OPERATORS = r"(Select|Project|NaturalJoin|Union|Difference|Rename)"
+QUALIFIED_CQA_CALL_RE = re.compile(
+    r"\bcqa::" + CQA_OPERATORS + r"\s*\(|\busing\s+(?:ccdb::)?cqa::" +
+    CQA_OPERATORS + r"\b")
+BARE_CQA_NAME_RE = re.compile(r"\b" + CQA_OPERATORS + r"\s*\(")
+CQA_NAMESPACE_RE = re.compile(r"\bnamespace\s+(?:ccdb::)?cqa\b")
+ONE_EXECUTOR_ALLOWED = (
+    SRC / "core" / "plan.cc",
+    SRC / "core" / "operators.cc",
+    # StoredRelation's refine, until ROADMAP item 6 makes it a plan leaf.
+    SRC / "core" / "access.cc",
+)
+
+
+def bare_call(prefix: str) -> bool:
+    """Whether a bare operator name after `prefix` (its line so far) is a
+    call: not a member (`.Project(`), a qualified name (`PlanNode::Select(`)
+    or a declaration (`Result<Relation> Select(`)."""
+    prefix = prefix.rstrip()
+    if prefix.endswith((".", "->", "::")):
+        return False
+    if re.search(r"[\w>*&]$", prefix):
+        return re.search(r"\breturn$", prefix) is not None
+    return True
+
+
+def check_one_executor(path: Path, clean: str) -> None:
+    if path in ONE_EXECUTOR_ALLOWED:
+        return
+    in_cqa = CQA_NAMESPACE_RE.search(clean) is not None
+    for lineno, line in enumerate(clean.splitlines(), 1):
+        calls = [m.group(0) for m in QUALIFIED_CQA_CALL_RE.finditer(line)]
+        if in_cqa:
+            calls += [m.group(0) for m in BARE_CQA_NAME_RE.finditer(line)
+                      if bare_call(line[:m.start()])]
+        for call in calls:
+            report("one-executor", path, lineno,
+                   f"`{call.strip()}` runs a CQA operator outside the plan "
+                   "executor — build PlanNodes and run them with "
+                   "cqa::Optimize and cqa::Execute")
+
+
 # --- Rule: lock-discipline --------------------------------------------------
 
 # A Mutex/SharedMutex member declaration (annotation macros and the
@@ -539,6 +590,7 @@ def main() -> int:
         check_mvcc_publish(path, clean)
         check_net_retries(path, clean)
         check_lock_discipline(path, clean, raw)
+        check_one_executor(path, clean)
     check_metrics()
     check_governance()
 
@@ -547,7 +599,7 @@ def main() -> int:
             print(v, file=sys.stderr)
         print(f"ccdb_lint: {len(violations)} violation(s)", file=sys.stderr)
         return 1
-    print(f"ccdb_lint: ok ({len(files)} files, 10 rules)")
+    print(f"ccdb_lint: ok ({len(files)} files, 11 rules)")
     return 0
 
 
