@@ -21,6 +21,36 @@ Constraint::Constraint(LinearExpr expr, ConstraintOp op)
   Canonicalize();
 }
 
+Result<Constraint> Constraint::FromCanonical(LinearExpr expr,
+                                             ConstraintOp op) {
+  if (expr.IsConstant()) {
+    return Status::InvalidArgument("constraint has no terms");
+  }
+  BigInt gcd(0);
+  for (const auto& [var, coeff] : expr.terms()) {
+    if (!coeff.IsInteger()) {
+      return Status::InvalidArgument("coefficient of " + var +
+                                     " is not an integer");
+    }
+    if (!gcd.IsOne()) gcd = BigInt::Gcd(std::move(gcd), coeff.numerator());
+  }
+  if (!expr.constant().IsInteger()) {
+    return Status::InvalidArgument("constant is not an integer");
+  }
+  if (!gcd.IsOne()) {
+    gcd = BigInt::Gcd(std::move(gcd), expr.constant().numerator());
+  }
+  if (!gcd.IsOne()) {
+    return Status::InvalidArgument("coefficients share the factor " +
+                                   gcd.ToString());
+  }
+  if (op == ConstraintOp::kEq && expr.terms().begin()->second.Sign() < 0) {
+    return Status::InvalidArgument(
+        "equality has a negative leading coefficient");
+  }
+  return Constraint(std::move(expr), op, Adopted{});
+}
+
 Result<Constraint> Constraint::Make(const LinearExpr& lhs,
                                     const std::string& cmp,
                                     const LinearExpr& rhs) {

@@ -39,6 +39,13 @@ class Constraint {
   /// Builds `expr op 0` and canonicalizes.
   Constraint(LinearExpr expr, ConstraintOp op);
 
+  /// Adopts `expr op 0` as already canonical, checking that form instead
+  /// of recomputing it: at least one term, integer coefficients and
+  /// constant whose gcd is 1, and for `=` a positive leading coefficient
+  /// (non-zero, strictly ordered terms are `LinearExpr`'s own invariant).
+  /// InvalidArgument otherwise. Decoders of stored constraints use this.
+  static Result<Constraint> FromCanonical(LinearExpr expr, ConstraintOp op);
+
   /// Builds `lhs cmp rhs` where `cmp` is one of "=", "==", "<=", "<",
   /// ">=", ">" and canonicalizes. Rejects "!=" (not atomic) and unknown
   /// operators.
@@ -111,6 +118,10 @@ class Constraint {
   std::string ToPrettyString() const;
 
  private:
+  struct Adopted {};
+  Constraint(LinearExpr expr, ConstraintOp op, Adopted)
+      : expr_(std::move(expr)), op_(op) {}
+
   void Canonicalize();
 
   LinearExpr expr_;

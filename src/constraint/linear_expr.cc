@@ -66,6 +66,13 @@ void LinearExpr::AddTerm(const std::string& var, const Rational& coeff) {
   }
 }
 
+bool LinearExpr::AppendTerm(std::string var, Rational coeff) {
+  if (coeff.IsZero()) return false;
+  if (!terms_.empty() && !(terms_.rbegin()->first < var)) return false;
+  terms_.emplace_hint(terms_.end(), std::move(var), std::move(coeff));
+  return true;
+}
+
 LinearExpr LinearExpr::Substitute(const std::string& var,
                                   const LinearExpr& replacement) const {
   auto it = terms_.find(var);

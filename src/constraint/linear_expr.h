@@ -76,6 +76,14 @@ class LinearExpr {
   /// Adds a constant in place.
   void AddConstant(const Rational& value) { constant_ += value; }
 
+  /// Replaces the constant.
+  void SetConstant(Rational value) { constant_ = std::move(value); }
+
+  /// Appends `coeff·var` after the present terms, for decoders that read
+  /// terms in order. False, and no change, unless `coeff` is non-zero and
+  /// `var` sorts strictly after every present variable.
+  bool AppendTerm(std::string var, Rational coeff);
+
   /// Replaces every occurrence of `var` with `replacement`
   /// (e.g. Gaussian substitution of an equality).
   LinearExpr Substitute(const std::string& var,

@@ -170,6 +170,9 @@ Result<Compiled> CompileRelationAtom(const Formula& f, const Database& db) {
         f.relation() + " has arity " + std::to_string(current.schema.arity()) +
         ", got " + std::to_string(f.vars().size()) + " variables");
   }
+  // Variables that are the attribute names themselves, in order, bind
+  // nothing: the atom is the bare scan.
+  if (f.vars() == current.schema.Names()) return current;
   // Rename every attribute to a unique placeholder first (the relation's
   // own attribute names must not collide with the target variables).
   const std::vector<Attribute> attrs = current.schema.attributes();

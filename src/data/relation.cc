@@ -61,16 +61,18 @@ Status Relation::Insert(Tuple tuple) {
                                      "'");
     }
   }
-  for (const std::string& var : tuple.constraints().Variables()) {
-    const Attribute* attr = schema_.Find(var);
-    if (attr == nullptr) {
-      return Status::InvalidArgument("constraint on unknown attribute '" +
-                                     var + "'");
-    }
-    if (attr->kind != AttributeKind::kConstraint) {
-      return Status::InvalidArgument(
-          "constraint on relational attribute '" + var +
-          "'; relational attributes take values");
+  for (const Constraint& c : tuple.constraints().constraints()) {
+    for (const auto& [var, coeff] : c.expr().terms()) {
+      const Attribute* attr = schema_.Find(var);
+      if (attr == nullptr) {
+        return Status::InvalidArgument("constraint on unknown attribute '" +
+                                       var + "'");
+      }
+      if (attr->kind != AttributeKind::kConstraint) {
+        return Status::InvalidArgument(
+            "constraint on relational attribute '" + var +
+            "'; relational attributes take values");
+      }
     }
   }
   if (tuple.constraints().IsKnownFalse()) {

@@ -34,10 +34,6 @@ double BitsToDouble(uint64_t bits) {
   return v;
 }
 
-std::vector<uint8_t> ToBytes(const std::string& s) {
-  return std::vector<uint8_t>(s.begin(), s.end());
-}
-
 }  // namespace
 
 bool IsKnownMsgType(uint8_t type) {
@@ -225,23 +221,25 @@ Status GetQueryOptions(Reader* r, service::QueryOptions* out) {
 }
 
 void PutRelation(Writer* w, const Relation& relation) {
-  const std::vector<uint8_t> schema = SerializeSchema(relation.schema());
-  w->PutString(std::string(schema.begin(), schema.end()));
-  w->PutU32(static_cast<uint32_t>(relation.size()));
+  PutSchema(w, relation.schema());
+  w->PutVarint(relation.size());
   for (const Tuple& tuple : relation.tuples()) {
-    const std::vector<uint8_t> bytes = SerializeTuple(tuple);
-    w->PutString(std::string(bytes.begin(), bytes.end()));
+    // Each record goes straight into the frame; its length is patched in.
+    const size_t at = w->size();
+    w->PutU32(0);
+    PutTuple(w, tuple);
+    w->PatchU32(at, static_cast<uint32_t>(w->size() - at - 4));
   }
 }
 
 Status GetRelation(Reader* r, Relation* out) {
-  CCDB_ASSIGN_OR_RETURN(std::string schema_bytes, r->GetString());
-  CCDB_ASSIGN_OR_RETURN(Schema schema, DeserializeSchema(ToBytes(schema_bytes)));
-  CCDB_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
-  Relation relation{schema};
-  for (uint32_t i = 0; i < n; ++i) {
-    CCDB_ASSIGN_OR_RETURN(std::string tuple_bytes, r->GetString());
-    CCDB_ASSIGN_OR_RETURN(Tuple tuple, DeserializeTuple(ToBytes(tuple_bytes)));
+  CCDB_ASSIGN_OR_RETURN(Schema schema, GetSchema(r));
+  CCDB_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
+  Relation relation{std::move(schema)};
+  for (uint64_t i = 0; i < n; ++i) {
+    CCDB_ASSIGN_OR_RETURN(uint32_t len, r->GetU32());
+    CCDB_ASSIGN_OR_RETURN(Reader record, r->GetView(len));
+    CCDB_ASSIGN_OR_RETURN(Tuple tuple, DeserializeTuple(record));
     CCDB_RETURN_IF_ERROR(relation.Insert(std::move(tuple)));
   }
   *out = std::move(relation);
@@ -382,7 +380,8 @@ Status GetRegistrySnapshot(Reader* r, obs::MetricsRegistry::Snapshot* out) {
 }
 
 std::vector<uint8_t> EncodeErrorPayload(const Status& status) {
-  return ToBytes(EncodeStatus(status));
+  const std::string bytes = EncodeStatus(status);
+  return std::vector<uint8_t>(bytes.begin(), bytes.end());
 }
 
 Status DecodeErrorPayload(const std::vector<uint8_t>& payload, Status* out) {

@@ -16,8 +16,8 @@
 ///
 /// Payloads are built with the storage layer's `Writer`/`Reader`
 /// (little-endian, length-prefixed — the same primitives that serialize
-/// tuples on disk), so relations cross the wire in exactly their catalog
-/// serialization. Statuses cross via `EncodeStatus`/`DecodeStatus`
+/// tuples on disk), so each tuple crosses the wire as exactly its heap
+/// record. Statuses cross via `EncodeStatus`/`DecodeStatus`
 /// (util/status.h): code, `retry_after_ms()` hint, and message round-trip,
 /// so governance shedding on the server surfaces to remote clients with
 /// the same backoff hint in-process callers see.
@@ -50,7 +50,10 @@ namespace ccdb::net {
 /// v5: FETCH_TRACE nodes carry the boxes-built counter after box prunes.
 /// v6: FETCH_TRACE nodes carry the box-solves counter after FM
 /// eliminations.
-inline constexpr uint32_t kProtocolVersion = 6;
+/// v7: relations cross in the lean tuple codec (storage/serde.h): varint
+/// counts, names and integers, canonical constraints as integers, and
+/// the schema inline.
+inline constexpr uint32_t kProtocolVersion = 7;
 
 /// Upper bound on a frame's payload. Large enough for a bootstrap
 /// snapshot of any disk the tests or benches build (16 Ki pages), small
@@ -136,6 +139,9 @@ Status ReadFrame(Socket* sock, Frame* out, uint64_t* bytes_in = nullptr);
 void PutQueryOptions(Writer* w, const service::QueryOptions& opts);
 Status GetQueryOptions(Reader* r, service::QueryOptions* out);
 
+/// A relation: its schema, a varint tuple count, then per tuple a u32
+/// length and the tuple's record, written in place and decoded from a
+/// view bounded by that length.
 void PutRelation(Writer* w, const Relation& relation);
 Status GetRelation(Reader* r, Relation* out);
 

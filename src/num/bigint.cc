@@ -60,6 +60,22 @@ void BigInt::ToLimbs(bool* negative, std::vector<uint32_t>* limbs) const {
   if (magnitude >> 32) limbs->push_back(static_cast<uint32_t>(magnitude >> 32));
 }
 
+std::vector<uint32_t> BigInt::MagnitudeLimbs() const {
+  bool negative = false;
+  std::vector<uint32_t> limbs;
+  ToLimbs(&negative, &limbs);
+  return limbs;
+}
+
+BigInt BigInt::FromLimbs(bool negative, std::vector<uint32_t> limbs) {
+  BigInt out;
+  out.is_small_ = false;
+  out.negative_ = negative;
+  out.limbs_ = std::move(limbs);
+  out.Normalize();
+  return out;
+}
+
 void BigInt::Normalize() {
   if (is_small_) return;
   TrimZeros(&limbs_);

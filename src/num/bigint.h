@@ -101,6 +101,14 @@ class BigInt {
   /// Number of bits in the magnitude (0 for zero).
   size_t BitLength() const;
 
+  /// The magnitude as little-endian 32-bit limbs, the last one non-zero
+  /// (empty for zero). With the sign, the value's lossless binary form.
+  std::vector<uint32_t> MagnitudeLimbs() const;
+
+  /// The value of a sign and little-endian magnitude limbs, in canonical
+  /// form whatever the limbs (zero limbs on top are ignored).
+  static BigInt FromLimbs(bool negative, std::vector<uint32_t> limbs);
+
   /// Arithmetic right shift of the magnitude (truncates toward zero).
   BigInt ShiftRight(size_t bits) const;
 

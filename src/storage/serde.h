@@ -4,11 +4,28 @@
 /// \file serde.h
 /// Binary serialization primitives plus tuple/schema codecs.
 ///
-/// Rationals serialize as decimal strings of numerator and denominator —
-/// exact at any magnitude (BigInt coefficients grow without bound under
-/// query evaluation, so fixed-width encodings would be lossy). Layout is
-/// little-endian length-prefixed fields; records are self-describing
-/// enough to round-trip without consulting the schema.
+/// Fixed-width fields are little-endian. Counts and the lengths of names
+/// and string values are LEB128 varints. An integer is exact at any
+/// magnitude (FM grows coefficients past every fixed width, and the
+/// closure principle needs them back unchanged): one varint holding its
+/// zigzag code shifted left once when it lies in [-2^62, 2^62), else a
+/// varint with the escape bit 0 set, the sign in bit 1 and the limb count
+/// above, followed by the magnitude's little-endian u32 limbs. A rational
+/// is an integer numerator and an integer denominator.
+///
+/// A tuple record is
+///
+///     varint n_values, n_values x (name, u8 tag, string | rational)
+///     u8 known_false
+///     varint n_constraints, n_constraints x
+///         (u8 op, varint n_terms, n_terms x (name, integer), integer)
+///
+/// with names and string values as varint length + bytes. Every stored
+/// constraint is canonical, so its coefficients and constant are written
+/// as integers and the decoder checks that form
+/// (`Constraint::FromCanonical`) instead of recomputing it. Anything
+/// `SerializeTuple` would not write, including any non-canonical
+/// constraint and any byte left over, is refused with kIoError.
 
 #include <cstdint>
 #include <string>
@@ -26,9 +43,15 @@ class Writer {
   void PutU16(uint16_t v);
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
-  void PutString(const std::string& s);  // u32 length + bytes
-  void PutRational(const Rational& r);   // numerator + denominator strings
+  void PutVarint(uint64_t v);              // LEB128, 1 to 10 bytes
+  void PutString(const std::string& s);    // u32 length + bytes
+  void PutVarString(const std::string& s); // varint length + bytes
+  void PutInteger(const BigInt& v);        // see the file comment
+  void PutRational(const Rational& r);     // numerator + denominator
   void PutBytes(const uint8_t* data, size_t len);
+
+  /// Overwrites the u32 at `offset`, e.g. a length written before its body.
+  void PatchU32(size_t offset, uint32_t v);
 
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> TakeBuffer() { return std::move(buf_); }
@@ -38,7 +61,8 @@ class Writer {
   std::vector<uint8_t> buf_;
 };
 
-/// Bounds-checked byte source.
+/// Bounds-checked byte source. Every getter fails with kIoError on
+/// truncated or malformed input.
 class Reader {
  public:
   Reader(const uint8_t* data, size_t len) : data_(data), len_(len) {}
@@ -49,8 +73,20 @@ class Reader {
   Result<uint16_t> GetU16();
   Result<uint32_t> GetU32();
   Result<uint64_t> GetU64();
+  /// Refuses varints over 10 bytes, past 64 bits, or with a zero last
+  /// byte after the first (an overlong encoding).
+  Result<uint64_t> GetVarint();
   Result<std::string> GetString();
+  Result<std::string> GetVarString();
+  /// Refuses an escaped integer that the short form holds, or whose top
+  /// limb is zero: each value has one encoding.
+  Result<BigInt> GetInteger();
+  /// Refuses a denominator that is not positive or shares a factor with
+  /// the numerator.
   Result<Rational> GetRational();
+
+  /// The next `len` bytes as a reader of their own; this one skips them.
+  Result<Reader> GetView(size_t len);
 
   size_t remaining() const { return len_ - pos_; }
   bool AtEnd() const { return pos_ == len_; }
@@ -63,12 +99,19 @@ class Reader {
   size_t pos_ = 0;
 };
 
-/// Serializes a heterogeneous tuple (relational values + constraint store).
+/// Appends one tuple record (layout in the file comment).
+void PutTuple(Writer* w, const Tuple& tuple);
+/// One tuple record as its own buffer.
 std::vector<uint8_t> SerializeTuple(const Tuple& tuple);
-/// Inverse of SerializeTuple.
+/// Inverse of PutTuple over a whole record: the reader must end where the
+/// record does.
+Result<Tuple> DeserializeTuple(Reader record);
 Result<Tuple> DeserializeTuple(const std::vector<uint8_t>& bytes);
 
-/// Serializes a schema (for catalog persistence).
+/// Schema codec (catalog records and relations on the wire): varint
+/// arity, then per attribute its name, u8 domain and u8 kind.
+void PutSchema(Writer* w, const Schema& schema);
+Result<Schema> GetSchema(Reader* r);
 std::vector<uint8_t> SerializeSchema(const Schema& schema);
 Result<Schema> DeserializeSchema(const std::vector<uint8_t>& bytes);
 

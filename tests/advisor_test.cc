@@ -59,12 +59,17 @@ TEST(AdvisorTest, RecommendsSeparateOrSingleForSingleAttrWorkload) {
 }
 
 TEST(AdvisorTest, SingleAxisWinsWhenOnlyThatAxisIsQueried) {
-  Relation rel = BoxesToConstraintRelation(GenerateRectangles(3000, 5));
+  // An index wins only where it fetches fewer candidates than the heap
+  // has pages: rectangles at most 10 wide under 10-wide x windows give
+  // each query about 17 candidates, against a 26-page heap scan.
+  WorkloadParams small;
+  small.extent_max = 10;
+  Relation rel = BoxesToConstraintRelation(GenerateRectangles(3000, 5, small));
   Rng rng(8);
   std::vector<BoxQuery> xonly;
   for (int i = 0; i < 20; ++i) {
     double lo = static_cast<double>(rng.UniformInt(0, 3000));
-    xonly.push_back(BoxQuery::XOnly(lo, lo + 60));
+    xonly.push_back(BoxQuery::XOnly(lo, lo + 10));
   }
   auto report = AdviseIndexing(rel, xonly, "x", "y", Domain());
   ASSERT_TRUE(report.ok());

@@ -277,6 +277,35 @@ TEST_F(CalculusTest, OptimizerMovesQuery3TimeWindowBelowTheJoin) {
       << optimized->ToString();
 }
 
+TEST_F(CalculusTest, IdentityAtomsCompileToTheBareScan) {
+  // Query 3's Hurricane(t, x, y) names Hurricane's own attributes in
+  // order, so nothing on the path from the root to its scan renames.
+  FormulaPtr body = Formula::And(
+      Formula::And(Formula::Rel("Landownership", {"n", "t", "id"}),
+                   Formula::Rel("Land", {"id", "x", "y"})),
+      Formula::And(
+          Formula::Rel("Hurricane", {"t", "x", "y"}),
+          Formula::And(Formula::Atom(Constraint::Ge(V("t"), C(4))),
+                       Formula::Atom(Constraint::Le(V("t"), C(9))))));
+  auto plan = Compile(*Formula::ExistsAll({"t", "x", "y", "id"}, body), db_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<std::string> path = PathTo(**plan, "Scan Hurricane");
+  ASSERT_FALSE(path.empty()) << (*plan)->ToString();
+  for (const std::string& label : path) {
+    EXPECT_NE(label.rfind("Rename", 0), 0u) << (*plan)->ToString();
+  }
+
+  // Other names, or the same names out of order, still rename.
+  for (const std::vector<std::string>& vars :
+       {std::vector<std::string>{"when", "x", "y"},
+        std::vector<std::string>{"t", "y", "x"}}) {
+    auto renamed = Compile(*Formula::Rel("Hurricane", vars), db_);
+    ASSERT_TRUE(renamed.ok()) << renamed.status().ToString();
+    EXPECT_EQ((*renamed)->Label().rfind("Rename", 0), 0u)
+        << (*renamed)->ToString();
+  }
+}
+
 TEST_F(CalculusTest, GovernedEvaluateReturnsTheTripStatus) {
   // A context that trips at its first check: the optimizer stops
   // rewriting and the executor's first check-point reports the trip.

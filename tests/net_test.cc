@@ -259,6 +259,20 @@ TEST(Wire, RelationRoundTrips) {
   EXPECT_EQ(back.ToString(), boxes.ToString());
 }
 
+TEST(Wire, EveryRelationPrefixFailsCleanly) {
+  // Schema, count, and each tuple's length and record: a payload cut
+  // anywhere short of its end is a typed error, never a relation.
+  const Relation boxes = BoxRelation(6, 4);
+  Writer w;
+  net::PutRelation(&w, boxes);
+  for (size_t len = 0; len < w.size(); ++len) {
+    Reader r(w.buffer().data(), len);
+    Relation back;
+    EXPECT_EQ(net::GetRelation(&r, &back).code(), StatusCode::kIoError)
+        << "prefix of " << len << " of " << w.size() << " bytes";
+  }
+}
+
 TEST(Wire, QueryOptionsRoundTrip) {
   service::QueryOptions opts;
   opts.deadline_us = 1234.5;

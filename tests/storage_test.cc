@@ -109,6 +109,9 @@ TEST(SerdeTest, PrimitivesRoundTrip) {
   w.PutU64(0xDEADBEEFCAFEBABEULL);
   w.PutString("hello");
   w.PutRational(Rational(-22, 7));
+  w.PutVarint(300);
+  w.PutVarint(~uint64_t{0});
+  w.PutVarString("vari");
 
   Reader r(w.buffer());
   EXPECT_EQ(r.GetU8().value(), 7);
@@ -117,7 +120,84 @@ TEST(SerdeTest, PrimitivesRoundTrip) {
   EXPECT_EQ(r.GetU64().value(), 0xDEADBEEFCAFEBABEULL);
   EXPECT_EQ(r.GetString().value(), "hello");
   EXPECT_EQ(r.GetRational().value(), Rational(-22, 7));
+  EXPECT_EQ(r.GetVarint().value(), 300u);
+  EXPECT_EQ(r.GetVarint().value(), ~uint64_t{0});
+  EXPECT_EQ(r.GetVarString().value(), "vari");
   EXPECT_TRUE(r.AtEnd());
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  std::string hex;
+  for (uint8_t byte : bytes) {
+    hex += "0123456789abcdef"[byte >> 4];
+    hex += "0123456789abcdef"[byte & 0xf];
+  }
+  return hex;
+}
+
+TEST(SerdeTest, IntegersTakeTheShortFormBelowTwoToThe62) {
+  // Short: the zigzag code shifted left once. Escaped: bit 0 set, the
+  // sign in bit 1, the limb count above, then little-endian u32 limbs.
+  const BigInt two62 = BigInt::Pow(BigInt(2), 62);
+  const BigInt two63 = BigInt::Pow(BigInt(2), 63);
+  const struct {
+    BigInt value;
+    std::string hex;
+  } cases[] = {
+      {BigInt(0), "00"},
+      {BigInt(-1), "02"},
+      {BigInt(1), "04"},
+      {BigInt(-64), "fe01"},
+      {two62 - BigInt(1), "fcffffffffffffffff01"},
+      {-(two62 - BigInt(1)), "faffffffffffffffff01"},
+      {-two62, "feffffffffffffffff01"},
+      {two62, "090000000000000040"},
+      {-two62 - BigInt(1), "0b0100000000000040"},
+      {two63, "090000000000000080"},
+      {-two63, "0b0000000000000080"},
+      {BigInt::Pow(BigInt(10), 30), "1100000040eaed7446d09c2c9f0c000000"},
+      {-BigInt::Pow(BigInt(10), 30), "1300000040eaed7446d09c2c9f0c000000"},
+  };
+  for (const auto& c : cases) {
+    Writer w;
+    w.PutInteger(c.value);
+    EXPECT_EQ(Hex(w.buffer()), c.hex) << c.value;
+    Reader r(w.buffer());
+    auto back = r.GetInteger();
+    ASSERT_TRUE(back.ok()) << c.value << ": " << back.status().ToString();
+    EXPECT_EQ(*back, c.value);
+    EXPECT_TRUE(r.AtEnd());
+  }
+}
+
+TEST(SerdeTest, ReaderRefusesNonCanonicalNumbers) {
+  auto integer = [](std::vector<uint8_t> bytes) {
+    Reader r(bytes);
+    return r.GetInteger().status().code();
+  };
+  // 2^62 - 1 escaped instead of short, and a zero top limb.
+  EXPECT_EQ(integer({0x09, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f}),
+            StatusCode::kIoError);
+  EXPECT_EQ(integer({0x0d, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0}),
+            StatusCode::kIoError);
+  // -2^62 escaped; one limb.
+  EXPECT_EQ(integer({0x0b, 0, 0, 0, 0, 0, 0, 0, 0x40}), StatusCode::kIoError);
+  EXPECT_EQ(integer({0x05, 1, 0, 0, 0}), StatusCode::kIoError);
+  // An overlong varint (zero after a continuation byte).
+  EXPECT_EQ(integer({0x84, 0x00}), StatusCode::kIoError);
+  // Rationals: a zero or negative denominator, or not in lowest terms.
+  auto rational = [](int64_t n, int64_t d) {
+    Writer w;
+    w.PutInteger(BigInt(n));
+    w.PutInteger(BigInt(d));
+    Reader r(w.buffer());
+    return r.GetRational().status().code();
+  };
+  EXPECT_EQ(rational(1, 0), StatusCode::kIoError);
+  EXPECT_EQ(rational(1, -2), StatusCode::kIoError);
+  EXPECT_EQ(rational(2, 4), StatusCode::kIoError);
+  EXPECT_EQ(rational(0, 3), StatusCode::kIoError);
+  EXPECT_EQ(rational(-3, 4), StatusCode::kOk);
 }
 
 TEST(SerdeTest, ReaderRejectsTruncation) {
@@ -175,12 +255,105 @@ TEST(SerdeTest, SchemaRoundTrips) {
   EXPECT_EQ(*back, s);
 }
 
-TEST(SerdeTest, RejectsCorruptTags) {
+TEST(SerdeTest, BoxTupleBytesArePinned) {
+  // 3 <= x <= 7, 2 <= y <= 5, owner "A": one value (name, string tag 0,
+  // string), then the known-false flag and four `<=` constraints in store
+  // order, each op, term count, name, coefficient and constant, with
+  // integers as shifted zigzag varints (-1 -> 02, 1 -> 04, 3 -> 0c).
+  Tuple t;
+  t.SetValue("id", Value::String("A"));
+  t.AddConstraint(Constraint::Ge(LinearExpr::Variable("x"),
+                                 LinearExpr::Constant(Rational(3))));
+  t.AddConstraint(Constraint::Le(LinearExpr::Variable("x"),
+                                 LinearExpr::Constant(Rational(7))));
+  t.AddConstraint(Constraint::Ge(LinearExpr::Variable("y"),
+                                 LinearExpr::Constant(Rational(2))));
+  t.AddConstraint(Constraint::Le(LinearExpr::Variable("y"),
+                                 LinearExpr::Constant(Rational(5))));
+  EXPECT_EQ(Hex(SerializeTuple(t)),
+            "01" "026964" "00" "0141"  // id = "A"
+            "00" "04"                  // not known false, 4 constraints
+            "01" "01" "0178" "02" "0c"  // -x + 3 <= 0
+            "01" "01" "0178" "04" "1a"  // x - 7 <= 0
+            "01" "01" "0179" "02" "08"  // -y + 2 <= 0
+            "01" "01" "0179" "04" "12"  // y - 5 <= 0
+  );
+}
+
+/// A tuple record of no values holding one constraint built by hand:
+/// op, term count, (name, coefficient) terms, then the constant.
+std::vector<uint8_t> ConstraintRecord(
+    ConstraintOp op, const std::vector<std::pair<std::string, int64_t>>& terms,
+    int64_t constant) {
   Writer w;
-  w.PutU32(1);
-  w.PutString("a");
-  w.PutU8(99);  // invalid value tag
-  EXPECT_FALSE(DeserializeTuple(w.buffer()).ok());
+  w.PutVarint(0);
+  w.PutU8(0);
+  w.PutVarint(1);
+  w.PutU8(static_cast<uint8_t>(op));
+  w.PutVarint(terms.size());
+  for (const auto& [name, coeff] : terms) {
+    w.PutVarString(name);
+    w.PutInteger(BigInt(coeff));
+  }
+  w.PutInteger(BigInt(constant));
+  return w.TakeBuffer();
+}
+
+TEST(SerdeTest, RejectsNonCanonicalConstraints) {
+  // The canonical record decodes: x + 2y - 3 <= 0 and x - y = 0.
+  EXPECT_TRUE(DeserializeTuple(ConstraintRecord(ConstraintOp::kLe,
+                                                {{"x", 1}, {"y", 2}}, -3))
+                  .ok());
+  EXPECT_TRUE(DeserializeTuple(ConstraintRecord(ConstraintOp::kEq,
+                                                {{"x", 1}, {"y", -1}}, 0))
+                  .ok());
+  const struct {
+    const char* what;
+    std::vector<uint8_t> record;
+  } cases[] = {
+      {"gcd 2", ConstraintRecord(ConstraintOp::kLe, {{"x", 2}, {"y", 4}}, -6)},
+      {"negative leading = coefficient",
+       ConstraintRecord(ConstraintOp::kEq, {{"x", -1}, {"y", 1}}, 0)},
+      {"zero coefficient",
+       ConstraintRecord(ConstraintOp::kLe, {{"x", 1}, {"y", 0}}, -3)},
+      {"unsorted names",
+       ConstraintRecord(ConstraintOp::kLe, {{"y", 1}, {"x", 1}}, -3)},
+      {"repeated name",
+       ConstraintRecord(ConstraintOp::kLe, {{"x", 1}, {"x", 1}}, -3)},
+      {"zero terms", ConstraintRecord(ConstraintOp::kLe, {}, -1)},
+      {"term count of an 11-byte varint",
+       [] {
+         std::vector<uint8_t> record = {0x00, 0x00, 0x01, 0x01};
+         record.insert(record.end(), 10, 0x80);
+         record.push_back(0x01);
+         return record;
+       }()},
+  };
+  for (const auto& c : cases) {
+    auto back = DeserializeTuple(c.record);
+    EXPECT_EQ(back.status().code(), StatusCode::kIoError) << c.what;
+  }
+}
+
+TEST(SerdeTest, RejectsCorruptTags) {
+  auto decode = [](std::vector<uint8_t> record) {
+    return DeserializeTuple(record).status().code();
+  };
+  // One value named "a" whose tag is 99; with tag 0, the string "b".
+  EXPECT_EQ(decode({0x01, 0x01, 'a', 99, 0x00, 0x00}), StatusCode::kIoError);
+  EXPECT_EQ(decode({0x01, 0x01, 'a', 0x00, 0x01, 'b', 0x00, 0x00}),
+            StatusCode::kOk);
+  // A known-false flag of 2; constraint op 3 (past `<`).
+  EXPECT_EQ(decode({0x00, 0x02, 0x00}), StatusCode::kIoError);
+  std::vector<uint8_t> bad_op =
+      ConstraintRecord(ConstraintOp::kLe, {{"x", 1}}, -3);
+  bad_op[3] = 3;
+  EXPECT_EQ(decode(bad_op), StatusCode::kIoError);
+  // A byte past the record's end.
+  std::vector<uint8_t> trailing =
+      ConstraintRecord(ConstraintOp::kLe, {{"x", 1}}, -3);
+  trailing.push_back(0);
+  EXPECT_EQ(decode(trailing), StatusCode::kIoError);
 }
 
 // --- HeapFile -------------------------------------------------------------------

@@ -3,13 +3,16 @@
 #
 #   tools/unreached.sh [build-dir]     (default: build-unreached/ at the root)
 #
-# Builds ccdb_serve and cqa_shell at -O0 with -ffunction-sections, so each
-# function sits in a section of its own. Then relinks each binary with
-# every libccdb_* archive inside --whole-archive, so the linker sees all of
-# src/ and not only the members the binary pulls in, plus --gc-sections
-# --print-gc-sections. A function that both links discard is one neither
-# binary can call. Prints, per source file, those of its functions that
-# nm lists as defined text (type T or t), then a total.
+# Builds ccdb_serve and cqa_shell at -O0 with -ffunction-sections and
+# -fdata-sections, so each function and each datum sits in a section of
+# its own (a switch's jump table in one shared .rodata would keep its
+# function, and all that function calls, linked). Then relinks each
+# binary with every libccdb_* archive inside --whole-archive, so the
+# linker sees all of src/ and not only the members the binary pulls in,
+# plus --gc-sections --print-gc-sections. A function that both links
+# discard is one neither binary can call. Prints, per source file, those
+# of its functions that nm lists as defined text (type T or t), then a
+# total.
 #
 # A report, not a gate: it exits 0 whatever it finds. The first run builds
 # the libraries and both binaries (a few minutes on 4 cores).
@@ -20,7 +23,8 @@ build_dir="${1:-$repo_root/build-unreached}"
 binaries=(ccdb_serve cqa_shell)
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Debug \
-  -DCMAKE_CXX_FLAGS_DEBUG=-O0 -DCMAKE_CXX_FLAGS=-ffunction-sections \
+  -DCMAKE_CXX_FLAGS_DEBUG=-O0 \
+  -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections" \
   -DCCDB_BUILD_TESTS=OFF -DCCDB_BUILD_BENCHMARKS=OFF >/dev/null
 cmake --build "$build_dir" -j "$(nproc)" --target "${binaries[@]}" >/dev/null
 
