@@ -12,6 +12,30 @@ namespace {
 uint64_t ApproxConstraintBytes(const Constraint& c) {
   return 64 + 96 * static_cast<uint64_t>(c.expr().terms().size());
 }
+
+/// The side from which `c` bounds its one variable: +1 from above (a
+/// positive coefficient), -1 from below, and 0 when `c` is an equality or
+/// mentions more than one variable.
+int BoundSide(const Constraint& c) {
+  if (c.op() == ConstraintOp::kEq || c.expr().terms().size() != 1) return 0;
+  return c.expr().terms().begin()->second.Sign();
+}
+
+/// True when `fresh` is strictly tighter than `held`, two bounds on one
+/// variable from `side`. For `a·v + k` the bound is `-k/a`, and on either
+/// side the tighter one has the larger `k/|a|`. Canonical coefficients and
+/// constants are integers and `a·a' > 0`, so `k·a'` against `k'·a` decides
+/// it (flipped below, where both coefficients are negative) with no
+/// division. At equal values `<` is tighter than `<=`.
+bool Tighter(const Constraint& fresh, const Constraint& held, int side) {
+  const BigInt& a = fresh.expr().terms().begin()->second.numerator();
+  const BigInt& held_a = held.expr().terms().begin()->second.numerator();
+  int cmp = (fresh.expr().constant().numerator() * held_a)
+                .Compare(held.expr().constant().numerator() * a);
+  if (side < 0) cmp = -cmp;
+  return cmp > 0 || (cmp == 0 && fresh.op() == ConstraintOp::kLt &&
+                     held.op() == ConstraintOp::kLe);
+}
 }  // namespace
 
 Conjunction::Conjunction(const std::vector<Constraint>& constraints) {
@@ -32,11 +56,27 @@ void Conjunction::Add(Constraint constraint) {
     constraints_.clear();
     return;
   }
+  // One bound per side. The scan does arithmetic only at a bound on the
+  // same variable and side, so a store that is already minimal pays one
+  // pass of op, size, sign and name checks.
+  if (const int side = BoundSide(constraint)) {
+    const std::string& var = constraint.expr().terms().begin()->first;
+    for (auto it = constraints_.begin(); it != constraints_.end(); ++it) {
+      if (BoundSide(*it) != side || it->expr().terms().begin()->first != var) {
+        continue;
+      }
+      if (!Tighter(constraint, *it, side)) return;  // implied by `*it`
+      constraints_.erase(it);  // implied by `constraint`
+      break;
+    }
+  }
   // Governance charge: every materialized constraint counts against the
   // query's constraint and (approximate) memory budgets — this is the
   // meter that catches Fourier–Motzkin pairing blowups as they grow.
-  obs::GovernanceConstraintCharge(ApproxConstraintBytes(constraint));
-  constraints_.insert(std::move(constraint));
+  const uint64_t bytes = ApproxConstraintBytes(constraint);
+  if (constraints_.insert(std::move(constraint)).second) {
+    obs::GovernanceConstraintCharge(bytes);
+  }
 }
 
 void Conjunction::AddAll(const Conjunction& other) {

@@ -9,7 +9,11 @@
 /// constraints. CCDB keeps conjunctions deduplicated and canonical, drops
 /// trivially-true members, and collapses to an explicit "false" state on a
 /// trivially-false member so that unsatisfiable tuples are cheap to detect
-/// early.
+/// early. It also keeps one bound per side: at most one single-variable
+/// inequality per variable bounds it from above, and at most one from
+/// below, the tightest that was added. Every store is built through
+/// `Add`, so selections, joins and projections never carry a bound that
+/// another member of the same store implies.
 
 #include <set>
 #include <string>
@@ -33,6 +37,13 @@ class Conjunction {
 
   /// Adds a constraint; trivially-true members are dropped, a
   /// trivially-false member collapses the conjunction to `false`.
+  /// A single-variable inequality (`a·v + k <= 0` or `< 0`) bounds `v`
+  /// from above when `a > 0` and from below when `a < 0`. It is dropped
+  /// when the store already bounds `v` on that side at least as tightly,
+  /// and otherwise replaces that bound; at equal values `<` is tighter
+  /// than `<=`. The result is the same set of points, and the same
+  /// representation whatever order the members arrive in. Governance is
+  /// charged for each member actually inserted.
   void Add(Constraint constraint);
 
   /// Conjoins all constraints of `other`.

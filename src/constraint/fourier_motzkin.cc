@@ -183,6 +183,7 @@ Conjunction EliminateVariable(const Conjunction& input,
       LinearExpr combined = hi->expr() * (-b) + lo->expr() * a;
       bool strict = hi->op() == ConstraintOp::kLt ||
                     lo->op() == ConstraintOp::kLt;
+      obs::NoteFmPairing();
       out.Add(Constraint(std::move(combined),
                          strict ? ConstraintOp::kLt : ConstraintOp::kLe));
       if (out.IsKnownFalse()) return Conjunction::False();

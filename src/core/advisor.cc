@@ -4,6 +4,7 @@
 #include <cassert>
 #include <memory>
 #include <optional>
+#include <set>
 
 #include "constraint/independence.h"
 #include "storage/serde.h"
@@ -42,13 +43,21 @@ std::string AdvisorReport::ToString() const {
 
 namespace {
 
+/// Where a relation's tuples sit in the scratch heap: `key_pages[i]` is
+/// the page of index key `i`'s tuple, and `outlier_pages` the pages of
+/// the tuples with no key.
+struct HeapPages {
+  std::vector<PageId> key_pages;
+  std::set<PageId> outlier_pages;
+};
+
 /// Replays queries against the joint index over `domain` (given) or the
 /// two separate ones, on an uncached in-memory disk.
 class IndexReplayer {
  public:
-  IndexReplayer(const std::vector<Rect>& keys, size_t outliers,
+  IndexReplayer(const std::vector<Rect>& keys, const HeapPages& heap,
                 const std::optional<Rect>& joint_domain)
-      : pool_(&disk_, 0), outliers_(outliers) {
+      : pool_(&disk_, 0), heap_(heap) {
     if (joint_domain) {
       index_ = std::make_unique<JointIndex>(&pool_, *joint_domain);
     } else {
@@ -62,18 +71,20 @@ class IndexReplayer {
   }
 
   /// Page accesses for `query`: index page reads plus one fetch per
-  /// candidate and per outlier.
+  /// distinct heap page holding a candidate or an outlier.
   Result<uint64_t> Cost(const BoxQuery& query) {
     disk_.ResetStats();
     CCDB_ASSIGN_OR_RETURN(auto hits, index_->Search(query));
-    return disk_.stats().reads + hits.size() + outliers_;
+    std::set<PageId> fetched = heap_.outlier_pages;
+    for (uint64_t id : hits) fetched.insert(heap_.key_pages[id]);
+    return disk_.stats().reads + fetched.size();
   }
 
  private:
   PageManager disk_;
   BufferPool pool_;
   std::unique_ptr<AttributeIndex> index_;
-  size_t outliers_;
+  const HeapPages& heap_;
 };
 
 }  // namespace
@@ -129,25 +140,24 @@ Result<AdvisorReport> AdviseIndexing(const Relation& rel,
     }
   }
 
-  // Index keys for every tuple; null relational values become outliers
-  // that every configuration must re-check.
-  std::vector<Rect> keys;
-  size_t outliers = 0;
-  for (const Tuple& t : rel.tuples()) {
-    CCDB_ASSIGN_OR_RETURN(auto key, TupleIndexKey(t, *x, *y, domain));
-    if (key) {
-      keys.push_back(*key);
-    } else {
-      ++outliers;
-    }
-  }
-
-  // Heap size (the full-scan cost unit) measured on a scratch heap file.
+  // Every tuple goes to a scratch heap file, whose size is the full-scan
+  // cost unit and whose pages are what a candidate fetch reads. Index
+  // keys for every tuple; null relational values become outliers that
+  // every configuration must re-check.
   PageManager heap_disk;
   BufferPool heap_pool(&heap_disk, 0);
   HeapFile heap(&heap_pool);
+  std::vector<Rect> keys;
+  HeapPages pages;
   for (const Tuple& t : rel.tuples()) {
-    CCDB_RETURN_IF_ERROR(heap.Append(SerializeTuple(t)).status());
+    CCDB_ASSIGN_OR_RETURN(RecordId rid, heap.Append(SerializeTuple(t)));
+    CCDB_ASSIGN_OR_RETURN(auto key, TupleIndexKey(t, *x, *y, domain));
+    if (key) {
+      keys.push_back(*key);
+      pages.key_pages.push_back(rid.page);
+    } else {
+      pages.outlier_pages.insert(rid.page);
+    }
   }
   const uint64_t heap_pages = heap.num_pages();
 
@@ -159,8 +169,8 @@ Result<AdvisorReport> AdviseIndexing(const Relation& rel,
   // is the separate configuration's tree on that axis: on an uncached
   // disk a one-axis query reads only that tree's pages. A query leaving
   // the axis free scans the heap.
-  IndexReplayer joint(keys, outliers, domain);
-  IndexReplayer separate(keys, outliers, std::nullopt);
+  IndexReplayer joint(keys, pages, domain);
+  IndexReplayer separate(keys, pages, std::nullopt);
   auto cost = [&](IndexChoice choice, const BoxQuery& q) -> Result<uint64_t> {
     switch (choice) {
       case IndexChoice::kJoint:

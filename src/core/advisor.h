@@ -14,13 +14,13 @@
 /// a relation and a representative query workload, every candidate
 /// configuration (joint 2-D; two separate 1-D; one 1-D on either
 /// attribute) is built on a scratch disk and the workload is *replayed*,
-/// counting actual page accesses — index pages touched plus candidate
-/// record fetches, with unsupported queries charged a full heap scan. The
-/// cheapest configuration is recommended. The report also carries the
-/// workload shape (how many queries constrain both attributes) and the
-/// §3.2 variable-independence signal, which explains *why* a
-/// recommendation wins: coupled attributes with conjunctive workloads are
-/// exactly where the joint index dominates.
+/// counting actual page accesses — index pages touched plus the distinct
+/// heap pages holding candidate records, with unsupported queries charged
+/// a full heap scan. The cheapest configuration is recommended. The
+/// report also carries the workload shape (how many queries constrain
+/// both attributes) and the §3.2 variable-independence signal, which
+/// explains *why* a recommendation wins: coupled attributes with
+/// conjunctive workloads are exactly where the joint index dominates.
 
 #include <limits>
 #include <string>

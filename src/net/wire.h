@@ -53,7 +53,8 @@ namespace ccdb::net {
 /// v7: relations cross in the lean tuple codec (storage/serde.h): varint
 /// counts, names and integers, canonical constraints as integers, and
 /// the schema inline.
-inline constexpr uint32_t kProtocolVersion = 7;
+/// v8: FETCH_TRACE nodes carry the FM-pairings counter after pool hits.
+inline constexpr uint32_t kProtocolVersion = 8;
 
 /// Upper bound on a frame's payload. Large enough for a bootstrap
 /// snapshot of any disk the tests or benches build (16 Ki pages), small

@@ -28,6 +28,7 @@ inline constexpr char kCqaBoxPrunes[] = "cqa.box_prunes";
 inline constexpr char kCqaBoxesBuilt[] = "cqa.boxes_built";
 inline constexpr char kFmEliminations[] = "fm.eliminations";
 inline constexpr char kFmBoxSolves[] = "fm.box_solves";
+inline constexpr char kFmPairings[] = "fm.pairings";
 inline constexpr char kFmRedundancyCulls[] = "fm.redundancy_culls";
 inline constexpr char kIndexNodeVisits[] = "index.node_visits";
 inline constexpr char kIndexLeafHits[] = "index.leaf_hits";
@@ -119,7 +120,8 @@ inline std::vector<const char*> AllMetricNames() {
       kQueriesSubmitted,  kQueriesRejected,    kQueriesCompleted,
       kQueriesFailed,     kQueriesSlow,        kQueriesTraced,
       kCqaConjunctions,   kCqaBoxPrunes,       kCqaBoxesBuilt,
-      kFmEliminations,    kFmBoxSolves,        kFmRedundancyCulls,
+      kFmEliminations,    kFmBoxSolves,        kFmPairings,
+      kFmRedundancyCulls,
       kIndexNodeVisits,   kIndexLeafHits,      kStoragePagesRead,
       kStoragePoolHits,   kGovDeadlineHits,    kGovBudgetTrips,
       kGovCancels,        kGovSheds,           kGovTruncated,

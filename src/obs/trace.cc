@@ -47,6 +47,7 @@ std::string LayerCounters::ToString() const {
   std::string out = buf;
   if (boxes_built != 0) out += ", boxed " + std::to_string(boxes_built);
   if (box_solves != 0) out += ", box solves " + std::to_string(box_solves);
+  if (fm_pairings != 0) out += ", fm pairs " + std::to_string(fm_pairings);
   return out;
 }
 

@@ -11,7 +11,8 @@
 ///
 ///  - `LayerCounters` is the set of work counters every engine layer
 ///    publishes: the constraint layer counts Fourier–Motzkin eliminations,
-///    the box projections it settled without any, and redundancy culls,
+///    the constraints their pairing steps derived, the box projections it
+///    settled without any, and redundancy culls,
 ///    the CQA operators count constraint stores materialized (refine),
 ///    tuples or pairs their box test rejected before any FM (filter), and
 ///    the tuples a relation version's first reader boxed for the
@@ -56,6 +57,7 @@ struct LayerCounters {
   uint64_t index_leaf_hits = 0;    ///< R*-tree leaf entries matched
   uint64_t pages_read = 0;         ///< buffer-pool misses (simulated disk reads)
   uint64_t pool_hits = 0;          ///< buffer-pool hits
+  uint64_t fm_pairings = 0;        ///< constraints FM's pairing step derived
 
   LayerCounters& operator+=(const LayerCounters& other);
   LayerCounters operator-(const LayerCounters& other) const;
@@ -64,8 +66,9 @@ struct LayerCounters {
   /// Compact one-line rendering for `\trace` spans and the `\metrics`
   /// engine line, e.g. "conj 12, pruned 40, fm 8, culls 2, idx 3/1, io 4/2"
   /// (idx visits/leaf hits, io pages read/pool hits), with
-  /// ", boxed N" appended when a box-cache build ran and ", box solves N"
-  /// when a projection settled a box without FM.
+  /// ", boxed N" appended when a box-cache build ran, ", box solves N"
+  /// when a projection settled a box without FM, and ", fm pairs N" when
+  /// FM's pairing step derived constraints.
   std::string ToString() const;
 };
 
@@ -95,6 +98,7 @@ inline constexpr LayerCounterField kLayerCounterFields[] = {
      names::kIndexLeafHits},
     {&LayerCounters::pages_read, "pages_read", names::kStoragePagesRead},
     {&LayerCounters::pool_hits, "pool_hits", names::kStoragePoolHits},
+    {&LayerCounters::fm_pairings, "fm_pairings", names::kFmPairings},
 };
 
 // As many rows as fields, and no field twice: every field has its row.
@@ -142,6 +146,9 @@ inline void NoteFmElimination() {
 }
 inline void NoteBoxSolve() {
   if (internal::g_active != nullptr) ++internal::g_active->box_solves;
+}
+inline void NoteFmPairing() {
+  if (internal::g_active != nullptr) ++internal::g_active->fm_pairings;
 }
 inline void NoteRedundancyCulls(uint64_t n) {
   if (internal::g_active != nullptr) {

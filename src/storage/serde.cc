@@ -1,6 +1,7 @@
 #include "storage/serde.h"
 
 #include <cstring>
+#include <set>
 
 namespace ccdb {
 
@@ -290,9 +291,20 @@ Result<Tuple> DeserializeTuple(Reader record) {
     return Status::IoError("corrupt tuple: bad known-false flag");
   }
   if (known_false) tuple.SetConstraints(Conjunction::False());
+  // A store is written in store order and holds one bound per side, so
+  // `Add` keeps each member and places it last. Set nodes are stable: the
+  // store grew by one node that is not the old last node exactly when the
+  // member sorts strictly after it and no bound was dropped or replaced.
+  const std::set<Constraint>& members = tuple.constraints().constraints();
   for (uint64_t i = 0; i < nconstraints; ++i) {
     CCDB_ASSIGN_OR_RETURN(Constraint c, GetConstraint(&record));
+    const Constraint* last = members.empty() ? nullptr : &*members.rbegin();
     tuple.AddConstraint(std::move(c));
+    if (members.size() != i + 1 || &*members.rbegin() == last) {
+      return Status::IoError(
+          "corrupt tuple: a constraint out of store order, repeated, or "
+          "implied by another bound");
+    }
   }
   if (!record.AtEnd()) {
     return Status::IoError("corrupt tuple: " +

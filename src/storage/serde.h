@@ -23,9 +23,13 @@
 /// with names and string values as varint length + bytes. Every stored
 /// constraint is canonical, so its coefficients and constant are written
 /// as integers and the decoder checks that form
-/// (`Constraint::FromCanonical`) instead of recomputing it. Anything
-/// `SerializeTuple` would not write, including any non-canonical
-/// constraint and any byte left over, is refused with kIoError.
+/// (`Constraint::FromCanonical`) instead of recomputing it. Constraints
+/// are written in store order and a store keeps one bound per side
+/// (`Conjunction::Add`), so each member must sort strictly after the one
+/// before it and `Add` must keep it. Anything `SerializeTuple` would not
+/// write, including any non-canonical constraint, a member out of order
+/// or implied by another bound, and any byte left over, is refused with
+/// kIoError.
 
 #include <cstdint>
 #include <string>

@@ -50,6 +50,62 @@ TEST(ConjunctionTest, AddDeduplicatesCanonicalForms) {
   EXPECT_EQ(c.size(), 1u);
 }
 
+TEST(ConjunctionTest, KeepsTheTightestBoundPerVariableAndSide) {
+  Conjunction c;
+  c.Add(Constraint::Ge(X(), C(0)));
+  c.Add(Constraint::Ge(X(), C(2)));  // tighter: replaces x >= 0
+  c.Add(Constraint::Le(X(), C(8)));
+  c.Add(Constraint::Le(X(), C(2)));  // tighter: replaces x <= 8
+  c.Add(Constraint::Le(X(), C(5)));  // implied by x <= 2: dropped
+  c.Add(Constraint::Ge(Y(), C(-1)));  // another variable: kept
+  EXPECT_EQ(c.ToString(), "-x <= -2 AND x <= 2 AND -y <= 1");
+  // The same members in another order leave the same store.
+  Conjunction d({Constraint::Le(X(), C(5)), Constraint::Le(X(), C(2)),
+                 Constraint::Ge(Y(), C(-1)), Constraint::Le(X(), C(8)),
+                 Constraint::Ge(X(), C(2)), Constraint::Ge(X(), C(0))});
+  EXPECT_EQ(c, d);
+}
+
+TEST(ConjunctionTest, StrictIsTighterAtEqualBounds) {
+  Conjunction c({Constraint::Le(X(), C(3)), Constraint::Lt(X(), C(3))});
+  EXPECT_EQ(c.ToString(), "x < 3");
+  Conjunction d({Constraint::Gt(X(), C(3)), Constraint::Ge(X(), C(3))});
+  EXPECT_EQ(d.ToString(), "-x < -3");
+  // A strict bound further out loses to a closed one further in.
+  Conjunction e({Constraint::Lt(X(), C(4)), Constraint::Le(X(), C(3))});
+  EXPECT_EQ(e.ToString(), "x <= 3");
+}
+
+TEST(ConjunctionTest, FractionalBoundsCompareExactly) {
+  // 2x <= 3 (x <= 3/2) against x <= 2, and -3x <= -4 (x >= 4/3) against
+  // x >= 1, in both orders.
+  const Constraint x_le_3_2 = Constraint::Le(X() * Rational(2), C(3));
+  const Constraint x_ge_4_3 = Constraint::Ge(X() * Rational(3), C(4));
+  for (bool tight_first : {true, false}) {
+    Conjunction c;
+    if (tight_first) {
+      c.Add(x_le_3_2);
+      c.Add(x_ge_4_3);
+    }
+    c.Add(Constraint::Le(X(), C(2)));
+    c.Add(Constraint::Ge(X(), C(1)));
+    if (!tight_first) {
+      c.Add(x_le_3_2);
+      c.Add(x_ge_4_3);
+    }
+    EXPECT_EQ(c, Conjunction({x_le_3_2, x_ge_4_3})) << c.ToString();
+  }
+}
+
+TEST(ConjunctionTest, EqualitiesAndMultiVariableMembersAreKept) {
+  // The rule reads single-variable inequalities only: an equality on x,
+  // a member over x and y, and bounds they imply all stay.
+  Conjunction c({Constraint::Eq(X(), C(1)), Constraint::Le(X(), C(4)),
+                 Constraint::Le(X() + Y(), C(2)),
+                 Constraint::Le(X() + Y(), C(5)), Constraint::Ge(X(), C(0))});
+  EXPECT_EQ(c.size(), 5u) << c.ToString();
+}
+
 TEST(ConjunctionTest, SatisfactionRequiresAllMembers) {
   Conjunction c;
   c.Add(Constraint::Le(X(), C(5)));

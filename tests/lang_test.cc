@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "lang/data_parser.h"
 #include "lang/expr_parser.h"
@@ -297,6 +300,35 @@ TEST_F(QueryTest, Query5ParcelsNearTheHurricanePath) {
       &db_);
   ASSERT_TRUE(knn.ok()) << knn.status().ToString();
   EXPECT_EQ(knn->size(), 2u);
+}
+
+TEST_F(QueryTest, SelectThenJoinKeepsOneBoundPerSide) {
+  // Select conjoins x >= 2 and x <= 8 with each parcel's x bounds, and the
+  // join conjoins the ownership's t bounds: each store keeps only the
+  // tightest bound per variable and side.
+  auto rel = RunQuery(
+      "R0 = select x >= 2, x <= 8 from Land\n"
+      "R1 = join R0 and Landownership\n",
+      &db_);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  ASSERT_EQ(rel->size(), 6u);
+  for (const Tuple& tuple : rel->tuples()) {
+    std::set<std::pair<std::string, int>> sides;
+    for (const Constraint& c : tuple.constraints().constraints()) {
+      if (c.op() == ConstraintOp::kEq || c.expr().terms().size() != 1) {
+        continue;
+      }
+      const auto& [var, coeff] = *c.expr().terms().begin();
+      EXPECT_TRUE(sides.emplace(var, coeff.Sign()).second)
+          << tuple.constraints().ToString();
+    }
+    EXPECT_EQ(sides.size(), 6u) << tuple.constraints().ToString();
+  }
+  const Tuple& smith_a = rel->tuples()[0];
+  EXPECT_EQ(smith_a.GetValue("landId").AsString(), "A");
+  EXPECT_EQ(smith_a.constraints().ToString(),
+            "-t <= 0 AND t <= 5 AND -x <= -2 AND x <= 2 AND -y <= 0 AND "
+            "y <= 2");
 }
 
 TEST_F(QueryTest, UnionMinusRenameRoundTrip) {

@@ -311,7 +311,7 @@ TEST(Wire, TraceNodeRoundTrips) {
   root.self_us = 12.25;
   root.tuples_in = 80;
   root.tuples_out = 17;
-  // Ten distinct values: a codec that drops or swaps a counter shows.
+  // Eleven distinct values: a codec that drops or swaps a counter shows.
   root.counters.conjunctions = 99;
   root.counters.box_prunes = 41;
   root.counters.boxes_built = 23;
@@ -322,6 +322,7 @@ TEST(Wire, TraceNodeRoundTrips) {
   root.counters.index_leaf_hits = 19;
   root.counters.pages_read = 3;
   root.counters.pool_hits = 29;
+  root.counters.fm_pairings = 31;
   obs::TraceNode child;
   child.label = "R0 = select x >= 100 from Boxes";
   child.wall_us = 600.0;
@@ -353,6 +354,7 @@ TEST(Wire, TraceNodeRoundTrips) {
   EXPECT_EQ(back.counters.index_leaf_hits, root.counters.index_leaf_hits);
   EXPECT_EQ(back.counters.pages_read, root.counters.pages_read);
   EXPECT_EQ(back.counters.pool_hits, root.counters.pool_hits);
+  EXPECT_EQ(back.counters.fm_pairings, root.counters.fm_pairings);
   ASSERT_EQ(back.children.size(), size_t{2});
   EXPECT_EQ(back.children[0].label, root.children[0].label);
   EXPECT_EQ(back.children[0].counters.index_node_visits, uint64_t{5});
@@ -365,8 +367,8 @@ TEST(Wire, TraceNodeRoundTrips) {
 
 TEST(Wire, TraceNodeBytesArePinned) {
   // One node's FETCH_TRACE bytes: the label (u32 length + bytes), wall
-  // and self time as IEEE-754 bits, tuples in and out, the ten layer
-  // counters in struct order, and the child count, all little-endian. A
+  // and self time as IEEE-754 bits, tuples in and out, the eleven layer
+  // counters in table order, and the child count, all little-endian. A
   // change here is a wire change and needs a kProtocolVersion bump.
   obs::TraceNode node;
   node.label = "Scan";
@@ -384,6 +386,7 @@ TEST(Wire, TraceNodeBytesArePinned) {
   node.counters.index_leaf_hits = 8;
   node.counters.pages_read = 9;
   node.counters.pool_hits = 10;
+  node.counters.fm_pairings = 11;
   Writer w;
   net::PutTraceNode(&w, node);
   std::string hex;
@@ -400,7 +403,10 @@ TEST(Wire, TraceNodeBytesArePinned) {
             "05000000000000000600000000000000"   // box solves, culls
             "07000000000000000800000000000000"   // idx visits, leaf hits
             "09000000000000000a00000000000000"   // pages read, pool hits
+            "0b00000000000000"                   // fm pairs
             "00000000");                         // no children
+  // The layout pinned above is protocol version 8's.
+  EXPECT_EQ(net::kProtocolVersion, 8u);
 }
 
 TEST(Wire, TraceNodeDeeperThanGuardIsRejected) {
@@ -859,6 +865,47 @@ TEST(NetFuzz, MalformedPayloadOfKnownTypeIsTypedError) {
   EXPECT_EQ(frame.type, net::MsgType::kNameList);
   sock.Close();
   client.reset();
+  leader.WaitSessionsDrained();
+}
+
+TEST(NetFuzz, LoadOfAStoreWithAnImpliedBoundIsInvalidArgument) {
+  // A LOAD_RELATION whose one tuple holds x - 7 <= 0 and x - 5 <= 0: in
+  // store order, but the second bound implies the first, so the decoder
+  // refuses it and the server reports a malformed payload.
+  Relation rel(Schema::Make({Schema::ConstraintRational("x")}).value());
+  Tuple t;
+  t.AddConstraint(Constraint::Ge(LinearExpr::Variable("x"),
+                                 LinearExpr::Constant(Rational(0))));
+  t.AddConstraint(Constraint::Le(LinearExpr::Variable("x"),
+                                 LinearExpr::Constant(Rational(5))));
+  ASSERT_TRUE(rel.Insert(std::move(t)).ok());
+  Writer load;
+  load.PutString("Implied");
+  net::PutRelation(&load, rel);
+  std::vector<uint8_t> payload = load.TakeBuffer();
+  // -x <= 0 is op 1, one term "x", coefficient -1 (02), constant 0 (00);
+  // rewrite it as x - 7 <= 0: coefficient 1 (04), constant -7 (1a).
+  const std::vector<uint8_t> member = {0x01, 0x01, 0x01, 'x', 0x02, 0x00};
+  auto at = std::search(payload.begin(), payload.end(), member.begin(),
+                        member.end());
+  ASSERT_NE(at, payload.end());
+  at[4] = 0x04;
+  at[5] = 0x1a;
+
+  Leader leader;
+  Socket sock = RawConnect(leader.port());
+  Writer hello;
+  hello.PutU32(net::kProtocolVersion);
+  hello.PutString("implied-bound");
+  ASSERT_TRUE(
+      net::WriteFrame(&sock, net::MsgType::kHello, hello.buffer()).ok());
+  net::Frame frame;
+  ASSERT_TRUE(net::ReadFrame(&sock, &frame).ok());
+  ASSERT_EQ(frame.type, net::MsgType::kHelloOk);
+  ASSERT_TRUE(
+      net::WriteFrame(&sock, net::MsgType::kLoadRelation, payload).ok());
+  ExpectErrorFrame(&sock, StatusCode::kInvalidArgument);
+  sock.Close();
   leader.WaitSessionsDrained();
 }
 

@@ -137,6 +137,7 @@ constexpr uint64_t obs::LayerCounters::*kEveryCounter[] = {
     &obs::LayerCounters::index_leaf_hits,
     &obs::LayerCounters::pages_read,
     &obs::LayerCounters::pool_hits,
+    &obs::LayerCounters::fm_pairings,
 };
 
 TEST(LayerCountersTest, ArithmeticCoversEveryField) {
@@ -166,6 +167,29 @@ TEST(LayerCountersTest, ArithmeticCoversEveryField) {
   }
 }
 
+TEST(LayerCountersTest, FmPairingsCountWhatThePairingStepDerives) {
+  // v has two lower bounds and three upper bounds over other variables:
+  // eliminating it pairs each lower with each upper, six derivations.
+  const LinearExpr v = LinearExpr::Variable("v");
+  Conjunction store;
+  for (const char* lower : {"a", "b"}) {
+    store.Add(Constraint::Ge(v, LinearExpr::Variable(lower)));
+  }
+  for (const char* upper : {"c", "d", "e"}) {
+    store.Add(Constraint::Le(v, LinearExpr::Variable(upper)));
+  }
+  obs::CounterScope scope;
+  fm::EliminateVariable(store, "v");
+  EXPECT_EQ(scope.counters().fm_eliminations, uint64_t{1});
+  EXPECT_EQ(scope.counters().fm_pairings, uint64_t{6});
+  EXPECT_NE(scope.counters().ToString().find(", fm pairs 6"),
+            std::string::npos)
+      << scope.counters().ToString();
+  // No pairing, no mention.
+  EXPECT_EQ(obs::LayerCounters{}.ToString().find("fm pairs"),
+            std::string::npos);
+}
+
 TEST(TraceTest, SpanJsonIsPinned) {
   // One span's JSON, key for key: the counters in struct order under
   // their field names, as the trace sink writes them.
@@ -184,7 +208,7 @@ TEST(TraceTest, SpanJsonIsPinned) {
             "\"box_prunes\":2,\"boxes_built\":3,\"fm_eliminations\":4,"
             "\"box_solves\":5,\"redundancy_culls\":6,"
             "\"index_node_visits\":7,\"index_leaf_hits\":8,"
-            "\"pages_read\":9,\"pool_hits\":10}");
+            "\"pages_read\":9,\"pool_hits\":10,\"fm_pairings\":11}");
 }
 
 // --- Trace trees from the executor ----------------------------------------
@@ -298,6 +322,7 @@ TEST(TraceTest, FilterAndRefineShowSideBySide) {
   EXPECT_EQ(snap.Value(obs::names::kCqaBoxesBuilt), total.boxes_built);
   EXPECT_EQ(snap.Value(obs::names::kFmEliminations), total.fm_eliminations);
   EXPECT_EQ(snap.Value(obs::names::kFmBoxSolves), total.box_solves);
+  EXPECT_EQ(snap.Value(obs::names::kFmPairings), total.fm_pairings);
   EXPECT_EQ(snap.Value(obs::names::kFmRedundancyCulls),
             total.redundancy_culls);
   EXPECT_EQ(snap.Value(obs::names::kIndexNodeVisits),

@@ -1,6 +1,7 @@
 // Parameterized property suites: randomized invariants swept over sizes,
 // dimensions, and seeds with INSTANTIATE_TEST_SUITE_P.
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -237,6 +238,117 @@ INSTANTIATE_TEST_SUITE_P(ShapeSweep, FmRedundancyProperty,
                                   "_c" +
                                   std::to_string(info.param.constraints) +
                                   "_s" + std::to_string(info.param.seed);
+                         });
+
+// --- One bound per side: Conjunction::Add keeps the tightest bound -------------
+
+class ConjunctionBoundProperty : public ::testing::TestWithParam<uint64_t> {};
+
+/// The side from which `c` bounds its one variable (+1 above, -1 below),
+/// or 0 for an equality or a member over several variables.
+int SideOf(const Constraint& c) {
+  if (c.op() == ConstraintOp::kEq || c.expr().terms().size() != 1) return 0;
+  return c.expr().terms().begin()->second.Sign();
+}
+
+TEST_P(ConjunctionBoundProperty, OneBoundPerSideWhateverTheOrder) {
+  // Stores mix single-variable bounds, strict and closed, over
+  // coefficients ±1..±3 and constants in [-4, 4], so that bounds are often
+  // fractional and often touch or coincide, with two-variable members and
+  // equalities. Each store is added in several random orders: every order
+  // must leave the same representation, hold at most one bound per
+  // variable and side, and have the points of the raw member list.
+  Rng rng(GetParam());
+  const std::vector<std::string> names = {"u", "v", "w"};
+  auto pick = [&](int64_t lo, int64_t hi) {
+    return static_cast<size_t>(rng.UniformInt(lo, hi));
+  };
+  size_t replaced_or_dropped = 0;
+  for (int iter = 0; iter < 80; ++iter) {
+    std::vector<Constraint> members;
+    std::vector<std::pair<std::string, Rational>> endpoints;
+    const size_t count = pick(1, 12);
+    for (size_t i = 0; i < count; ++i) {
+      const size_t index = pick(0, 2);
+      const std::string& name = names[index];
+      const int64_t coeff =
+          rng.UniformInt(1, 3) * (rng.UniformInt(0, 1) ? 1 : -1);
+      LinearExpr e = LinearExpr::Term(name, Rational(coeff));
+      e.AddConstant(Rational(rng.UniformInt(-4, 4)));
+      const size_t kind = pick(0, 9);
+      if (kind == 8) {  // a two-variable member
+        e.AddTerm(names[(index + pick(1, 2)) % 3],
+                  Rational(rng.UniformInt(1, 2) *
+                           (rng.UniformInt(0, 1) ? 1 : -1)));
+      } else {
+        endpoints.emplace_back(name, -e.constant() / Rational(coeff));
+      }
+      ConstraintOp op = rng.UniformInt(0, 1) ? ConstraintOp::kLe
+                                             : ConstraintOp::kLt;
+      if (kind == 9) op = ConstraintOp::kEq;
+      members.emplace_back(std::move(e), op);
+    }
+    const Conjunction reference(members);
+    std::set<std::pair<std::string, int>> sides;
+    for (const Constraint& c : reference.constraints()) {
+      if (const int side = SideOf(c)) {
+        EXPECT_TRUE(sides.emplace(c.expr().terms().begin()->first, side).second)
+            << reference.ToString();
+      }
+    }
+    const std::set<Constraint> distinct(members.begin(), members.end());
+    if (reference.size() < distinct.size()) ++replaced_or_dropped;
+
+    std::vector<Constraint> shuffled = members;
+    for (int order = 0; order < 4; ++order) {
+      for (size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1],
+                  shuffled[pick(0, static_cast<int64_t>(i) - 1)]);
+      }
+      const Conjunction again(shuffled);
+      EXPECT_TRUE(again == reference)
+          << again.ToString() << " vs " << reference.ToString();
+      EXPECT_EQ(again.ToString(), reference.ToString());
+    }
+
+    auto raw_holds = [&](const Assignment& point) {
+      return std::all_of(members.begin(), members.end(),
+                         [&](const Constraint& c) {
+                           return c.IsSatisfiedBy(point);
+                         });
+    };
+    auto random_point = [&]() {
+      Assignment point;
+      for (const std::string& name : names) {
+        point[name] = Rational(rng.UniformInt(-12, 12), rng.UniformInt(1, 6));
+      }
+      return point;
+    };
+    std::vector<Assignment> points;
+    for (int i = 0; i < 20; ++i) points.push_back(random_point());
+    for (const auto& [name, value] : endpoints) {
+      Assignment point = random_point();
+      point[name] = value;
+      points.push_back(point);
+      // Every variable at an endpoint, where touching bounds meet.
+      for (const auto& [other, other_value] : endpoints) {
+        point[other] = other_value;
+      }
+      points.push_back(point);
+    }
+    for (const Assignment& point : points) {
+      EXPECT_EQ(reference.IsSatisfiedBy(point), raw_holds(point))
+          << reference.ToString();
+    }
+  }
+  // The sweep exercised the rule: some stores lost a member to it.
+  EXPECT_GT(replaced_or_dropped, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedSweep, ConjunctionBoundProperty,
+                         ::testing::Values(71, 72, 73, 74, 75),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
                          });
 
 // --- R*-tree: invariants + exactness over dims / sizes / caches ------------------

@@ -280,23 +280,37 @@ TEST(SerdeTest, BoxTupleBytesArePinned) {
   );
 }
 
-/// A tuple record of no values holding one constraint built by hand:
-/// op, term count, (name, coefficient) terms, then the constant.
-std::vector<uint8_t> ConstraintRecord(
-    ConstraintOp op, const std::vector<std::pair<std::string, int64_t>>& terms,
-    int64_t constant) {
+/// One constraint built by hand: op, (name, coefficient) terms, constant.
+struct RawConstraint {
+  ConstraintOp op;
+  std::vector<std::pair<std::string, int64_t>> terms;
+  int64_t constant;
+};
+
+/// A tuple record of no values holding `members` in the order given: for
+/// each, op, term count, (name, coefficient) terms, then the constant.
+std::vector<uint8_t> StoreRecord(const std::vector<RawConstraint>& members) {
   Writer w;
   w.PutVarint(0);
   w.PutU8(0);
-  w.PutVarint(1);
-  w.PutU8(static_cast<uint8_t>(op));
-  w.PutVarint(terms.size());
-  for (const auto& [name, coeff] : terms) {
-    w.PutVarString(name);
-    w.PutInteger(BigInt(coeff));
+  w.PutVarint(members.size());
+  for (const RawConstraint& m : members) {
+    w.PutU8(static_cast<uint8_t>(m.op));
+    w.PutVarint(m.terms.size());
+    for (const auto& [name, coeff] : m.terms) {
+      w.PutVarString(name);
+      w.PutInteger(BigInt(coeff));
+    }
+    w.PutInteger(BigInt(m.constant));
   }
-  w.PutInteger(BigInt(constant));
   return w.TakeBuffer();
+}
+
+/// A tuple record of no values holding one constraint built by hand.
+std::vector<uint8_t> ConstraintRecord(
+    ConstraintOp op, const std::vector<std::pair<std::string, int64_t>>& terms,
+    int64_t constant) {
+  return StoreRecord({{op, terms, constant}});
 }
 
 TEST(SerdeTest, RejectsNonCanonicalConstraints) {
@@ -332,6 +346,36 @@ TEST(SerdeTest, RejectsNonCanonicalConstraints) {
   for (const auto& c : cases) {
     auto back = DeserializeTuple(c.record);
     EXPECT_EQ(back.status().code(), StatusCode::kIoError) << c.what;
+  }
+}
+
+TEST(SerdeTest, RejectsStoresTheBoundRuleWouldChange) {
+  // Store order puts x - 5 <= 0 before x - 3 <= 0 (constants compare
+  // last), and a box decodes when each member sorts after the one before
+  // it and no bound implies another.
+  const RawConstraint x_ge_0{ConstraintOp::kLe, {{"x", -1}}, 0};
+  const RawConstraint x_le_3{ConstraintOp::kLe, {{"x", 1}}, -3};
+  const RawConstraint x_le_5{ConstraintOp::kLe, {{"x", 1}}, -5};
+  const RawConstraint y_le_1{ConstraintOp::kLe, {{"y", 1}}, -1};
+  const RawConstraint x_lt_3{ConstraintOp::kLt, {{"x", 1}}, -3};
+  const RawConstraint y_lt_1{ConstraintOp::kLt, {{"y", 1}}, -1};
+  auto box = DeserializeTuple(StoreRecord({x_ge_0, x_le_3, y_lt_1}));
+  ASSERT_TRUE(box.ok()) << box.status().ToString();
+  EXPECT_EQ(box->constraints().ToString(), "-x <= 0 AND x <= 3 AND y < 1");
+  const struct {
+    const char* what;
+    std::vector<uint8_t> record;
+  } cases[] = {
+      {"x <= 3 with x <= 5, in store order", StoreRecord({x_le_5, x_le_3})},
+      {"x < 3 replacing x <= 5 across another member",
+       StoreRecord({x_le_5, y_le_1, x_lt_3})},
+      {"a repeated member", StoreRecord({x_le_3, x_le_3})},
+      {"two members out of order", StoreRecord({x_le_3, x_ge_0})},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(DeserializeTuple(c.record).status().code(),
+              StatusCode::kIoError)
+        << c.what;
   }
 }
 
