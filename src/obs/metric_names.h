@@ -109,6 +109,8 @@ inline constexpr char kLockHeldOverBlock[] = "lock.held_over_block";
 
 // --- Per-query distributions (histograms) ---
 inline constexpr char kQueryLatencyUs[] = "query.latency_us";
+/// Microseconds from Submit until a worker popped the task.
+inline constexpr char kQueryQueueWaitUs[] = "query.queue_wait_us";
 inline constexpr char kQueryFmEliminations[] = "query.fm_eliminations";
 inline constexpr char kQueryTuplesOut[] = "query.tuples_out";
 
@@ -139,14 +141,15 @@ inline std::vector<const char*> AllMetricNames() {
       kNetBytesIn,        kNetBytesOut,        kNetFramesIn,
       kNetProtocolErrors, kNetShipBatches,     kNetShipSnapshots,
       kNetTerm,           kLockHeldOverBlock,  kQueryLatencyUs,
-      kQueryFmEliminations, kQueryTuplesOut,
+      kQueryQueueWaitUs,  kQueryFmEliminations, kQueryTuplesOut,
   };
 }
 
 /// Names in AllMetricNames() that are histograms (the rest are counters
 /// or gauges); the coverage test uses this to register the right kind.
 inline std::vector<const char*> HistogramMetricNames() {
-  return {kQueryLatencyUs, kQueryFmEliminations, kQueryTuplesOut};
+  return {kQueryLatencyUs, kQueryQueueWaitUs, kQueryFmEliminations,
+          kQueryTuplesOut};
 }
 
 }  // namespace ccdb::obs::names

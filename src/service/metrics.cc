@@ -6,13 +6,24 @@
 
 namespace ccdb::service {
 
-double NearestRankPercentile(std::vector<double> samples, double fraction) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
+namespace {
+
+/// Where the nearest-rank `fraction` of `samples` lands once sorted.
+std::vector<double>::iterator NearestRankPosition(std::vector<double>& samples,
+                                                  double fraction) {
   auto rank = static_cast<size_t>(
       std::ceil(fraction * static_cast<double>(samples.size())));
   rank = std::min(std::max<size_t>(rank, 1), samples.size());
-  return samples[rank - 1];
+  return samples.begin() + (rank - 1);
+}
+
+}  // namespace
+
+double NearestRankPercentile(std::vector<double> samples, double fraction) {
+  if (samples.empty()) return 0;
+  auto nth = NearestRankPosition(samples, fraction);
+  std::nth_element(samples.begin(), nth, samples.end());
+  return *nth;
 }
 
 void LatencyRecorder::Record(double micros) {
@@ -28,14 +39,25 @@ void LatencyRecorder::Record(double micros) {
 }
 
 LatencyRecorder::Summary LatencyRecorder::Summarize() const {
-  MutexLock lock(mu_);
   Summary out;
-  out.count = count_;
-  if (count_ == 0) return out;
-  out.min_us = min_;
-  out.mean_us = sum_ / static_cast<double>(count_);
-  out.p50_us = NearestRankPercentile(window_, 0.50);
-  out.p99_us = NearestRankPercentile(window_, 0.99);
+  std::vector<double> window;
+  {
+    MutexLock lock(mu_);
+    out.count = count_;
+    if (count_ == 0) return out;
+    out.min_us = min_;
+    out.mean_us = sum_ / static_cast<double>(count_);
+    window = window_;
+  }
+  // One copy, two selections, outside the lock so Record never waits on
+  // them: the p99 rank first, then the p50 rank among the samples the
+  // first selection left below it.
+  auto p99 = NearestRankPosition(window, 0.99);
+  std::nth_element(window.begin(), p99, window.end());
+  auto p50 = NearestRankPosition(window, 0.50);
+  std::nth_element(window.begin(), p50, p99);
+  out.p50_us = *p50;
+  out.p99_us = *p99;
   return out;
 }
 

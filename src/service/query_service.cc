@@ -118,6 +118,7 @@ QueryService::QueryService(Database* base, ServiceOptions options)
       gov_sheds_(registry_.GetCounter(obs::names::kGovSheds)),
       gov_truncated_(registry_.GetCounter(obs::names::kGovTruncated)),
       latency_hist_(registry_.GetHistogram(obs::names::kQueryLatencyUs)),
+      queue_wait_hist_(registry_.GetHistogram(obs::names::kQueryQueueWaitUs)),
       fm_hist_(registry_.GetHistogram(obs::names::kQueryFmEliminations)),
       tuples_out_hist_(registry_.GetHistogram(obs::names::kQueryTuplesOut)) {
   for (size_t i = 0; i < engine_.size(); ++i) {
@@ -125,9 +126,12 @@ QueryService::QueryService(Database* base, ServiceOptions options)
   }
   if (base != nullptr) catalog_.Seed(*base);
   const size_t workers = std::max<size_t>(1, options_.num_workers);
+  for (size_t i = 0; i < workers; ++i) {
+    wake_.push_back(std::make_unique<CondVar>());
+  }
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -193,15 +197,6 @@ obs::GovernanceLimits QueryService::ResolveLimits(
   return limits;
 }
 
-double QueryService::EstimateInflightUsLocked() const {
-  queue_mu_.AssertHeld();
-  // 1 ms prior until real latencies exist: shedding the very first query
-  // because we know nothing about it would be strictly worse than a guess.
-  double p50 = latency_.Summarize().p50_us;
-  if (p50 <= 0) p50 = 1000.0;
-  return static_cast<double>(queue_.size() + running_ + 1) * p50;
-}
-
 Result<Submission> QueryService::Submit(SessionId id, std::string script,
                                         QueryOptions opts) {
   return Enqueue(id, std::move(script), std::move(opts), nullptr);
@@ -235,52 +230,69 @@ Result<Submission> QueryService::Enqueue(SessionId id, std::string script,
   Submission submission;
   submission.query_id = task->query_id;
   submission.future = task->promise.get_future();
+  // The recent p50 prices the backlog and sizes a refusal's retry hint,
+  // with a 1 ms prior until a query has finished: shedding the very first
+  // query because we know nothing about it would be strictly worse than a
+  // guess. Summarize copies the latency window, so it is read only when
+  // needed, and never under queue_mu_.
+  auto recent_p50_us = [this] {
+    const double p50 = latency_.Summarize().p50_us;
+    return p50 > 0 ? p50 : 1000.0;
+  };
+  const bool cost_shedding = options_.shed_inflight_us > 0;
+  double p50 = cost_shedding ? recent_p50_us() : 0;
+  // Admission control: a full queue always sheds; with a configured
+  // in-flight budget, shed when the backlog's estimated cost exceeds it.
+  bool queue_full = false;
+  std::string refusal;
+  std::optional<size_t> wake;
   {
     MutexLock lock(queue_mu_);
     if (stopping_) {
       rejected_->Increment();
       return Status::Unavailable("service is shutting down");
     }
-    // Admission control: a full queue always sheds; with a configured
-    // in-flight budget, shed when the backlog's estimated cost exceeds
-    // it. Either refusal carries a retry-after hint sized to the recent
-    // p50 so well-behaved clients back off proportionally to real load.
-    const bool queue_full = queue_.size() >= options_.max_queue_depth;
-    const bool over_cost =
-        options_.shed_inflight_us > 0 &&
-        EstimateInflightUsLocked() > options_.shed_inflight_us;
-    if (queue_full || over_cost) {
-      rejected_->Increment();
-      gov_sheds_->Increment();
-      double p50 = latency_.Summarize().p50_us;
-      if (p50 <= 0) p50 = 1000.0;
-      const auto retry_ms = static_cast<int64_t>(
-          std::max(1.0, std::ceil(p50 / 1000.0)));
-      Status shed =
-          queue_full
-              ? Status::Unavailable(
-                    "request queue full (" + std::to_string(queue_.size()) +
-                    " of " + std::to_string(options_.max_queue_depth) +
-                    " slots)")
-              : Status::Unavailable(
-                    "estimated in-flight work exceeds shed threshold");
-      shed.WithRetryAfter(retry_ms);
-      if (options_.event_log != nullptr) {
-        obs::Event event;
-        event.type = "shed";
-        event.session = id;
-        event.trace_id = opts.trace_id;
-        event.detail = queue_full ? "queue full" : "over cost threshold";
-        options_.event_log->Emit(event);
+    queue_full = queue_.size() >= options_.max_queue_depth;
+    if (queue_full) {
+      refusal = "request queue full (" + std::to_string(queue_.size()) +
+                " of " + std::to_string(options_.max_queue_depth) +
+                " slots)";
+    } else if (cost_shedding &&
+               static_cast<double>(queue_.size() + running_ + 1) * p50 >
+                   options_.shed_inflight_us) {
+      refusal = "estimated in-flight work exceeds shed threshold";
+    } else {
+      queue_.push_back(std::move(task));
+      queue_high_water_ =
+          std::max<uint64_t>(queue_high_water_, queue_.size());
+      submitted_->Increment();
+      if (!idle_.empty()) {
+        wake = idle_.back();
+        idle_.pop_back();
       }
-      return shed;
     }
-    queue_.push_back(std::move(task));
-    queue_high_water_ = std::max<uint64_t>(queue_high_water_, queue_.size());
-    submitted_->Increment();
   }
-  queue_cv_.NotifyOne();
-  return submission;
+  if (refusal.empty()) {
+    if (wake) wake_[*wake]->NotifyOne();
+    return submission;
+  }
+  // Either refusal carries a retry-after hint sized to the recent p50, so
+  // well-behaved clients back off proportionally to real load.
+  rejected_->Increment();
+  gov_sheds_->Increment();
+  if (!cost_shedding) p50 = recent_p50_us();
+  Status shed = Status::Unavailable(refusal);
+  shed.WithRetryAfter(
+      static_cast<int64_t>(std::max(1.0, std::ceil(p50 / 1000.0))));
+  if (options_.event_log != nullptr) {
+    obs::Event event;
+    event.type = "shed";
+    event.session = id;
+    event.trace_id = opts.trace_id;
+    event.detail = queue_full ? "queue full" : "over cost threshold";
+    options_.event_log->Emit(event);
+  }
+  return shed;
 }
 
 Result<QueryResponse> QueryService::Execute(SessionId id,
@@ -343,24 +355,31 @@ Result<TraceReport> QueryService::Trace(SessionId id,
   return report;
 }
 
-void QueryService::WorkerLoop() {
+void QueryService::WorkerLoop(size_t self) {
   for (;;) {
     std::unique_ptr<Task> task;
     {
       MutexLock lock(queue_mu_);
       // Predicate loop in the annotated caller (not a lambda handed to the
       // cv) so the guarded reads stay visible to the thread-safety
-      // analysis.
+      // analysis. A waiting worker is always on the idle stack, unless an
+      // Enqueue popped it to wake it.
       while (!((!paused_ && !queue_.empty()) ||
                (stopping_ && queue_.empty()))) {
-        queue_cv_.Wait(queue_mu_);
+        if (std::find(idle_.begin(), idle_.end(), self) == idle_.end()) {
+          idle_.push_back(self);
+        }
+        wake_[self]->Wait(queue_mu_);
       }
+      idle_.erase(std::remove(idle_.begin(), idle_.end(), self), idle_.end());
       if (queue_.empty()) return;  // stopping, fully drained
       task = std::move(queue_.front());
       queue_.pop_front();
       ++running_;
       running_cancels_[task->query_id] = {task->owner, task->cancel};
     }
+    queue_wait_hist_->Record(
+        static_cast<uint64_t>(MicrosSince(task->enqueued)));
     // Operator spans are worth recording if the sink could see them: via
     // the slow-query log, or via a governance trip's trace. "Governed"
     // means actual governance intent — limits or a caller-held
@@ -453,6 +472,9 @@ void QueryService::WorkerLoop() {
       MutexLock lock(queue_mu_);
       --running_;
       running_cancels_.erase(task->query_id);
+      // Back on top of the idle stack before the reply, so the caller's
+      // next request wakes this thread rather than a colder one.
+      if (queue_.empty()) idle_.push_back(self);
     }
     task->promise.set_value(std::move(result));
   }
@@ -929,7 +951,7 @@ void QueryService::Resume() {
     MutexLock lock(queue_mu_);
     paused_ = false;
   }
-  queue_cv_.NotifyAll();
+  for (auto& wake : wake_) wake->NotifyOne();
 }
 
 void QueryService::Shutdown() {
@@ -944,7 +966,7 @@ void QueryService::Shutdown() {
       // (and can tell "shut down" from a query error).
       orphaned.swap(queue_);
     }
-    queue_cv_.NotifyAll();
+    for (auto& wake : wake_) wake->NotifyOne();
     for (std::unique_ptr<Task>& task : orphaned) {
       failed_->Increment();
       gov_cancels_->Increment();

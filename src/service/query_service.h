@@ -29,6 +29,13 @@
 ///    commit that would overwrite a concurrently-committed name fails
 ///    with kUnavailable (retry hint attached) and the transaction is
 ///    rolled back.
+///  - *Dispatch*: the queue is FIFO and `num_workers` bounds how many
+///    tasks run at once. Each worker waits on its own condition variable,
+///    and idle workers form a stack: Enqueue wakes the most recently idle
+///    one. A worker that finds the queue empty after a task goes back on
+///    top of the stack before it resolves the task's promise, so a
+///    closed-loop client's next query wakes the thread whose caches its
+///    last query warmed, instead of the next worker in turn.
 ///  - *Execution*: every script — Execute/Submit and Trace alike — runs on
 ///    a worker under its governance context. The worker tokenizes it once
 ///    (`lang::TokenizeScript`); transaction dispatch, the cache key and
@@ -370,7 +377,8 @@ class QueryService {
   Result<Submission> Enqueue(SessionId id, std::string script,
                              QueryOptions opts, TraceReport* report);
 
-  void WorkerLoop();
+  /// Worker `self`'s loop; it waits on `wake_[self]`.
+  void WorkerLoop(size_t self);
 
   /// Executes one task's script against the snapshot pinned at Submit (a
   /// session with an open transaction reads its BEGIN-time snapshot plus
@@ -416,10 +424,6 @@ class QueryService {
   /// Service defaults overlaid with the per-query overrides.
   obs::GovernanceLimits ResolveLimits(const QueryOptions& opts) const;
 
-  /// Estimated microseconds of in-flight work if one more task were
-  /// admitted: (queued + running + 1) x max(recent p50, 1 ms prior).
-  double EstimateInflightUsLocked() const CCDB_REQUIRES(queue_mu_);
-
   /// Counts a finished governed query against the governance counters and
   /// emits its trace to the sink when it tripped. Returns nothing; safe to
   /// call for ungoverned queries (no-op on an OK, untripped result).
@@ -461,9 +465,12 @@ class QueryService {
   // Task queue. `running_` counts tasks popped but not yet finished (for
   // admission-control cost estimates); `running_cancels_` maps in-flight
   // query ids to their cancellation flags so Cancel() can reach them.
-  mutable Mutex queue_mu_ CCDB_LOCK_ORDER("service.latency")
-      {"service.queue"};
-  CondVar queue_cv_;
+  mutable Mutex queue_mu_{"service.queue"};
+  /// One per worker, built before any worker starts; worker i waits only
+  /// on wake_[i].
+  std::vector<std::unique_ptr<CondVar>> wake_;
+  /// Idle workers' indices, the most recently idle last (see "Dispatch").
+  std::vector<size_t> idle_ CCDB_GUARDED_BY(queue_mu_);
   std::deque<std::unique_ptr<Task>> queue_ CCDB_GUARDED_BY(queue_mu_);
   bool stopping_ CCDB_GUARDED_BY(queue_mu_) = false;
   bool paused_ CCDB_GUARDED_BY(queue_mu_) = false;
@@ -505,6 +512,7 @@ class QueryService {
   obs::Counter* gov_sheds_;
   obs::Counter* gov_truncated_;
   obs::Histogram* latency_hist_;
+  obs::Histogram* queue_wait_hist_;
   obs::Histogram* fm_hist_;
   obs::Histogram* tuples_out_hist_;
   LatencyRecorder latency_;

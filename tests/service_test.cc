@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -12,6 +18,7 @@
 #include "core/operators.h"
 #include "data/workload.h"
 #include "lang/query.h"
+#include "obs/exposition.h"
 #include "obs/metric_names.h"
 #include "service/result_cache.h"
 #include "storage/fault.h"
@@ -136,6 +143,28 @@ void RunStress(size_t cache_capacity) {
   }
 }
 
+/// Holds each caller until `expected` callers are inside at once. A
+/// bounded wait: a caller gives up after 10 s, so a test whose workers
+/// never all arrive fails instead of hanging.
+class Rendezvous {
+ public:
+  explicit Rendezvous(size_t expected) : expected_(expected) {}
+
+  /// False when the wait timed out before `expected` callers arrived.
+  bool ArriveAndWait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++arrived_ >= expected_) cv_.notify_all();
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return arrived_ >= expected_; });
+  }
+
+ private:
+  const size_t expected_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t arrived_ = 0;
+};
+
 TEST(QueryServiceStressTest, ParallelMatchesSerialCacheOff) { RunStress(0); }
 
 TEST(QueryServiceStressTest, ParallelMatchesSerialCacheOn) { RunStress(64); }
@@ -203,6 +232,137 @@ TEST(QueryServiceTest, ShutdownCancelsQueuedQueriesWithTypedStatus) {
   auto after = service.Submit(id, "R0 = select x >= 9 from Boxes");
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(QueryServiceTest, SequentialQueriesRunOnOneWorker) {
+  // One closed-loop client: each query waits for the previous reply, so
+  // the worker that answered it is the most recently idle one and must
+  // take the next query too, on caches the last query warmed.
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
+  ServiceOptions options;
+  options.num_workers = 4;
+  options.cache_capacity = 0;
+  Rendezvous warmup(options.num_workers);
+  std::atomic<bool> warm{false};
+  std::atomic<size_t> warmup_timeouts{0};
+  std::mutex threads_mu;
+  std::set<std::thread::id> threads;
+  options.execution_hook = [&](const std::string&) {
+    if (!warm.load()) {
+      if (!warmup.ArriveAndWait()) ++warmup_timeouts;
+      return;
+    }
+    std::lock_guard<std::mutex> lock(threads_mu);
+    threads.insert(std::this_thread::get_id());
+  };
+  QueryService service(&base, options);
+
+  // Every worker runs one query, all at once, so each thread has started
+  // and gone idle before the sequential client begins.
+  std::vector<std::future<Result<QueryResponse>>> warmups;
+  for (size_t w = 0; w < options.num_workers; ++w) {
+    auto submitted =
+        service.Submit(service.OpenSession(), "R0 = select x >= 0 from Boxes");
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    warmups.push_back(std::move(submitted->future));
+  }
+  for (auto& f : warmups) ASSERT_TRUE(f.get().ok());
+  ASSERT_EQ(warmup_timeouts.load(), 0u);
+  warm = true;
+
+  SessionId id = service.OpenSession();
+  for (int i = 0; i < 500; ++i) {
+    auto response = service.Execute(
+        id, "R0 = select x >= " + std::to_string(i % 50) + " from Boxes");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+  }
+  std::lock_guard<std::mutex> lock(threads_mu);
+  EXPECT_EQ(threads.size(), 1u)
+      << "500 sequential queries of one session ran on " << threads.size()
+      << " worker threads";
+}
+
+TEST(QueryServiceTest, ConcurrentQueriesUseEveryWorker) {
+  // Four sessions submit at once and every query holds its worker until
+  // all four are inside: only four workers running at once can finish
+  // them. A fifth submission queues behind them and completes after.
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
+  ServiceOptions options;
+  options.num_workers = 4;
+  options.cache_capacity = 0;
+  // The four queries and the test thread.
+  Rendezvous all_inside(options.num_workers + 1);
+  std::atomic<size_t> timeouts{0};
+  std::mutex release_mu;
+  std::condition_variable release_cv;
+  bool released = false;
+  options.execution_hook = [&](const std::string&) {
+    if (!all_inside.ArriveAndWait()) ++timeouts;
+    std::unique_lock<std::mutex> lock(release_mu);
+    release_cv.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return released; });
+  };
+  QueryService service(&base, options);
+
+  std::vector<std::future<Result<QueryResponse>>> futures;
+  for (size_t s = 0; s < options.num_workers; ++s) {
+    auto submitted = service.Submit(
+        service.OpenSession(),
+        "R0 = select x >= " + std::to_string(s) + " from Boxes");
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.push_back(std::move(submitted->future));
+  }
+  // Returns once the four queries are inside their workers.
+  EXPECT_TRUE(all_inside.ArriveAndWait())
+      << "fewer than 4 workers ran 4 concurrent queries";
+  auto fifth =
+      service.Submit(service.OpenSession(), "R0 = select x >= 9 from Boxes");
+  ASSERT_TRUE(fifth.ok()) << fifth.status().ToString();
+  EXPECT_EQ(service.Metrics().queue_depth, 1u)
+      << "with every worker busy the fifth query waits in the queue";
+  {
+    std::lock_guard<std::mutex> lock(release_mu);
+    released = true;
+  }
+  release_cv.notify_all();
+  futures.push_back(std::move(fifth->future));
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+    EXPECT_TRUE(f.get().ok());
+  }
+  EXPECT_EQ(timeouts.load(), 0u);
+  EXPECT_EQ(service.Metrics().completed, 5u);
+}
+
+TEST(QueryServiceTest, QueueWaitIsRecordedPerQuery) {
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
+  ServiceOptions options;
+  options.num_workers = 2;
+  QueryService service(&base, options);
+  SessionId id = service.OpenSession();
+  const uint64_t kQueries = 7;
+  for (uint64_t i = 0; i < kQueries; ++i) {
+    auto response = service.Execute(
+        id, "R0 = select x >= " + std::to_string(i) + " from Boxes");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+  }
+
+  obs::MetricsRegistry::Snapshot snapshot = service.MetricsSnapshot();
+  auto hist = std::find_if(
+      snapshot.histograms.begin(), snapshot.histograms.end(),
+      [](const obs::Histogram::Snapshot& h) {
+        return h.name == obs::names::kQueryQueueWaitUs;
+      });
+  ASSERT_NE(hist, snapshot.histograms.end());
+  EXPECT_EQ(hist->count, kQueries);
+  const std::string text = obs::RenderPrometheus(snapshot);
+  EXPECT_NE(text.find("ccdb_query_queue_wait_us_count " +
+                      std::to_string(kQueries)),
+            std::string::npos)
+      << text;
 }
 
 TEST(QueryServiceTest, CacheHitSkipsExecutionAndReplayRegistersSteps) {
@@ -439,6 +599,28 @@ TEST(LatencyRecorderTest, SummaryOverSamples) {
   EXPECT_DOUBLE_EQ(s.mean_us, 50.5);
   EXPECT_NEAR(s.p50_us, 50.0, 1.0);
   EXPECT_NEAR(s.p99_us, 99.0, 1.0);
+}
+
+TEST(LatencyRecorderTest, WrappedWindowMatchesSortedReference) {
+  // 10,000 samples wrap the 4,096-sample window more than twice; the
+  // percentiles must be the nearest ranks of the newest kWindow samples.
+  LatencyRecorder recorder;
+  std::mt19937 rng(26);
+  std::uniform_real_distribution<double> dist(1.0, 5000.0);
+  std::vector<double> samples;
+  for (int i = 0; i < 10000; ++i) {
+    samples.push_back(dist(rng));
+    recorder.Record(samples.back());
+  }
+  std::vector<double> window(samples.end() - LatencyRecorder::kWindow,
+                             samples.end());
+  std::sort(window.begin(), window.end());
+  LatencyRecorder::Summary s = recorder.Summarize();
+  EXPECT_EQ(s.count, 10000u);
+  EXPECT_DOUBLE_EQ(s.min_us, *std::min_element(samples.begin(), samples.end()));
+  // Nearest ranks ceil(0.5 * 4096) = 2048 and ceil(0.99 * 4096) = 4056.
+  EXPECT_DOUBLE_EQ(s.p50_us, window[2048 - 1]);
+  EXPECT_DOUBLE_EQ(s.p99_us, window[4056 - 1]);
 }
 
 TEST(ServiceMetricsTest, ToStringMentionsEveryGroup) {
