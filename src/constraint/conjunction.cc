@@ -1,16 +1,21 @@
 #include "constraint/conjunction.h"
 
+#include <algorithm>
+
 #include "obs/governance.h"
 
 namespace ccdb {
 
 namespace {
-/// Approximate heap footprint of one stored constraint: set node plus
-/// per-term map node, attribute-name string, and rational. The governance
-/// memory budget meters cumulative allocation, so a rough per-constraint
-/// estimate is enough to bound Fourier–Motzkin blowups.
+/// Approximate footprint of one stored constraint: its slot in the store's
+/// vector plus one (name, rational) entry per term in the expression's.
+/// Names within the short-string limit and integers within +/-2^62 stay
+/// inside those. The governance memory budget meters cumulative
+/// allocation, so a rough per-constraint estimate is enough to bound
+/// Fourier–Motzkin blowups.
 uint64_t ApproxConstraintBytes(const Constraint& c) {
-  return 64 + 96 * static_cast<uint64_t>(c.expr().terms().size());
+  return sizeof(Constraint) +
+         sizeof(LinearExpr::Terms::value_type) * c.expr().terms().size();
 }
 
 /// The side from which `c` bounds its one variable: +1 from above (a
@@ -70,16 +75,19 @@ void Conjunction::Add(Constraint constraint) {
       break;
     }
   }
+  auto pos =
+      std::lower_bound(constraints_.begin(), constraints_.end(), constraint);
+  if (pos != constraints_.end() && *pos == constraint) return;  // a duplicate
   // Governance charge: every materialized constraint counts against the
   // query's constraint and (approximate) memory budgets — this is the
   // meter that catches Fourier–Motzkin pairing blowups as they grow.
-  const uint64_t bytes = ApproxConstraintBytes(constraint);
-  if (constraints_.insert(std::move(constraint)).second) {
-    obs::GovernanceConstraintCharge(bytes);
-  }
+  obs::GovernanceConstraintCharge(ApproxConstraintBytes(constraint));
+  constraints_.insert(pos, std::move(constraint));
 }
 
 void Conjunction::AddAll(const Conjunction& other) {
+  // A store conjoined with itself is unchanged: every member is present.
+  if (&other == this) return;
   if (other.known_false_) {
     known_false_ = true;
     constraints_.clear();
@@ -97,8 +105,7 @@ Conjunction Conjunction::And(const Conjunction& a, const Conjunction& b) {
 std::set<std::string> Conjunction::Variables() const {
   std::set<std::string> vars;
   for (const Constraint& c : constraints_) {
-    auto cv = c.Variables();
-    vars.insert(cv.begin(), cv.end());
+    for (const auto& [var, coeff] : c.expr().terms()) vars.insert(var);
   }
   return vars;
 }

@@ -14,6 +14,10 @@
 /// below, the tightest that was added. Every store is built through
 /// `Add`, so selections, joins and projections never carry a bound that
 /// another member of the same store implies.
+///
+/// The members are one flat vector kept sorted by `Constraint::operator<`
+/// and free of duplicates: iteration visits them in that order, and `Add`
+/// inserts at the binary-searched position.
 
 #include <set>
 #include <string>
@@ -46,15 +50,16 @@ class Conjunction {
   /// charged for each member actually inserted.
   void Add(Constraint constraint);
 
-  /// Conjoins all constraints of `other`.
+  /// Conjoins all constraints of `other` (a no-op when `other` is this
+  /// store).
   void AddAll(const Conjunction& other);
 
   /// The conjunction of `a` and `b`.
   static Conjunction And(const Conjunction& a, const Conjunction& b);
 
-  /// The stored constraints (empty when trivially true OR false; check
-  /// `IsKnownFalse` to distinguish).
-  const std::set<Constraint>& constraints() const { return constraints_; }
+  /// The stored constraints in sorted order, without duplicates (empty
+  /// when trivially true OR false; check `IsKnownFalse` to distinguish).
+  const std::vector<Constraint>& constraints() const { return constraints_; }
 
   size_t size() const { return constraints_.size(); }
 
@@ -104,7 +109,7 @@ class Conjunction {
   std::string ToString() const;
 
  private:
-  std::set<Constraint> constraints_;
+  std::vector<Constraint> constraints_;  // sorted, duplicate-free
   bool known_false_ = false;
 };
 

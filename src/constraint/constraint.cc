@@ -71,30 +71,29 @@ void Constraint::Canonicalize() {
   // Scale so all coefficients (and the constant) become coprime integers:
   // multiply by lcm of denominators, divide by gcd of numerators. For
   // equalities additionally force the leading (first in term order)
-  // coefficient positive — both sides of `= 0` are equivalent.
+  // coefficient positive — both sides of `= 0` are equivalent. A scale of
+  // 1 (every integer expression's lcm, every coprime one's gcd) is skipped.
   BigInt denom_lcm(1);
-  for (const auto& [var, coeff] : expr_.terms()) {
-    const BigInt& d = coeff.denominator();
-    denom_lcm = denom_lcm / BigInt::Gcd(denom_lcm, d) * d;
-  }
-  {
-    const BigInt& d = expr_.constant().denominator();
-    denom_lcm = denom_lcm / BigInt::Gcd(denom_lcm, d) * d;
-  }
-  LinearExpr scaled = expr_ * Rational(denom_lcm);
+  auto fold_lcm = [&denom_lcm](const Rational& value) {
+    const BigInt& d = value.denominator();
+    if (!d.IsOne()) denom_lcm = denom_lcm / BigInt::Gcd(denom_lcm, d) * d;
+  };
+  for (const auto& [var, coeff] : expr_.terms()) fold_lcm(coeff);
+  fold_lcm(expr_.constant());
+  if (!denom_lcm.IsOne()) expr_ = expr_ * Rational(denom_lcm);
+  // Terms are non-zero, so the gcd is positive.
   BigInt num_gcd(0);
-  for (const auto& [var, coeff] : scaled.terms()) {
-    num_gcd = BigInt::Gcd(num_gcd, coeff.numerator());
+  for (const auto& [var, coeff] : expr_.terms()) {
+    num_gcd = BigInt::Gcd(std::move(num_gcd), coeff.numerator());
+    if (num_gcd.IsOne()) break;
   }
-  num_gcd = BigInt::Gcd(num_gcd, scaled.constant().numerator());
-  if (!num_gcd.IsZero() && !num_gcd.IsOne()) {
-    scaled = scaled * Rational(BigInt(1), num_gcd);
+  if (!num_gcd.IsOne()) {
+    num_gcd = BigInt::Gcd(std::move(num_gcd), expr_.constant().numerator());
   }
-  if (op_ == ConstraintOp::kEq &&
-      scaled.terms().begin()->second.Sign() < 0) {
-    scaled = -scaled;
+  if (!num_gcd.IsOne()) expr_ = expr_ * Rational(BigInt(1), num_gcd);
+  if (op_ == ConstraintOp::kEq && expr_.terms().begin()->second.Sign() < 0) {
+    expr_ = -expr_;
   }
-  expr_ = std::move(scaled);
 }
 
 bool Constraint::IsTriviallyTrue() const {

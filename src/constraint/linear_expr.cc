@@ -1,11 +1,21 @@
 #include "constraint/linear_expr.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ccdb {
 
 namespace {
 const Rational kZero;
+
+/// The first term of `terms` (const or not) whose name is not below `var`.
+template <typename Terms>
+auto LowerBound(Terms& terms, const std::string& var) {
+  return std::lower_bound(terms.begin(), terms.end(), var,
+                          [](const auto& term, const std::string& name) {
+                            return term.first < name;
+                          });
+}
 }  // namespace
 
 LinearExpr LinearExpr::Variable(const std::string& var) {
@@ -14,36 +24,64 @@ LinearExpr LinearExpr::Variable(const std::string& var) {
 
 LinearExpr LinearExpr::Term(const std::string& var, Rational coeff) {
   LinearExpr expr;
-  if (!coeff.IsZero()) expr.terms_.emplace(var, std::move(coeff));
+  if (!coeff.IsZero()) expr.terms_.emplace_back(var, std::move(coeff));
   return expr;
 }
 
 const Rational& LinearExpr::Coeff(const std::string& var) const {
-  auto it = terms_.find(var);
-  return it == terms_.end() ? kZero : it->second;
+  auto it = LowerBound(terms_, var);
+  return it != terms_.end() && it->first == var ? it->second : kZero;
+}
+
+bool LinearExpr::Mentions(const std::string& var) const {
+  auto it = LowerBound(terms_, var);
+  return it != terms_.end() && it->first == var;
 }
 
 std::set<std::string> LinearExpr::Variables() const {
   std::set<std::string> vars;
-  for (const auto& [var, coeff] : terms_) vars.insert(var);
+  for (const auto& [var, coeff] : terms_) vars.insert(vars.end(), var);
   return vars;
 }
 
-LinearExpr LinearExpr::operator+(const LinearExpr& other) const {
-  LinearExpr out = *this;
-  out.constant_ += other.constant_;
-  for (const auto& [var, coeff] : other.terms_) out.AddTerm(var, coeff);
+LinearExpr LinearExpr::Combine(const LinearExpr& a, const LinearExpr& b,
+                               bool subtract) {
+  LinearExpr out(subtract ? a.constant_ - b.constant_
+                          : a.constant_ + b.constant_);
+  out.terms_.reserve(a.terms_.size() + b.terms_.size());
+  auto i = a.terms_.begin();
+  auto j = b.terms_.begin();
+  while (i != a.terms_.end() || j != b.terms_.end()) {
+    const int cmp = i == a.terms_.end()   ? 1
+                    : j == b.terms_.end() ? -1
+                                          : i->first.compare(j->first);
+    if (cmp < 0) {
+      out.terms_.push_back(*i++);
+    } else if (cmp > 0) {
+      out.terms_.emplace_back(j->first, subtract ? -j->second : j->second);
+      ++j;
+    } else {
+      Rational sum = subtract ? i->second - j->second : i->second + j->second;
+      if (!sum.IsZero()) out.terms_.emplace_back(i->first, std::move(sum));
+      ++i;
+      ++j;
+    }
+  }
   return out;
 }
 
+LinearExpr LinearExpr::operator+(const LinearExpr& other) const {
+  return Combine(*this, other, /*subtract=*/false);
+}
+
 LinearExpr LinearExpr::operator-(const LinearExpr& other) const {
-  return *this + (-other);
+  return Combine(*this, other, /*subtract=*/true);
 }
 
 LinearExpr LinearExpr::operator-() const {
-  LinearExpr out;
-  out.constant_ = -constant_;
-  for (const auto& [var, coeff] : terms_) out.terms_.emplace(var, -coeff);
+  LinearExpr out(-constant_);
+  out.terms_.reserve(terms_.size());
+  for (const auto& [var, coeff] : terms_) out.terms_.emplace_back(var, -coeff);
   return out;
 }
 
@@ -51,47 +89,50 @@ LinearExpr LinearExpr::operator*(const Rational& factor) const {
   LinearExpr out;
   if (factor.IsZero()) return out;
   out.constant_ = constant_ * factor;
+  out.terms_.reserve(terms_.size());
   for (const auto& [var, coeff] : terms_) {
-    out.terms_.emplace(var, coeff * factor);
+    out.terms_.emplace_back(var, coeff * factor);
   }
   return out;
 }
 
 void LinearExpr::AddTerm(const std::string& var, const Rational& coeff) {
   if (coeff.IsZero()) return;
-  auto [it, inserted] = terms_.emplace(var, coeff);
-  if (!inserted) {
-    it->second += coeff;
-    if (it->second.IsZero()) terms_.erase(it);
+  auto it = LowerBound(terms_, var);
+  if (it == terms_.end() || it->first != var) {
+    terms_.emplace(it, var, coeff);
+    return;
   }
+  it->second += coeff;
+  if (it->second.IsZero()) terms_.erase(it);
 }
 
 bool LinearExpr::AppendTerm(std::string var, Rational coeff) {
   if (coeff.IsZero()) return false;
-  if (!terms_.empty() && !(terms_.rbegin()->first < var)) return false;
-  terms_.emplace_hint(terms_.end(), std::move(var), std::move(coeff));
+  if (!terms_.empty() && !(terms_.back().first < var)) return false;
+  terms_.emplace_back(std::move(var), std::move(coeff));
   return true;
 }
 
 LinearExpr LinearExpr::Substitute(const std::string& var,
                                   const LinearExpr& replacement) const {
-  auto it = terms_.find(var);
-  if (it == terms_.end()) return *this;
-  Rational coeff = it->second;
-  LinearExpr out = *this;
-  out.terms_.erase(var);
-  return out + replacement * coeff;
+  auto it = LowerBound(terms_, var);
+  if (it == terms_.end() || it->first != var) return *this;
+  LinearExpr rest(constant_);
+  rest.terms_.reserve(terms_.size() - 1);
+  rest.terms_.insert(rest.terms_.end(), terms_.begin(), it);
+  rest.terms_.insert(rest.terms_.end(), it + 1, terms_.end());
+  return rest + replacement * it->second;
 }
 
 LinearExpr LinearExpr::RenameVariable(const std::string& from,
                                       const std::string& to) const {
-  auto it = terms_.find(from);
-  if (it == terms_.end()) return *this;
-  assert(terms_.find(to) == terms_.end() && "rename target already present");
+  auto it = LowerBound(terms_, from);
+  if (it == terms_.end() || it->first != from) return *this;
+  assert(!Mentions(to) && "rename target already present");
   LinearExpr out = *this;
-  Rational coeff = it->second;
-  out.terms_.erase(from);
-  out.terms_.emplace(to, std::move(coeff));
+  out.terms_.erase(out.terms_.begin() + (it - terms_.begin()));
+  out.terms_.emplace(LowerBound(out.terms_, to), to, it->second);
   return out;
 }
 

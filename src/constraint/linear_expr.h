@@ -9,10 +9,16 @@
 /// expression compared against zero. Variables are attribute names from the
 /// relation schema (§2.3 of the paper ranges constraint variables over the
 /// rationals).
+///
+/// The terms are one flat vector sorted by name, so a two-variable
+/// expression is one allocation: iteration visits names in order, sums
+/// merge, and lookups binary-search.
 
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "num/rational.h"
 
@@ -23,9 +29,13 @@ using Assignment = std::map<std::string, Rational>;
 
 /// Immutable-by-convention linear expression `constant + Σ coeff·var`.
 ///
-/// Invariant: no stored coefficient is zero.
+/// Invariant: terms are sorted by strictly increasing name, and no stored
+/// coefficient is zero.
 class LinearExpr {
  public:
+  /// The `coeff·var` terms, sorted by name.
+  using Terms = std::vector<std::pair<std::string, Rational>>;
+
   /// The zero expression.
   LinearExpr() = default;
 
@@ -47,7 +57,7 @@ class LinearExpr {
   const Rational& Coeff(const std::string& var) const;
 
   const Rational& constant() const { return constant_; }
-  const std::map<std::string, Rational>& terms() const { return terms_; }
+  const Terms& terms() const { return terms_; }
 
   /// True if the expression has no variable terms.
   bool IsConstant() const { return terms_.empty(); }
@@ -59,9 +69,7 @@ class LinearExpr {
   std::set<std::string> Variables() const;
 
   /// True if `var` occurs with non-zero coefficient.
-  bool Mentions(const std::string& var) const {
-    return terms_.count(var) > 0;
-  }
+  bool Mentions(const std::string& var) const;
 
   LinearExpr operator+(const LinearExpr& other) const;
   LinearExpr operator-(const LinearExpr& other) const;
@@ -109,7 +117,11 @@ class LinearExpr {
   std::string ToString() const;
 
  private:
-  std::map<std::string, Rational> terms_;
+  /// `a + b`, or `a - b` when `subtract`: one merge of the sorted terms.
+  static LinearExpr Combine(const LinearExpr& a, const LinearExpr& b,
+                            bool subtract);
+
+  Terms terms_;
   Rational constant_;
 };
 

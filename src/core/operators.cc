@@ -102,6 +102,17 @@ Result<Relation> Select(const Relation& input, const Predicate& pred) {
     filtered.insert(var);
   }
   const fm::Box filter = fm::SingleVariableBounds(filter_atoms, filtered);
+  // The relational attributes each atom mentions, grounded per tuple with
+  // the tuple's values; an atom over constraint attributes alone joins the
+  // store as it is.
+  std::vector<std::vector<const std::string*>> grounding(pred.linear.size());
+  for (size_t i = 0; i < pred.linear.size(); ++i) {
+    for (const auto& [var, coeff] : pred.linear[i].expr().terms()) {
+      if (input.schema().Find(var)->kind == AttributeKind::kRelational) {
+        grounding[i].push_back(&var);
+      }
+    }
+  }
   std::shared_ptr<const TupleBoxes> boxes;
   std::vector<std::pair<size_t, const fm::Interval*>> tests;  // column, bound
   if (!filtered.empty()) {
@@ -132,20 +143,18 @@ Result<Relation> Select(const Relation& input, const Predicate& pred) {
 
     Conjunction store = tuple.constraints();
     obs::NoteConjunction();
-    for (const Constraint& c : pred.linear) {
+    for (size_t i = 0; i < pred.linear.size(); ++i) {
       // Substitute values of relational rational attributes (narrow: a
       // mentioned-but-null attribute fails the tuple).
-      Constraint grounded = c;
-      for (const std::string& var : c.Variables()) {
-        const Attribute* attr = input.schema().Find(var);
-        if (attr->kind != AttributeKind::kRelational) continue;
-        const Value& value = tuple.GetValue(var);
+      Constraint grounded = pred.linear[i];
+      for (const std::string* var : grounding[i]) {
+        const Value& value = tuple.GetValue(*var);
         if (value.IsNull()) {
           keep = false;
           break;
         }
         grounded = grounded.Substitute(
-            var, LinearExpr::Constant(value.AsNumber()));
+            *var, LinearExpr::Constant(value.AsNumber()));
       }
       if (!keep) break;
       store.Add(std::move(grounded));
@@ -155,9 +164,7 @@ Result<Relation> Select(const Relation& input, const Predicate& pred) {
       }
     }
     if (!keep || !fm::IsSatisfiable(store)) continue;
-    Tuple result = tuple;
-    result.SetConstraints(std::move(store));
-    CCDB_RETURN_IF_ERROR(out.Insert(std::move(result)));
+    CCDB_RETURN_IF_ERROR(out.Insert(Tuple(tuple.values(), std::move(store))));
   }
   return out;
 }

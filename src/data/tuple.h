@@ -34,6 +34,10 @@ class Tuple {
  public:
   Tuple() = default;
 
+  /// A tuple with these relational values (none null) and this store.
+  Tuple(std::map<std::string, Value> values, Conjunction constraints)
+      : values_(std::move(values)), constraints_(std::move(constraints)) {}
+
   /// Sets a relational attribute's value. Setting null erases the entry
   /// (absent and null are the same state).
   void SetValue(const std::string& attribute, Value value);

@@ -18,39 +18,27 @@ uint64_t MagnitudeOf(int64_t v) {
 }
 }  // namespace
 
-BigInt::BigInt(int64_t value) {
-  if (value >= -kSmallMax && value <= kSmallMax) {
-    small_ = value;
-    return;
-  }
-  is_small_ = false;
-  negative_ = value < 0;
-  uint64_t magnitude = MagnitudeOf(value);
-  limbs_.push_back(static_cast<uint32_t>(magnitude & 0xffffffffULL));
-  if (magnitude >> 32) limbs_.push_back(static_cast<uint32_t>(magnitude >> 32));
+void BigInt::SetBig(int64_t value) {
+  const uint64_t magnitude = MagnitudeOf(value);
+  *this = FromLimbs(value < 0, {static_cast<uint32_t>(magnitude),
+                                static_cast<uint32_t>(magnitude >> 32)});
 }
 
-BigInt BigInt::FromMagnitude(bool negative, unsigned __int128 magnitude) {
-  if (magnitude <= static_cast<unsigned __int128>(kSmallMax)) {
-    BigInt out;
-    int64_t v = static_cast<int64_t>(static_cast<uint64_t>(magnitude));
-    out.small_ = negative ? -v : v;
-    return out;
+BigInt& BigInt::AssignBig(const BigInt& other) {
+  if (this == &other) return *this;
+  if (big_) {
+    *big_ = *other.big_;
+  } else {
+    big_ = std::make_unique<Big>(*other.big_);
   }
-  BigInt out;
-  out.is_small_ = false;
-  out.negative_ = negative;
-  while (magnitude != 0) {
-    out.limbs_.push_back(static_cast<uint32_t>(magnitude & 0xffffffffULL));
-    magnitude >>= 32;
-  }
-  return out;
+  small_ = 0;
+  return *this;
 }
 
 void BigInt::ToLimbs(bool* negative, std::vector<uint32_t>* limbs) const {
-  if (!is_small_) {
-    *negative = negative_;
-    *limbs = limbs_;
+  if (big_) {
+    *negative = big_->negative;
+    *limbs = big_->limbs;
     return;
   }
   *negative = small_ < 0;
@@ -68,34 +56,20 @@ std::vector<uint32_t> BigInt::MagnitudeLimbs() const {
 }
 
 BigInt BigInt::FromLimbs(bool negative, std::vector<uint32_t> limbs) {
-  BigInt out;
-  out.is_small_ = false;
-  out.negative_ = negative;
-  out.limbs_ = std::move(limbs);
-  out.Normalize();
-  return out;
-}
-
-void BigInt::Normalize() {
-  if (is_small_) return;
-  TrimZeros(&limbs_);
-  if (limbs_.empty()) {
-    is_small_ = true;
-    small_ = 0;
-    negative_ = false;
-    return;
-  }
-  if (limbs_.size() <= 2) {
-    uint64_t magnitude = limbs_[0];
-    if (limbs_.size() == 2) magnitude |= static_cast<uint64_t>(limbs_[1]) << 32;
+  TrimZeros(&limbs);
+  if (limbs.size() <= 2) {
+    uint64_t magnitude = limbs.empty() ? 0 : limbs[0];
+    if (limbs.size() == 2) magnitude |= static_cast<uint64_t>(limbs[1]) << 32;
     if (magnitude <= static_cast<uint64_t>(kSmallMax)) {
-      int64_t v = static_cast<int64_t>(magnitude);
-      small_ = negative_ ? -v : v;
-      is_small_ = true;
-      negative_ = false;
-      limbs_.clear();
+      const int64_t v = static_cast<int64_t>(magnitude);
+      return BigInt(negative ? -v : v);
     }
   }
+  BigInt out;
+  out.big_ = std::make_unique<Big>();
+  out.big_->negative = negative;
+  out.big_->limbs = std::move(limbs);
+  return out;
 }
 
 Result<BigInt> BigInt::FromString(const std::string& text) {
@@ -133,10 +107,10 @@ Result<BigInt> BigInt::FromString(const std::string& text) {
 }
 
 std::string BigInt::ToString() const {
-  if (is_small_) return std::to_string(small_);
+  if (!big_) return std::to_string(small_);
   // Repeated division by 10^9 (one limb's worth of decimal digits).
   std::vector<uint32_t> digits;  // base-10^9 digits, little-endian
-  std::vector<uint32_t> work = limbs_;
+  std::vector<uint32_t> work = big_->limbs;
   while (!work.empty()) {
     uint64_t remainder = 0;
     for (size_t i = work.size(); i-- > 0;) {
@@ -148,7 +122,7 @@ std::string BigInt::ToString() const {
     TrimZeros(&work);
   }
   std::string out;
-  if (negative_) out += '-';
+  if (big_->negative) out += '-';
   out += std::to_string(digits.back());
   for (size_t i = digits.size() - 1; i-- > 0;) {
     std::string chunk = std::to_string(digits[i]);
@@ -159,20 +133,21 @@ std::string BigInt::ToString() const {
 }
 
 double BigInt::ToDouble() const {
-  if (is_small_) return static_cast<double>(small_);
+  if (!big_) return static_cast<double>(small_);
   double value = 0.0;
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    value = value * 4294967296.0 + static_cast<double>(limbs_[i]);
+  for (size_t i = big_->limbs.size(); i-- > 0;) {
+    value = value * 4294967296.0 + static_cast<double>(big_->limbs[i]);
   }
-  return negative_ ? -value : value;
+  return big_->negative ? -value : value;
 }
 
 Result<int64_t> BigInt::ToInt64() const {
-  if (is_small_) return small_;
-  if (limbs_.size() > 2) return Status::OutOfRange("BigInt exceeds int64 range");
-  uint64_t magnitude = limbs_[0];
-  if (limbs_.size() == 2) magnitude |= static_cast<uint64_t>(limbs_[1]) << 32;
-  if (negative_) {
+  if (!big_) return small_;
+  const std::vector<uint32_t>& limbs = big_->limbs;
+  if (limbs.size() > 2) return Status::OutOfRange("BigInt exceeds int64 range");
+  uint64_t magnitude = limbs[0];
+  if (limbs.size() == 2) magnitude |= static_cast<uint64_t>(limbs[1]) << 32;
+  if (big_->negative) {
     if (magnitude > static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) + 1) {
       return Status::OutOfRange("BigInt exceeds int64 range");
     }
@@ -184,25 +159,9 @@ Result<int64_t> BigInt::ToInt64() const {
   return static_cast<int64_t>(magnitude);
 }
 
-BigInt BigInt::operator-() const {
-  if (is_small_) {
-    BigInt out;
-    out.small_ = -small_;  // safe: |small_| <= 2^62
-    return out;
-  }
+BigInt BigInt::NegateBig() const {
   BigInt out = *this;
-  out.negative_ = !out.negative_;
-  return out;
-}
-
-BigInt BigInt::Abs() const {
-  if (is_small_) {
-    BigInt out;
-    out.small_ = small_ < 0 ? -small_ : small_;
-    return out;
-  }
-  BigInt out = *this;
-  out.negative_ = false;
+  out.big_->negative = !out.big_->negative;
   return out;
 }
 
@@ -215,17 +174,13 @@ int BigInt::CompareMagnitude(const std::vector<uint32_t>& a,
   return 0;
 }
 
-int BigInt::Compare(const BigInt& other) const {
-  if (is_small_ && other.is_small_) {
-    if (small_ != other.small_) return small_ < other.small_ ? -1 : 1;
-    return 0;
-  }
+int BigInt::CompareBig(const BigInt& other) const {
   // Canonical form: a big value always exceeds any small one in magnitude.
-  if (is_small_) return other.negative_ ? 1 : -1;
-  if (other.is_small_) return negative_ ? -1 : 1;
-  if (negative_ != other.negative_) return negative_ ? -1 : 1;
-  int mag = CompareMagnitude(limbs_, other.limbs_);
-  return negative_ ? -mag : mag;
+  if (!big_) return other.big_->negative ? 1 : -1;
+  if (!other.big_) return big_->negative ? -1 : 1;
+  if (big_->negative != other.big_->negative) return big_->negative ? -1 : 1;
+  int mag = CompareMagnitude(big_->limbs, other.big_->limbs);
+  return big_->negative ? -mag : mag;
 }
 
 void BigInt::TrimZeros(std::vector<uint32_t>* limbs) {
@@ -417,72 +372,30 @@ void BigInt::DivModMagnitude(const std::vector<uint32_t>& a,
   TrimZeros(remainder);
 }
 
-BigInt BigInt::AddBig(bool a_neg, const std::vector<uint32_t>& a, bool b_neg,
-                      const std::vector<uint32_t>& b) {
-  BigInt out;
-  out.is_small_ = false;
-  if (a_neg == b_neg) {
-    out.limbs_ = AddMagnitude(a, b);
-    out.negative_ = a_neg;
-  } else {
-    int cmp = CompareMagnitude(a, b);
-    if (cmp == 0) return BigInt();
-    if (cmp > 0) {
-      out.limbs_ = SubMagnitude(a, b);
-      out.negative_ = a_neg;
-    } else {
-      out.limbs_ = SubMagnitude(b, a);
-      out.negative_ = b_neg;
-    }
-  }
-  out.Normalize();
-  return out;
+BigInt BigInt::AddSlow(const BigInt& a, const BigInt& b) {
+  bool a_neg, b_neg;
+  std::vector<uint32_t> av, bv;
+  a.ToLimbs(&a_neg, &av);
+  b.ToLimbs(&b_neg, &bv);
+  if (a_neg == b_neg) return FromLimbs(a_neg, AddMagnitude(av, bv));
+  const int cmp = CompareMagnitude(av, bv);
+  if (cmp == 0) return BigInt();
+  if (cmp > 0) return FromLimbs(a_neg, SubMagnitude(av, bv));
+  return FromLimbs(b_neg, SubMagnitude(bv, av));
 }
 
-BigInt BigInt::operator+(const BigInt& other) const {
-  if (is_small_ && other.is_small_) {
-    // |a| + |b| can reach 2^63 exactly, so sum in 128 bits.
-    __int128 sum = static_cast<__int128>(small_) + other.small_;
-    bool negative = sum < 0;
-    unsigned __int128 magnitude =
-        negative ? static_cast<unsigned __int128>(-sum)
-                 : static_cast<unsigned __int128>(sum);
-    return FromMagnitude(negative, magnitude);
-  }
+BigInt BigInt::MulSlow(const BigInt& a, const BigInt& b) {
   bool a_neg, b_neg;
-  std::vector<uint32_t> a, b;
-  ToLimbs(&a_neg, &a);
-  other.ToLimbs(&b_neg, &b);
-  return AddBig(a_neg, a, b_neg, b);
-}
-
-BigInt BigInt::operator-(const BigInt& other) const { return *this + (-other); }
-
-BigInt BigInt::operator*(const BigInt& other) const {
-  if (is_small_ && other.is_small_) {
-    __int128 product = static_cast<__int128>(small_) * other.small_;
-    bool negative = product < 0;
-    unsigned __int128 magnitude =
-        negative ? static_cast<unsigned __int128>(-product)
-                 : static_cast<unsigned __int128>(product);
-    return FromMagnitude(negative, magnitude);
-  }
-  bool a_neg, b_neg;
-  std::vector<uint32_t> a, b;
-  ToLimbs(&a_neg, &a);
-  other.ToLimbs(&b_neg, &b);
-  BigInt out;
-  out.is_small_ = false;
-  out.limbs_ = MulMagnitude(a, b);
-  out.negative_ = a_neg != b_neg;
-  out.Normalize();
-  return out;
+  std::vector<uint32_t> av, bv;
+  a.ToLimbs(&a_neg, &av);
+  b.ToLimbs(&b_neg, &bv);
+  return FromLimbs(a_neg != b_neg, MulMagnitude(av, bv));
 }
 
 void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
                     BigInt* remainder) {
   assert(!b.IsZero() && "division by zero");
-  if (a.is_small_ && b.is_small_) {
+  if (!a.big_ && !b.big_) {
     *quotient = BigInt(a.small_ / b.small_);
     *remainder = BigInt(a.small_ % b.small_);
     return;
@@ -493,14 +406,8 @@ void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
   b.ToLimbs(&b_neg, &bv);
   std::vector<uint32_t> q, r;
   DivModMagnitude(av, bv, &q, &r);
-  quotient->is_small_ = false;
-  quotient->limbs_ = std::move(q);
-  quotient->negative_ = a_neg != b_neg;
-  quotient->Normalize();
-  remainder->is_small_ = false;
-  remainder->limbs_ = std::move(r);
-  remainder->negative_ = a_neg;  // remainder takes dividend's sign
-  remainder->Normalize();
+  *quotient = FromLimbs(a_neg != b_neg, std::move(q));
+  *remainder = FromLimbs(a_neg, std::move(r));  // the dividend's sign
 }
 
 BigInt BigInt::operator/(const BigInt& other) const {
@@ -516,7 +423,7 @@ BigInt BigInt::operator%(const BigInt& other) const {
 }
 
 BigInt BigInt::Gcd(BigInt a, BigInt b) {
-  if (a.is_small_ && b.is_small_) {
+  if (!a.big_ && !b.big_) {
     uint64_t x = MagnitudeOf(a.small_);
     uint64_t y = MagnitudeOf(b.small_);
     while (y != 0) {
@@ -548,7 +455,7 @@ BigInt BigInt::Pow(const BigInt& base, uint32_t exp) {
 }
 
 size_t BigInt::BitLength() const {
-  if (is_small_) {
+  if (!big_) {
     uint64_t magnitude = MagnitudeOf(small_);
     size_t bits = 0;
     while (magnitude) {
@@ -557,8 +464,8 @@ size_t BigInt::BitLength() const {
     }
     return bits;
   }
-  uint32_t top = limbs_.back();
-  size_t bits = (limbs_.size() - 1) * 32;
+  uint32_t top = big_->limbs.back();
+  size_t bits = (big_->limbs.size() - 1) * 32;
   while (top) {
     ++bits;
     top >>= 1;
@@ -567,7 +474,7 @@ size_t BigInt::BitLength() const {
 }
 
 BigInt BigInt::ShiftRight(size_t bits) const {
-  if (is_small_) {
+  if (!big_) {
     if (bits >= 63) return BigInt();
     int64_t magnitude = small_ < 0 ? -small_ : small_;
     magnitude >>= bits;
@@ -575,29 +482,26 @@ BigInt BigInt::ShiftRight(size_t bits) const {
   }
   const size_t limb_shift = bits / 32;
   const int bit_shift = static_cast<int>(bits % 32);
-  if (limb_shift >= limbs_.size()) return BigInt();
-  BigInt out;
-  out.is_small_ = false;
-  out.negative_ = negative_;
-  out.limbs_.assign(limbs_.begin() + static_cast<ptrdiff_t>(limb_shift),
-                    limbs_.end());
+  const std::vector<uint32_t>& limbs = big_->limbs;
+  if (limb_shift >= limbs.size()) return BigInt();
+  std::vector<uint32_t> shifted(
+      limbs.begin() + static_cast<ptrdiff_t>(limb_shift), limbs.end());
   if (bit_shift > 0) {
     uint32_t carry = 0;
-    for (size_t i = out.limbs_.size(); i-- > 0;) {
-      uint32_t cur = out.limbs_[i];
-      out.limbs_[i] = (cur >> bit_shift) | carry;
+    for (size_t i = shifted.size(); i-- > 0;) {
+      uint32_t cur = shifted[i];
+      shifted[i] = (cur >> bit_shift) | carry;
       carry = cur << (32 - bit_shift);
     }
   }
-  out.Normalize();
-  return out;
+  return FromLimbs(big_->negative, std::move(shifted));
 }
 
 size_t BigInt::Hash() const {
   // Values in canonical form: hash via the limb decomposition so small
   // and big paths can never disagree (equal values share representation
   // anyway, but keep the hash purely value-based).
-  if (is_small_) {
+  if (!big_) {
     uint64_t magnitude = MagnitudeOf(small_);
     size_t h = small_ < 0 ? 0x9e3779b97f4a7c15ULL : 0;
     while (magnitude) {
@@ -607,8 +511,8 @@ size_t BigInt::Hash() const {
     }
     return h;
   }
-  size_t h = negative_ ? 0x9e3779b97f4a7c15ULL : 0;
-  for (uint32_t limb : limbs_) {
+  size_t h = big_->negative ? 0x9e3779b97f4a7c15ULL : 0;
+  for (uint32_t limb : big_->limbs) {
     h ^= limb + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   }
   return h;

@@ -9,14 +9,17 @@
 /// constraint class as the inputs, and Fourier–Motzkin elimination multiplies
 /// coefficient pairs at every step, growing them beyond any fixed width.
 ///
-/// Representation: values with |v| <= 2^62 live inline in an int64 (the
-/// *small* form — no heap allocation, covering virtually all coefficients
-/// in real workloads); larger values use sign-magnitude 32-bit limbs with
-/// schoolbook multiplication and Knuth Algorithm D division. The form is
-/// canonical — any value that fits is small — so representation equality
-/// is value equality.
+/// Representation: 16 bytes. Values with |v| <= 2^62 live inline in an
+/// int64 (the *small* form — no heap allocation, covering virtually all
+/// coefficients in real workloads) beside a null pointer; larger values
+/// point at a sign and 32-bit magnitude limbs, with schoolbook
+/// multiplication and Knuth Algorithm D division. The form is canonical —
+/// any value that fits is small — so representation equality is value
+/// equality. Comparison and the small-form `+ - *` are inline; an overflow
+/// falls back to the limb path.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,7 +34,23 @@ class BigInt {
   BigInt() = default;
 
   /// From a machine integer.
-  BigInt(int64_t value);  // NOLINT(runtime/explicit): numeric literal ergonomics
+  BigInt(int64_t value) : small_(value) {  // NOLINT(runtime/explicit)
+    if (value < -kSmallMax || value > kSmallMax) SetBig(value);
+  }
+
+  BigInt(const BigInt& other)
+      : small_(other.small_),
+        big_(other.big_ ? std::make_unique<Big>(*other.big_) : nullptr) {}
+  BigInt(BigInt&& other) noexcept = default;
+  BigInt& operator=(const BigInt& other) {
+    if (other.big_) return AssignBig(other);
+    small_ = other.small_;
+    big_.reset();
+    return *this;
+  }
+  /// A moved-from value is a valid value (zero or its old small value).
+  BigInt& operator=(BigInt&& other) noexcept = default;
+  ~BigInt() = default;
 
   /// Parses an optionally signed decimal string, e.g. "-12345678901234567890".
   static Result<BigInt> FromString(const std::string& text);
@@ -45,22 +64,46 @@ class BigInt {
   /// Value as int64 if it fits.
   Result<int64_t> ToInt64() const;
 
-  bool IsZero() const { return is_small_ && small_ == 0; }
-  bool IsNegative() const { return is_small_ ? small_ < 0 : negative_; }
-  bool IsOne() const { return is_small_ && small_ == 1; }
+  bool IsZero() const { return !big_ && small_ == 0; }
+  bool IsNegative() const { return big_ ? big_->negative : small_ < 0; }
+  bool IsOne() const { return !big_ && small_ == 1; }
 
   /// -1, 0, or +1.
   int Sign() const {
-    if (is_small_) return small_ == 0 ? 0 : (small_ < 0 ? -1 : 1);
-    return negative_ ? -1 : 1;  // big form is never zero
+    if (!big_) return (small_ > 0) - (small_ < 0);
+    return big_->negative ? -1 : 1;  // big form is never zero
   }
 
-  BigInt operator-() const;
-  BigInt Abs() const;
+  BigInt operator-() const {
+    if (!big_) return BigInt(-small_);  // safe: |small_| <= 2^62
+    return NegateBig();
+  }
+  BigInt Abs() const { return IsNegative() ? -*this : *this; }
 
-  BigInt operator+(const BigInt& other) const;
-  BigInt operator-(const BigInt& other) const;
-  BigInt operator*(const BigInt& other) const;
+  BigInt operator+(const BigInt& other) const {
+    int64_t sum;
+    if (!big_ && !other.big_ &&
+        !__builtin_add_overflow(small_, other.small_, &sum)) {
+      return BigInt(sum);
+    }
+    return AddSlow(*this, other);
+  }
+  BigInt operator-(const BigInt& other) const {
+    int64_t difference;
+    if (!big_ && !other.big_ &&
+        !__builtin_sub_overflow(small_, other.small_, &difference)) {
+      return BigInt(difference);
+    }
+    return AddSlow(*this, -other);
+  }
+  BigInt operator*(const BigInt& other) const {
+    int64_t product;
+    if (!big_ && !other.big_ &&
+        !__builtin_mul_overflow(small_, other.small_, &product)) {
+      return BigInt(product);
+    }
+    return MulSlow(*this, other);
+  }
 
   /// Truncated division (C++ semantics: quotient rounds toward zero,
   /// remainder has the dividend's sign). Requires non-zero divisor.
@@ -79,9 +122,11 @@ class BigInt {
 
   bool operator==(const BigInt& other) const {
     // Canonical form: equal values share a representation.
-    if (is_small_ != other.is_small_) return false;
-    if (is_small_) return small_ == other.small_;
-    return negative_ == other.negative_ && limbs_ == other.limbs_;
+    if (!big_ || !other.big_) {
+      return !big_ && !other.big_ && small_ == other.small_;
+    }
+    return big_->negative == other.big_->negative &&
+           big_->limbs == other.big_->limbs;
   }
   bool operator!=(const BigInt& other) const { return !(*this == other); }
   bool operator<(const BigInt& other) const { return Compare(other) < 0; }
@@ -90,7 +135,12 @@ class BigInt {
   bool operator>=(const BigInt& other) const { return Compare(other) >= 0; }
 
   /// Three-way comparison: negative/zero/positive like strcmp.
-  int Compare(const BigInt& other) const;
+  int Compare(const BigInt& other) const {
+    if (!big_ && !other.big_) {
+      return (small_ > other.small_) - (small_ < other.small_);
+    }
+    return CompareBig(other);
+  }
 
   /// Greatest common divisor; result is non-negative. Gcd(0,0) == 0.
   static BigInt Gcd(BigInt a, BigInt b);
@@ -117,11 +167,26 @@ class BigInt {
 
  private:
   /// Largest magnitude kept in the small form. 2^62 leaves headroom so
-  /// negation/abs and sums of two smalls never overflow int64.
+  /// negation/abs of a small value never overflows int64.
   static constexpr int64_t kSmallMax = int64_t{1} << 62;
 
-  /// Builds the big (limb) form from a 64-bit-plus magnitude.
-  static BigInt FromMagnitude(bool negative, unsigned __int128 magnitude);
+  /// The big form: a value beyond +/-2^62, never zero.
+  struct Big {
+    bool negative = false;
+    std::vector<uint32_t> limbs;  // little-endian, the last one non-zero
+  };
+
+  /// Stores `value`, beyond the small range, in the big form.
+  void SetBig(int64_t value);
+  /// Copy assignment from a big value.
+  BigInt& AssignBig(const BigInt& other);
+
+  /// Out-of-line halves of the inline operators, for big operands and
+  /// small-form overflow.
+  BigInt NegateBig() const;
+  int CompareBig(const BigInt& other) const;
+  static BigInt AddSlow(const BigInt& a, const BigInt& b);
+  static BigInt MulSlow(const BigInt& a, const BigInt& b);
 
   /// Returns this value in limb form regardless of representation.
   void ToLimbs(bool* negative, std::vector<uint32_t>* limbs) const;
@@ -143,18 +208,8 @@ class BigInt {
                               std::vector<uint32_t>* remainder);
   static void TrimZeros(std::vector<uint32_t>* limbs);
 
-  /// Big-path arithmetic on two limb forms.
-  static BigInt AddBig(bool a_neg, const std::vector<uint32_t>& a,
-                       bool b_neg, const std::vector<uint32_t>& b);
-
-  /// Restores the canonical form: trims zero limbs and demotes to the
-  /// small form when the value fits.
-  void Normalize();
-
-  bool is_small_ = true;
-  int64_t small_ = 0;                // valid when is_small_
-  bool negative_ = false;            // big form only
-  std::vector<uint32_t> limbs_;      // big form only; little-endian
+  int64_t small_ = 0;         // the value when `big_` is null, else 0
+  std::unique_ptr<Big> big_;  // null for every small value
 };
 
 /// Stream rendering via ToString.

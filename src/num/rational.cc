@@ -26,6 +26,7 @@ void Rational::Normalize() {
     den_ = BigInt(1);
     return;
   }
+  if (den_.IsOne()) return;  // already in lowest terms
   BigInt g = BigInt::Gcd(num_, den_);
   if (!g.IsOne()) {
     num_ /= g;
@@ -131,15 +132,20 @@ Rational Rational::Inverse() const {
   return out;  // already reduced: gcd preserved by swapping
 }
 
+// Integer operands (every canonical coefficient and constant) take the
+// numerators alone: no cross products, no gcd.
 Rational Rational::operator+(const Rational& other) const {
+  if (IsInteger() && other.IsInteger()) return Rational(num_ + other.num_);
   return Rational(num_ * other.den_ + other.num_ * den_, den_ * other.den_);
 }
 
 Rational Rational::operator-(const Rational& other) const {
+  if (IsInteger() && other.IsInteger()) return Rational(num_ - other.num_);
   return Rational(num_ * other.den_ - other.num_ * den_, den_ * other.den_);
 }
 
 Rational Rational::operator*(const Rational& other) const {
+  if (IsInteger() && other.IsInteger()) return Rational(num_ * other.num_);
   return Rational(num_ * other.num_, den_ * other.den_);
 }
 
@@ -148,8 +154,7 @@ Rational Rational::operator/(const Rational& other) const {
   return Rational(num_ * other.den_, den_ * other.num_);
 }
 
-int Rational::Compare(const Rational& other) const {
-  if (den_ == other.den_) return num_.Compare(other.num_);
+int Rational::CompareCross(const Rational& other) const {
   // Denominators are positive, so sign(a/b - c/d) == sign(ad - cb).
   return (num_ * other.den_).Compare(other.num_ * den_);
 }

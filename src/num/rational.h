@@ -89,7 +89,10 @@ class Rational {
 
   /// Three-way comparison (exact): numerators alone at equal denominators,
   /// else cross-multiplication.
-  int Compare(const Rational& other) const;
+  int Compare(const Rational& other) const {
+    if (den_ == other.den_) return num_.Compare(other.num_);
+    return CompareCross(other);
+  }
 
   /// Componentwise minimum / maximum.
   static const Rational& Min(const Rational& a, const Rational& b) {
@@ -109,6 +112,7 @@ class Rational {
 
  private:
   void Normalize();
+  int CompareCross(const Rational& other) const;
 
   BigInt num_;
   BigInt den_;  // always positive

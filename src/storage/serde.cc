@@ -1,7 +1,6 @@
 #include "storage/serde.h"
 
 #include <cstring>
-#include <set>
 
 namespace ccdb {
 
@@ -292,15 +291,15 @@ Result<Tuple> DeserializeTuple(Reader record) {
   }
   if (known_false) tuple.SetConstraints(Conjunction::False());
   // A store is written in store order and holds one bound per side, so
-  // `Add` keeps each member and places it last. Set nodes are stable: the
-  // store grew by one node that is not the old last node exactly when the
-  // member sorts strictly after it and no bound was dropped or replaced.
-  const std::set<Constraint>& members = tuple.constraints().constraints();
+  // `Add` keeps each member and places it last: the member sorts strictly
+  // after the last one, and the store grew by one (no bound was dropped or
+  // replaced).
+  const std::vector<Constraint>& members = tuple.constraints().constraints();
   for (uint64_t i = 0; i < nconstraints; ++i) {
     CCDB_ASSIGN_OR_RETURN(Constraint c, GetConstraint(&record));
-    const Constraint* last = members.empty() ? nullptr : &*members.rbegin();
+    const bool after = members.empty() || members.back() < c;
     tuple.AddConstraint(std::move(c));
-    if (members.size() != i + 1 || &*members.rbegin() == last) {
+    if (!after || members.size() != i + 1) {
       return Status::IoError(
           "corrupt tuple: a constraint out of store order, repeated, or "
           "implied by another bound");

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -252,6 +253,54 @@ TEST(BigIntTest, HashEqualValuesAgree) {
   EXPECT_NE(BigInt(1).Hash(), BigInt(-1).Hash());
 }
 
+
+// A small value is an int64 beside a null pointer to the big form.
+static_assert(sizeof(BigInt) == 16, "BigInt is an int64 and one pointer");
+static_assert(sizeof(Rational) == 32, "Rational is two BigInts");
+
+TEST(BigIntTest, CopiesOfABigValueAreIndependent) {
+  const std::string text = "123456789012345678901234567890";
+  const BigInt original = BigInt::FromString(text).value();
+  {
+    BigInt copy = original;
+    EXPECT_EQ(copy, original);
+    copy += BigInt(1);
+    EXPECT_NE(copy, original);
+    BigInt assigned = BigInt::FromString("-99999999999999999999999").value();
+    assigned = original;  // big over big
+    assigned *= assigned;
+    EXPECT_NE(assigned, original);
+  }  // the copies die here
+  EXPECT_EQ(original.ToString(), text);
+  BigInt small(5);
+  small = original;  // big over small
+  small = -small;
+  EXPECT_EQ(original.ToString(), text);
+  small = BigInt(5);  // small over big
+  EXPECT_EQ(small, BigInt(5));
+}
+
+TEST(BigIntTest, SelfAssignmentAndMovedFromValues) {
+  const std::string text = "-98765432109876543210";
+  BigInt big = BigInt::FromString(text).value();
+  const BigInt& alias = big;
+  big = alias;
+  EXPECT_EQ(big.ToString(), text);
+
+  BigInt moved_to = std::move(big);
+  EXPECT_EQ(moved_to.ToString(), text);
+  // The moved-from value is still a value: it reads as zero, takes part
+  // in arithmetic, and can be assigned again.
+  EXPECT_TRUE(big.IsZero());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(big + moved_to, moved_to);
+  big = moved_to;
+  EXPECT_EQ(big, moved_to);
+  BigInt small(-7);
+  BigInt small_to = std::move(small);
+  EXPECT_EQ(small_to, BigInt(-7));
+  small = small_to * BigInt(6);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(small, BigInt(-42));
+}
 
 TEST(BigIntTest, BitLength) {
   EXPECT_EQ(BigInt(0).BitLength(), 0u);

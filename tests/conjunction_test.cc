@@ -127,6 +127,22 @@ TEST(ConjunctionTest, AndMergesBoth) {
   EXPECT_EQ(both.Variables(), (std::set<std::string>{"x", "y"}));
 }
 
+TEST(ConjunctionTest, AddAllOfItselfLeavesTheStoreUnchanged) {
+  // The walk over `other` is a walk over the vector `Add` inserts into.
+  Conjunction store;
+  store.Add(Constraint::Le(X(), C(5)));
+  store.Add(Constraint::Ge(X(), C(1)));
+  store.Add(Constraint::Le(X() + Y(), C(7)));
+  store.Add(Constraint::Eq(Y() - X(), C(2)));
+  const Conjunction before = store;
+  store.AddAll(store);
+  EXPECT_EQ(store, before);
+  EXPECT_EQ(store.ToString(), before.ToString());
+  Conjunction known_false = Conjunction::False();
+  known_false.AddAll(known_false);
+  EXPECT_TRUE(known_false.IsKnownFalse());
+}
+
 TEST(ConjunctionTest, AndWithFalseIsFalse) {
   Conjunction a;
   a.Add(Constraint::Le(X(), C(5)));

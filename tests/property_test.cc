@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -347,6 +349,188 @@ TEST_P(ConjunctionBoundProperty, OneBoundPerSideWhateverTheOrder) {
 
 INSTANTIATE_TEST_SUITE_P(SeedSweep, ConjunctionBoundProperty,
                          ::testing::Values(71, 72, 73, 74, 75),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// --- LinearExpr: the sorted term vector against a std::map model ------------
+
+class LinearExprModelProperty : public ::testing::TestWithParam<uint64_t> {};
+
+/// The reference: the expression as an ordered map and a constant.
+struct ExprModel {
+  std::map<std::string, Rational> terms;
+  Rational constant;
+
+  void Add(const std::string& var, const Rational& coeff) {
+    Rational& slot = terms[var];
+    slot += coeff;
+    if (slot.IsZero()) terms.erase(var);
+  }
+  ExprModel Plus(const ExprModel& other, const Rational& scale) const {
+    ExprModel out = *this;
+    out.constant += other.constant * scale;
+    for (const auto& [var, coeff] : other.terms) out.Add(var, coeff * scale);
+    return out;
+  }
+  bool operator<(const ExprModel& other) const {
+    return std::tie(terms, constant) < std::tie(other.terms, other.constant);
+  }
+  /// The rendering `LinearExpr::ToString` gives, written out over the map.
+  std::string ToString() const {
+    if (terms.empty()) return constant.ToString();
+    std::string out;
+    for (const auto& [var, coeff] : terms) {
+      const Rational mag = coeff.Abs();
+      const std::string body = mag == Rational(1) ? var : mag.ToString() + var;
+      if (out.empty()) {
+        out = (coeff.Sign() < 0 ? "-" : "") + body;
+      } else {
+        out += (coeff.Sign() < 0 ? " - " : " + ") + body;
+      }
+    }
+    if (constant.Sign() > 0) out += " + " + constant.ToString();
+    if (constant.Sign() < 0) out += " - " + constant.Abs().ToString();
+    return out;
+  }
+};
+
+TEST_P(LinearExprModelProperty, SortedTermsMatchTheMapModel) {
+  // Random edits over a few names, with zero, fractional and multi-limb
+  // coefficients, so that sums cancel terms and values cross the BigInt
+  // small form. After every edit the expression must hold the model's
+  // terms in the model's (name) order, no zero coefficient, and render
+  // and order as the model does.
+  Rng rng(GetParam());
+  const std::vector<std::string> names = {"a", "b", "t", "x", "y", "z"};
+  auto name = [&] { return names[rng.UniformInt(0, 5)]; };
+  auto coeff = [&]() -> Rational {
+    switch (rng.UniformInt(0, 5)) {
+      case 0:
+        return Rational(0);
+      case 1:
+        return Rational((int64_t{1} << 62) + rng.UniformInt(-3, 3),
+                        rng.UniformInt(1, 2));
+      default:
+        return Rational(rng.UniformInt(-4, 4), rng.UniformInt(1, 3));
+    }
+  };
+  constexpr size_t kSlots = 4;
+  std::vector<LinearExpr> exprs(kSlots);
+  std::vector<ExprModel> models(kSlots);
+  auto check = [&](size_t i) {
+    const LinearExpr& e = exprs[i];
+    const ExprModel& m = models[i];
+    ASSERT_EQ(e.terms().size(), m.terms.size()) << e.ToString();
+    auto it = m.terms.begin();
+    for (const auto& [var, c] : e.terms()) {
+      EXPECT_EQ(var, it->first);
+      EXPECT_EQ(c, it->second);
+      EXPECT_FALSE(c.IsZero());
+      ++it;
+    }
+    EXPECT_EQ(e.constant(), m.constant);
+    EXPECT_EQ(e.ToString(), m.ToString());
+    for (const std::string& var : names) {
+      EXPECT_EQ(e.Mentions(var), m.terms.count(var) > 0);
+      EXPECT_EQ(e.Coeff(var),
+                m.terms.count(var) ? m.terms.at(var) : Rational());
+    }
+  };
+  for (int step = 0; step < 600; ++step) {
+    const size_t i = static_cast<size_t>(rng.UniformInt(0, kSlots - 1));
+    const size_t j = static_cast<size_t>(rng.UniformInt(0, kSlots - 1));
+    LinearExpr& e = exprs[i];
+    ExprModel& m = models[i];
+    switch (rng.UniformInt(0, 8)) {
+      case 0:
+      case 1: {
+        const std::string var = name();
+        const Rational c = coeff();
+        e.AddTerm(var, c);
+        m.Add(var, c);
+        break;
+      }
+      case 2: {
+        const Rational c = coeff();
+        e.AddConstant(c);
+        m.constant += c;
+        break;
+      }
+      case 3:
+        e = e + exprs[j];
+        m = m.Plus(models[j], Rational(1));
+        break;
+      case 4:
+        e = e - exprs[j];
+        m = m.Plus(models[j], Rational(-1));
+        break;
+      case 5: {
+        const Rational factor = coeff();
+        e = e * factor;
+        m = ExprModel().Plus(m, factor);
+        break;
+      }
+      case 6: {
+        // Substitute another slot, minus its own mention of `var`, so that
+        // the replacement never mentions the variable it replaces.
+        const std::string var = name();
+        LinearExpr replacement = exprs[j];
+        ExprModel replacement_model = models[j];
+        if (replacement.Mentions(var)) {
+          replacement.AddTerm(var, -replacement.Coeff(var));
+          replacement_model.terms.erase(var);
+        }
+        e = e.Substitute(var, replacement);
+        if (m.terms.count(var)) {
+          const Rational c = m.terms.at(var);
+          m.terms.erase(var);
+          m = m.Plus(replacement_model, c);
+        }
+        break;
+      }
+      case 7: {
+        const std::string from = name();
+        const std::string to = name();
+        if (from == to || e.Mentions(to)) break;
+        e = e.RenameVariable(from, to);
+        if (m.terms.count(from)) {
+          m.terms[to] = m.terms.at(from);
+          m.terms.erase(from);
+        }
+        break;
+      }
+      case 8: {
+        const std::string var = name();
+        const Rational c = coeff();
+        const bool fits =
+            !c.IsZero() && (m.terms.empty() || m.terms.rbegin()->first < var);
+        EXPECT_EQ(e.AppendTerm(var, c), fits);
+        if (fits) m.terms[var] = c;
+        break;
+      }
+    }
+    check(i);
+    // Substituting a slot into itself doubles its numbers' length; start
+    // a slot afresh once they pass a few limbs.
+    auto bits = [](const Rational& q) {
+      return std::max(q.numerator().BitLength(), q.denominator().BitLength());
+    };
+    size_t longest = bits(e.constant());
+    for (const auto& [var, c] : e.terms()) longest = std::max(longest, bits(c));
+    if (longest > 256) {
+      e = LinearExpr();
+      m = ExprModel();
+    }
+    EXPECT_EQ(exprs[i] < exprs[j], models[i] < models[j])
+        << exprs[i].ToString() << " vs " << exprs[j].ToString();
+    EXPECT_EQ(exprs[i] == exprs[j],
+              !(models[i] < models[j]) && !(models[j] < models[i]));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedSweep, LinearExprModelProperty,
+                         ::testing::Values(81, 82, 83, 84, 85),
                          [](const auto& info) {
                            return "seed" + std::to_string(info.param);
                          });
