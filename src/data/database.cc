@@ -6,14 +6,12 @@ Status Database::Create(const std::string& name, Relation relation) {
   if (relations_.count(name)) {
     return Status::AlreadyExists("relation '" + name + "' already exists");
   }
-  relations_.emplace(name, std::move(relation));
-  ++versions_[name];
+  Bind(name, std::make_shared<const Relation>(std::move(relation)));
   return Status::OK();
 }
 
 void Database::CreateOrReplace(const std::string& name, Relation relation) {
-  relations_[name] = std::move(relation);
-  ++versions_[name];
+  Bind(name, std::make_shared<const Relation>(std::move(relation)));
 }
 
 Result<const Relation*> Database::Get(const std::string& name) const {
@@ -21,7 +19,7 @@ Result<const Relation*> Database::Get(const std::string& name) const {
   if (it == relations_.end()) {
     return Status::NotFound("no relation named '" + name + "'");
   }
-  return &it->second;
+  return it->second.get();
 }
 
 Status Database::Drop(const std::string& name) {
@@ -33,9 +31,7 @@ Status Database::Drop(const std::string& name) {
 }
 
 uint64_t Database::Version(const std::string& name) const {
-  if (relations_.count(name) == 0) return 0;
-  auto it = versions_.find(name);
-  return it == versions_.end() ? 0 : it->second;
+  return relations_.count(name) > 0 ? VersionCounter(name) : 0;
 }
 
 std::vector<std::string> Database::Names() const {
@@ -43,6 +39,22 @@ std::vector<std::string> Database::Names() const {
   names.reserve(relations_.size());
   for (const auto& [name, rel] : relations_) names.push_back(name);
   return names;
+}
+
+std::shared_ptr<const Relation> Database::Find(const std::string& name) const {
+  auto it = relations_.find(name);
+  return it == relations_.end() ? nullptr : it->second;
+}
+
+void Database::Bind(const std::string& name,
+                    std::shared_ptr<const Relation> relation) {
+  relations_[name] = std::move(relation);
+  ++versions_[name];
+}
+
+uint64_t Database::VersionCounter(const std::string& name) const {
+  auto it = versions_.find(name);
+  return it == versions_.end() ? 0 : it->second;
 }
 
 }  // namespace ccdb

@@ -8,17 +8,22 @@
 /// (Definition 2 of the paper). `Database` is that set plus the naming that
 /// the step-based query language (§3.3's `R0 = select ... from Land`) needs.
 ///
-/// The accessors are virtual so other layers can interpose read views:
-/// the service's session overlay (step results go to a private per-session
-/// catalog while base relations resolve from the shared one) and the MVCC
-/// snapshot adapter (`SnapshotReadView` in `data/snapshot.h`, which serves
-/// an immutable published catalog snapshot through this interface).
-/// `Database` itself stays single-threaded; concurrent access is
-/// coordinated by the service layer's snapshot publication (see
-/// `service/query_service.h`).
+/// A catalog holds each relation as a `std::shared_ptr<const Relation>` and
+/// never changes one in place: a write rebinds the name. So copying a
+/// catalog copies a map of pointers and shares every relation object. The
+/// service builds on that: it publishes an immutable `Database` as each
+/// catalog snapshot (`MvccCatalog` in `data/snapshot.h`), a commit writes
+/// into a copy of the current snapshot, and a transaction into a copy of
+/// the snapshot it began on.
+///
+/// The accessors are virtual so other layers can interpose read views, such
+/// as the service's session overlay (a session's step results resolve
+/// before the shared catalog). `Database` itself is single-threaded; a
+/// published snapshot is shared read-only.
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +41,7 @@ class Database {
  public:
   Database() = default;
   virtual ~Database() = default;
+  /// A copy shares every relation object and keeps every version counter.
   Database(const Database&) = default;
   Database& operator=(const Database&) = default;
   Database(Database&&) = default;
@@ -67,8 +73,21 @@ class Database {
 
   virtual size_t size() const { return relations_.size(); }
 
+  /// The relation bound to `name`, or null when unbound (a miss builds no
+  /// error, unlike `Get`).
+  std::shared_ptr<const Relation> Find(const std::string& name) const;
+
+  /// Binds `relation` to `name`, replacing any binding, and bumps the
+  /// name's counter: `CreateOrReplace` with a shared relation.
+  void Bind(const std::string& name, std::shared_ptr<const Relation> relation);
+
+  /// The raw per-name counter, unbound names included: a counter survives
+  /// `Drop`, so a name's versions never repeat across a drop and recreate.
+  uint64_t VersionCounter(const std::string& name) const;
+
  private:
-  std::map<std::string, Relation> relations_;
+  std::map<std::string, std::shared_ptr<const Relation>> relations_;
+  /// Keys are a superset of `relations_`' keys (dropped names keep theirs).
   std::map<std::string, uint64_t> versions_;
 };
 

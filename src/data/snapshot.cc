@@ -4,206 +4,33 @@
 
 namespace ccdb {
 
-// --- CatalogSnapshot --------------------------------------------------------------
-
-SnapshotPtr CatalogSnapshot::Empty() {
-  auto snap = std::shared_ptr<CatalogSnapshot>(new CatalogSnapshot());
-  snap->epoch_ = 1;
-  return snap;
-}
-
-SnapshotPtr CatalogSnapshot::FromDatabase(const Database& db) {
-  auto snap = std::shared_ptr<CatalogSnapshot>(new CatalogSnapshot());
-  snap->epoch_ = 1;
-  for (const std::string& name : db.Names()) {
-    auto relation = db.Get(name);
-    if (!relation.ok()) continue;  // cannot happen for a name Names() listed
-    snap->relations_[name] = std::make_shared<const Relation>(**relation);
-    snap->versions_[name] = db.Version(name);
-  }
-  return snap;
-}
-
-const Relation* CatalogSnapshot::Find(const std::string& name) const {
-  auto it = relations_.find(name);
-  return it == relations_.end() ? nullptr : it->second.get();
-}
-
-uint64_t CatalogSnapshot::Version(const std::string& name) const {
-  if (relations_.count(name) == 0) return 0;
-  return VersionCounter(name);
-}
-
-uint64_t CatalogSnapshot::VersionCounter(const std::string& name) const {
-  auto it = versions_.find(name);
-  return it == versions_.end() ? 0 : it->second;
-}
-
-std::vector<std::string> CatalogSnapshot::Names() const {
-  std::vector<std::string> names;
-  names.reserve(relations_.size());
-  for (const auto& [name, relation] : relations_) names.push_back(name);
-  return names;
-}
-
-// --- CatalogEdit ------------------------------------------------------------------
-
-CatalogEdit::CatalogEdit(const SnapshotPtr& base)
-    : work_(std::shared_ptr<CatalogSnapshot>(new CatalogSnapshot())) {
-  // Shallow copy: shared relation pointers, so an edit costs O(names),
-  // never O(tuples).
-  work_->relations_ = base->relations_;
-  work_->versions_ = base->versions_;
-}
-
-Status CatalogEdit::Create(const std::string& name, Relation relation) {
-  if (work_->relations_.count(name) > 0) {
-    return Status::AlreadyExists("relation '" + name + "' already exists");
-  }
-  work_->relations_[name] =
-      std::make_shared<const Relation>(std::move(relation));
-  ++work_->versions_[name];
-  touched_.insert(name);
-  return Status::OK();
-}
-
-void CatalogEdit::CreateOrReplace(const std::string& name,
-                                  std::shared_ptr<const Relation> relation) {
-  work_->relations_[name] = std::move(relation);
-  ++work_->versions_[name];
-  touched_.insert(name);
-}
-
-Status CatalogEdit::Drop(const std::string& name) {
-  if (work_->relations_.erase(name) == 0) {
-    return Status::NotFound("no relation named '" + name + "'");
-  }
-  // The counter survives the drop (never repeats across recreate).
-  ++work_->versions_[name];
-  touched_.insert(name);
-  return Status::OK();
-}
-
-std::shared_ptr<CatalogSnapshot> CatalogEdit::Build() {
-  return std::move(work_);
-}
-
-// --- MvccCatalog ------------------------------------------------------------------
-
-MvccCatalog::MvccCatalog() : current_(CatalogSnapshot::Empty()) {}
-
-MvccCatalog::MvccCatalog(const Database& seed)
-    : current_(CatalogSnapshot::FromDatabase(seed)) {}
+MvccCatalog::MvccCatalog() : current_(std::make_shared<const Database>()) {}
 
 void MvccCatalog::Seed(const Database& seed) {
+  auto copy = std::make_shared<const Database>(seed);
   MutexLock lock(mu_);
-  current_ = CatalogSnapshot::FromDatabase(seed);
-  next_epoch_ = 2;
+  current_ = std::move(copy);
+  epoch_ = 1;
 }
 
-SnapshotPtr MvccCatalog::Snapshot() const {
+SnapshotPtr MvccCatalog::Snapshot(uint64_t* epoch) const {
   MutexLock lock(mu_);
+  if (epoch != nullptr) *epoch = epoch_;
   return current_;
 }
 
-SnapshotPtr MvccCatalog::PublishSnapshot(
-    std::shared_ptr<CatalogSnapshot> next) {
+uint64_t MvccCatalog::PublishSnapshot(SnapshotPtr next) {
   MutexLock lock(mu_);
-  next->epoch_ = next_epoch_++;
-  current_ = std::move(next);
-  return current_;
+  // `next` leaves holding the previous snapshot, so when that was its last
+  // pin, it and any relation only it held are freed after the unlock, off
+  // the path every reader's pin takes.
+  current_.swap(next);
+  return ++epoch_;
 }
 
 uint64_t MvccCatalog::epoch() const {
   MutexLock lock(mu_);
-  return current_->epoch();
-}
-
-// --- SnapshotReadView -------------------------------------------------------------
-
-Status SnapshotReadView::Create(const std::string& name, Relation relation) {
-  (void)name;
-  (void)relation;
-  return Status::Internal("write through a snapshot read view");
-}
-
-void SnapshotReadView::CreateOrReplace(const std::string& name,
-                                       Relation relation) {
-  // Unreachable by construction: step results land in the SessionView's
-  // private step catalog, never its base. The interface requires void, so
-  // the misuse is dropped rather than reported.
-  (void)name;
-  (void)relation;
-}
-
-Status SnapshotReadView::Drop(const std::string& name) {
-  (void)name;
-  return Status::Internal("write through a snapshot read view");
-}
-
-Result<const Relation*> SnapshotReadView::Get(const std::string& name) const {
-  if (staged_ != nullptr) {
-    auto it = staged_->find(name);
-    if (it != staged_->end()) {
-      if (it->second == nullptr) {
-        return Status::NotFound("no relation named '" + name +
-                                "' (dropped in this transaction)");
-      }
-      return it->second.get();
-    }
-  }
-  const Relation* relation = snapshot_->Find(name);
-  if (relation == nullptr) {
-    return Status::NotFound("no relation named '" + name + "'");
-  }
-  return relation;
-}
-
-bool SnapshotReadView::Has(const std::string& name) const {
-  if (staged_ != nullptr) {
-    auto it = staged_->find(name);
-    if (it != staged_->end()) return it->second != nullptr;
-  }
-  return snapshot_->Has(name);
-}
-
-uint64_t SnapshotReadView::Version(const std::string& name) const {
-  if (staged_ != nullptr) {
-    auto it = staged_->find(name);
-    if (it != staged_->end()) {
-      // A staged write is "one commit ahead" of the pinned snapshot;
-      // a staged drop reads as unbound. Queries inside a transaction are
-      // never cached, so these versions are informational only.
-      return it->second == nullptr ? 0
-                                   : snapshot_->VersionCounter(name) + 1;
-    }
-  }
-  return snapshot_->Version(name);
-}
-
-std::vector<std::string> SnapshotReadView::Names() const {
-  if (staged_ == nullptr || staged_->empty()) return snapshot_->Names();
-  std::set<std::string> names;
-  for (const std::string& name : snapshot_->Names()) names.insert(name);
-  for (const auto& [name, relation] : *staged_) {
-    if (relation == nullptr) {
-      names.erase(name);
-    } else {
-      names.insert(name);
-    }
-  }
-  return std::vector<std::string>(names.begin(), names.end());
-}
-
-size_t SnapshotReadView::size() const { return Names().size(); }
-
-Database MaterializeSnapshot(const CatalogSnapshot& snapshot) {
-  Database db;
-  for (const std::string& name : snapshot.Names()) {
-    const Relation* relation = snapshot.Find(name);
-    if (relation != nullptr) db.CreateOrReplace(name, *relation);
-  }
-  return db;
+  return epoch_;
 }
 
 }  // namespace ccdb

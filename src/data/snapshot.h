@@ -2,183 +2,63 @@
 #define CCDB_DATA_SNAPSHOT_H_
 
 /// \file snapshot.h
-/// Copy-on-write catalog multi-versioning (MVCC).
+/// The MVCC catalog cell.
 ///
-/// The catalog is published as a chain of *immutable snapshots*: each
-/// commit builds a new `CatalogSnapshot` by structurally sharing every
-/// untouched relation with its predecessor (`shared_ptr` per relation, so
-/// a commit copies a map of pointers, never tuple data) and installs it
-/// with one pointer swap under a short mutex. Readers pin the current
-/// snapshot once and then run entirely lock-free against frozen state —
-/// a committing writer can never block, tear, or retro-actively change a
-/// running query.
+/// The service publishes its catalog as a chain of immutable `Database`
+/// snapshots. A commit copies the current snapshot (a map of shared
+/// relation pointers, never tuple data; see `data/database.h`), writes
+/// into the copy, and installs it with one pointer swap under a short
+/// mutex. Readers pin the current snapshot once and then run against
+/// frozen state: a committing writer can never block, tear or change a
+/// running query. A copy that is never published (say, because the WAL
+/// commit failed) leaves no trace, version counters included, which makes
+/// "a failed commit keeps the exact pre-commit versions" structural rather
+/// than a rollback path.
 ///
-///  - `CatalogSnapshot` — one frozen catalog version. Carries the PR 1
-///    per-name version counters (including counters of currently-unbound
-///    names, so versions never repeat across a drop/recreate) plus a
-///    global *epoch* stamped at publication.
-///  - `CatalogEdit` — a commit candidate: copy-on-write builder seeded
-///    from a snapshot. Nothing it does is visible until the built
-///    snapshot is published; discarding an edit (e.g. because the WAL
-///    commit failed) leaves no trace — version counters included, which
-///    is what makes "a failed commit restores the exact pre-commit
-///    versions" structural rather than a rollback path.
-///  - `MvccCatalog` — the mutable cell holding the current snapshot.
-///    `Snapshot()` pins; `PublishSnapshot()` stamps the next epoch and
-///    swaps. Publication order (who wins a race) is the caller's job —
-///    the query service serializes committers on its commit mutex.
-///  - `SnapshotReadView` — a `Database`-interface adapter over a pinned
-///    snapshot, optionally overlaid with a session transaction's staged
-///    writes (read-your-writes). It is how the unchanged execution and
-///    serialization code (`lang::ExecuteScript`, `SaveDatabase`) reads
-///    snapshot state without deep copies.
-///
-/// `tools/ccdb_lint.py` confines `CatalogEdit` / `PublishSnapshot` to
-/// this pair of files and the query service's commit path: every other
-/// layer reads snapshots or goes through the service's write API.
+/// `tools/ccdb_lint.py` confines `PublishSnapshot` to this pair of files
+/// and the query service's commit path: every other layer reads snapshots
+/// or goes through the service's write API.
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
-#include <string>
-#include <vector>
 
 #include "data/database.h"
-#include "data/relation.h"
 #include "util/mutex.h"
-#include "util/status.h"
 
 namespace ccdb {
 
-class CatalogSnapshot;
-
 /// A pinned, immutable catalog version.
-using SnapshotPtr = std::shared_ptr<const CatalogSnapshot>;
+using SnapshotPtr = std::shared_ptr<const Database>;
 
-/// Staged (uncommitted) transaction writes: name -> replacement relation,
-/// where a null pointer means "dropped in this transaction".
-using StagedWrites = std::map<std::string, std::shared_ptr<const Relation>>;
-
-/// One frozen catalog version. All methods are const and thread-safe by
-/// immutability; pin with a `SnapshotPtr` and read freely.
-class CatalogSnapshot {
- public:
-  /// The empty catalog (what a fresh `MvccCatalog` publishes at epoch 1).
-  static SnapshotPtr Empty();
-
-  /// Deep-copies a mutable catalog into a snapshot — the service's
-  /// bootstrap from a loaded / caller-supplied `Database`.
-  static SnapshotPtr FromDatabase(const Database& db);
-
-  /// Publication stamp: strictly increasing across published snapshots
-  /// of one `MvccCatalog`; 0 on a built-but-unpublished candidate.
-  uint64_t epoch() const { return epoch_; }
-
-  /// The relation bound to `name`, or null when unbound.
-  const Relation* Find(const std::string& name) const;
-
-  bool Has(const std::string& name) const {
-    return relations_.count(name) > 0;
-  }
-
-  /// `Database::Version` semantics: 0 when the name is unbound, otherwise
-  /// the name's counter.
-  uint64_t Version(const std::string& name) const;
-
-  /// The raw per-name counter, *including* currently-unbound names (a
-  /// counter survives Drop so versions never repeat). First-committer-wins
-  /// conflict detection compares these between a transaction's pinned
-  /// snapshot and the current one.
-  uint64_t VersionCounter(const std::string& name) const;
-
-  /// Bound names in sorted order.
-  std::vector<std::string> Names() const;
-
-  size_t size() const { return relations_.size(); }
-
- private:
-  friend class CatalogEdit;
-  friend class MvccCatalog;
-  CatalogSnapshot() = default;
-
-  uint64_t epoch_ = 0;
-  std::map<std::string, std::shared_ptr<const Relation>> relations_;
-  /// Raw counters; keys are a superset of `relations_` keys (dropped
-  /// names keep their counter).
-  std::map<std::string, uint64_t> versions_;
-};
-
-/// A commit candidate: copy-on-write edits over a base snapshot.
-///
-/// Construction shallow-copies the base's maps (pointers, not relations);
-/// each mutation bumps the touched name's version counter in the copy.
-/// `Build()` freezes the result for `MvccCatalog::PublishSnapshot`.
-/// Destroying an un-built or un-published edit has no observable effect.
-class CatalogEdit {
- public:
-  explicit CatalogEdit(const SnapshotPtr& base);
-
-  /// Registers a relation; kAlreadyExists if the name is bound.
-  Status Create(const std::string& name, Relation relation);
-
-  /// Replaces or registers.
-  void CreateOrReplace(const std::string& name,
-                       std::shared_ptr<const Relation> relation);
-
-  /// Unbinds a name; kNotFound if it is not bound.
-  Status Drop(const std::string& name);
-
-  bool Has(const std::string& name) const {
-    return work_->relations_.count(name) > 0;
-  }
-
-  /// True once any mutation happened.
-  bool dirty() const { return !touched_.empty(); }
-
-  /// Names this edit created / replaced / dropped.
-  const std::set<std::string>& touched() const { return touched_; }
-
-  /// Freezes the edited catalog as an unpublished snapshot (epoch 0 until
-  /// published). The edit must not be used afterwards.
-  std::shared_ptr<CatalogSnapshot> Build();
-
- private:
-  std::shared_ptr<CatalogSnapshot> work_;
-  std::set<std::string> touched_;
-};
-
-/// The mutable cell holding the current published snapshot.
+/// The mutable cell holding the current published snapshot and the epoch
+/// it was published at.
 ///
 /// `Snapshot()` is the only thing readers ever lock (a pointer copy under
 /// a short mutex); `PublishSnapshot()` is the only way state changes.
 /// Commit *ordering* — conflict checks, WAL durability before visibility —
 /// is the caller's protocol; this class only guarantees that publication
-/// is atomic and epochs are strictly increasing.
+/// is atomic and epochs strictly increase.
 class MvccCatalog {
  public:
-  /// Starts at the empty snapshot, epoch 1.
+  /// Starts at the empty catalog, epoch 1.
   MvccCatalog();
-
-  /// Starts at a deep copy of `seed`, epoch 1.
-  explicit MvccCatalog(const Database& seed);
 
   MvccCatalog(const MvccCatalog&) = delete;
   MvccCatalog& operator=(const MvccCatalog&) = delete;
 
-  /// Replaces the current snapshot with a deep copy of `seed` at epoch 1.
-  /// Bootstrap only: must run before any reader or publisher exists.
+  /// Replaces the current snapshot with a copy of `seed`, version counters
+  /// kept, at epoch 1. Bootstrap only: must run before any reader or
+  /// publisher exists.
   void Seed(const Database& seed) CCDB_EXCLUDES(mu_);
 
-  /// Pins the current snapshot.
-  SnapshotPtr Snapshot() const CCDB_EXCLUDES(mu_);
+  /// Pins the current snapshot, and stores the epoch it was published at
+  /// in `*epoch` when `epoch` is not null.
+  SnapshotPtr Snapshot(uint64_t* epoch = nullptr) const CCDB_EXCLUDES(mu_);
 
-  /// Stamps `next` with the next epoch and installs it as current,
-  /// returning the now-published snapshot. Callers serialize commits
-  /// externally (the service's commit mutex) — concurrent publishes
-  /// would be atomic but unordered.
-  SnapshotPtr PublishSnapshot(std::shared_ptr<CatalogSnapshot> next)
-      CCDB_EXCLUDES(mu_);
+  /// Installs `next` as current at the next epoch and returns that epoch.
+  /// Callers serialize commits externally (the service's commit mutex):
+  /// concurrent publishes would be atomic but unordered.
+  uint64_t PublishSnapshot(SnapshotPtr next) CCDB_EXCLUDES(mu_);
 
   /// Epoch of the current snapshot.
   uint64_t epoch() const CCDB_EXCLUDES(mu_);
@@ -186,43 +66,8 @@ class MvccCatalog {
  private:
   mutable Mutex mu_{"catalog.cell"};
   SnapshotPtr current_ CCDB_GUARDED_BY(mu_);
-  uint64_t next_epoch_ CCDB_GUARDED_BY(mu_) = 2;
+  uint64_t epoch_ CCDB_GUARDED_BY(mu_) = 1;
 };
-
-/// A `Database`-interface *read* adapter over a pinned snapshot, with an
-/// optional overlay of staged transaction writes (read-your-writes for
-/// queries running inside BEGIN/COMMIT). The overlay, when supplied, must
-/// outlive the view and not change while the view is in use (the service
-/// holds the session mutex across both).
-///
-/// Write methods fail: execution step-writes go to the session's private
-/// step catalog (the `SessionView` layered on top), and catalog writes go
-/// through the service's commit protocol — never through a read view.
-class SnapshotReadView : public Database {
- public:
-  explicit SnapshotReadView(SnapshotPtr snapshot,
-                            const StagedWrites* staged = nullptr)
-      : snapshot_(std::move(snapshot)), staged_(staged) {}
-
-  Status Create(const std::string& name, Relation relation) override;
-  void CreateOrReplace(const std::string& name, Relation relation) override;
-  Status Drop(const std::string& name) override;
-
-  Result<const Relation*> Get(const std::string& name) const override;
-  bool Has(const std::string& name) const override;
-  uint64_t Version(const std::string& name) const override;
-  std::vector<std::string> Names() const override;
-  size_t size() const override;
-
- private:
-  SnapshotPtr snapshot_;
-  const StagedWrites* staged_;  ///< not owned; may be null
-};
-
-/// Deep-copies a snapshot into a standalone mutable `Database` (the
-/// shell's `save`). Version counters restart (each name at 1) — a
-/// materialized copy is a new lineage, exactly like a catalog reload.
-Database MaterializeSnapshot(const CatalogSnapshot& snapshot);
 
 }  // namespace ccdb
 

@@ -2,10 +2,6 @@
 
 namespace ccdb::obs {
 
-namespace internal {
-thread_local ExecContext* g_exec_context = nullptr;
-}  // namespace internal
-
 ExecContext::ExecContext(const GovernanceLimits& limits,
                          std::chrono::steady_clock::time_point start,
                          std::shared_ptr<CancelFlag> cancel)

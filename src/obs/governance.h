@@ -175,8 +175,11 @@ class ExecContext {
 };
 
 namespace internal {
-/// The thread's active governance context; nullptr = ungoverned.
-extern thread_local ExecContext* g_exec_context;
+/// The thread's active governance context; nullptr = ungoverned. Defined
+/// here, inline: declared `extern` and defined in a .cc file, an optimized
+/// UBSan build reported each inline charge point's read of it as a load
+/// of a null pointer.
+inline thread_local ExecContext* g_exec_context = nullptr;
 }  // namespace internal
 
 /// The active context (nullptr when ungoverned).

@@ -4,10 +4,6 @@
 
 namespace ccdb::obs {
 
-namespace internal {
-thread_local LayerCounters* g_active = nullptr;
-}  // namespace internal
-
 LayerCounters& LayerCounters::operator+=(const LayerCounters& other) {
   for (const LayerCounterField& f : kLayerCounterFields) {
     this->*f.member += other.*f.member;

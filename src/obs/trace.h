@@ -117,8 +117,9 @@ static_assert([] {
 }(), "two kLayerCounterFields rows name the same field");
 
 namespace internal {
-/// The thread's active counter sink; nullptr = tracing off.
-extern thread_local LayerCounters* g_active;
+/// The thread's active counter sink; nullptr = tracing off. Defined here,
+/// inline, for the reason `g_exec_context` is (obs/governance.h).
+inline thread_local LayerCounters* g_active = nullptr;
 }  // namespace internal
 
 /// True when a CounterScope is installed on this thread.

@@ -18,18 +18,19 @@ namespace ccdb::service {
 namespace {
 
 /// The read view a session's scripts execute against: the session's
-/// registered steps first, the shared base second — here a
-/// `SnapshotReadView` over the query's pinned catalog snapshot. The caller
-/// holds the session mutex and a pin on the snapshot, so the relations a
-/// plan borrows from either stay valid for the whole execution.
+/// registered steps first, the shared base second — the query's pinned
+/// catalog snapshot, or an open transaction's own copy. The caller holds
+/// the session mutex and a pin on the snapshot, so the relations a plan
+/// borrows from either stay valid for the whole execution.
 class SessionView : public Database {
  public:
   SessionView(const Database* base, const Database* steps)
       : base_(base), steps_(steps) {}
 
   Result<const Relation*> Get(const std::string& name) const override {
-    auto step = steps_->Get(name);
-    if (step.ok()) return step;
+    if (std::shared_ptr<const Relation> step = steps_->Find(name)) {
+      return step.get();
+    }
     return base_->Get(name);
   }
 
@@ -52,8 +53,8 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
 
 /// A session: a private step catalog, the mutex that serializes the
 /// session's queries (different sessions run in parallel), and the
-/// session's transaction state — a snapshot pinned at BEGIN plus the
-/// staged catalog writes that commit as one batch.
+/// session's transaction state — a private copy of the snapshot pinned at
+/// BEGIN, which the transaction writes into and commits as one batch.
 struct QueryService::Session {
   /// Serializes the session's queries; held across execution, so it sits
   /// above the whole commit path in the lock order.
@@ -64,8 +65,21 @@ struct QueryService::Session {
   Database steps CCDB_GUARDED_BY(mu);
   bool in_txn CCDB_GUARDED_BY(mu) = false;
   uint64_t txn_id CCDB_GUARDED_BY(mu) = 0;
-  SnapshotPtr txn_snap CCDB_GUARDED_BY(mu);
-  StagedWrites staged CCDB_GUARDED_BY(mu);
+  uint64_t txn_epoch CCDB_GUARDED_BY(mu) = 0;  ///< the epoch BEGIN pinned
+  /// The transaction's catalog: its writes land here and its queries read
+  /// it, so it reads its own writes with no overlay.
+  Database txn CCDB_GUARDED_BY(mu);
+  /// Each name the transaction wrote, with its raw counter at BEGIN.
+  std::map<std::string, uint64_t> txn_writes CCDB_GUARDED_BY(mu);
+
+  /// Closes the transaction and drops its copy.
+  void EndTxn() CCDB_REQUIRES(mu) {
+    in_txn = false;
+    txn_id = 0;
+    txn_epoch = 0;
+    txn = Database();
+    txn_writes.clear();
+  }
 };
 
 /// One queued script execution.
@@ -155,8 +169,8 @@ Status QueryService::CloseSession(SessionId id) {
     session = std::move(it->second);
     sessions_.erase(it);
   }
-  // An open transaction dies with its session: the staged writes were
-  // never published, so dropping them IS the rollback — count it. The
+  // An open transaction dies with its session: its writes were never
+  // published, so dropping them IS the rollback — count it. The
   // disconnect-abort counter and event let operators tell "client chose
   // ROLLBACK" from "client vanished mid-transaction".
   MutexLock lock(session->mu);
@@ -540,13 +554,11 @@ Result<QueryResponse> QueryService::RunScript(Task* task,
   if (options_.execution_hook) options_.execution_hook(task->script);
 
   MutexLock session_lock(session->mu);
-  // The read view: inside a transaction, the BEGIN-time snapshot overlaid
-  // with the transaction's own staged writes (read-your-writes); outside,
-  // the snapshot pinned at Submit. Either way the state is frozen — no
-  // concurrent commit can tear it.
+  // The base: inside a transaction, its own copy of the BEGIN-time
+  // snapshot with its writes applied (read-your-writes); outside, the
+  // snapshot pinned at Submit. Either way no concurrent commit can tear it.
   const bool in_txn = session->in_txn;
-  const SnapshotPtr& snap = in_txn ? session->txn_snap : task->snapshot;
-  SnapshotReadView base(snap, in_txn ? &session->staged : nullptr);
+  const Database& base = in_txn ? session->txn : *task->snapshot;
 
   // Cache key: canonical text + versioned base inputs, with the versions
   // read from the SAME snapshot the script executes against — so what the
@@ -554,7 +566,7 @@ Result<QueryResponse> QueryService::RunScript(Task* task,
   // version-stamp/insert TOCTOU). A script that reads a session step is
   // uncacheable (its inputs are not versioned catalog state shared
   // between sessions); so is any query inside a transaction (its inputs
-  // include uncommitted staged writes). A Trace always executes.
+  // include uncommitted writes). A Trace always executes.
   bool cacheable = cache_.enabled() && !in_txn && task->report == nullptr;
   std::string key;
   if (cacheable) {
@@ -564,11 +576,11 @@ Result<QueryResponse> QueryService::RunScript(Task* task,
         cacheable = false;
         break;
       }
-      if (snap->Has(name)) {
+      if (base.Has(name)) {
         key += "\n@";
         key += name;
         key += '#';
-        key += std::to_string(snap->Version(name));
+        key += std::to_string(base.Version(name));
       }
     }
   }
@@ -636,8 +648,8 @@ Result<QueryService::TxnInfo> QueryService::TransactionInfo(
   info.active = session->in_txn;
   if (session->in_txn) {
     info.txn_id = session->txn_id;
-    info.snapshot_epoch = session->txn_snap->epoch();
-    for (const auto& entry : session->staged) {
+    info.snapshot_epoch = session->txn_epoch;
+    for (const auto& entry : session->txn_writes) {
       info.staged_writes.push_back(entry.first);
     }
   }
@@ -652,8 +664,8 @@ Status QueryService::BeginTxn(Session* session) {
   }
   session->in_txn = true;
   session->txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  session->txn_snap = catalog_.Snapshot();
-  session->staged.clear();
+  session->txn = *catalog_.Snapshot(&session->txn_epoch);
+  session->txn_writes.clear();
   txn_begins_->Increment();
   return Status::OK();
 }
@@ -663,10 +675,7 @@ Status QueryService::RollbackTxn(Session* session) {
   if (!session->in_txn) {
     return Status::InvalidArgument("no transaction in progress");
   }
-  session->in_txn = false;
-  session->txn_id = 0;
-  session->txn_snap.reset();
-  session->staged.clear();
+  session->EndTxn();
   txn_rollbacks_->Increment();
   return Status::OK();
 }
@@ -700,28 +709,27 @@ Status QueryService::CommitTxnImpl(Session* session, uint64_t request_id) {
     return Status::InvalidArgument("no transaction in progress");
   }
   // Whatever happens below, the transaction is over: a failed commit
-  // (conflict or storage error) rolls back — the candidate snapshot is
-  // discarded unpublished, so no version counter ever records it.
+  // (conflict or storage error) rolls back — its copies are discarded
+  // unpublished, so no version counter ever records it.
   const uint64_t txn_id = session->txn_id;
-  StagedWrites staged = std::move(session->staged);
-  SnapshotPtr txn_snap = std::move(session->txn_snap);
-  session->in_txn = false;
-  session->txn_id = 0;
-  session->staged.clear();
+  const Database txn = std::move(session->txn);
+  const std::map<std::string, uint64_t> writes =
+      std::move(session->txn_writes);
+  session->EndTxn();
 
-  if (staged.empty()) {
+  if (writes.empty()) {
     txn_commits_->Increment();
     return Status::OK();  // read-only transaction: nothing to publish
   }
 
   MutexLock commit_lock(commit_mu_);
-  SnapshotPtr current = catalog_.Snapshot();
+  auto next = std::make_shared<Database>(*catalog_.Snapshot());
   // First committer wins: a name this transaction wrote that was
   // committed (created / replaced / dropped) since BEGIN aborts the
   // commit. Raw counters — not bound-versions — so drop/recreate races
   // are caught too.
-  for (const auto& [name, relation] : staged) {
-    if (current->VersionCounter(name) != txn_snap->VersionCounter(name)) {
+  for (const auto& [name, counter] : writes) {
+    if (next->VersionCounter(name) != counter) {
       txn_conflicts_->Increment();
       if (options_.event_log != nullptr) {
         obs::Event event;
@@ -737,38 +745,35 @@ Status QueryService::CommitTxnImpl(Session* session, uint64_t request_id) {
       return conflict;
     }
   }
-  CatalogEdit edit(current);
-  for (const auto& [name, relation] : staged) {
-    if (relation == nullptr) {
-      // A staged drop of a name absent from `current` means the
-      // transaction created and then dropped it — a net no-op.
-      if (edit.Has(name)) CCDB_RETURN_IF_ERROR(edit.Drop(name));
-    } else {
-      edit.CreateOrReplace(name, relation);
+  // Rebase: each written name takes its binding in the transaction's
+  // copy. A name unbound at both ends (created, then dropped) is a no-op.
+  bool changed = false;
+  for (const auto& [name, counter] : writes) {
+    if (std::shared_ptr<const Relation> relation = txn.Find(name)) {
+      next->Bind(name, std::move(relation));
+      changed = true;
+    } else if (next->Has(name)) {
+      CCDB_RETURN_IF_ERROR(next->Drop(name));
+      changed = true;
     }
   }
-  if (!edit.dirty()) {
-    txn_commits_->Increment();
-    return Status::OK();
+  if (changed) {
+    CCDB_RETURN_IF_ERROR(CommitLocked(std::move(next), txn_id, request_id));
   }
-  CCDB_RETURN_IF_ERROR(CommitEditLocked(std::move(edit), txn_id, request_id));
   txn_commits_->Increment();
   return Status::OK();
 }
 
-Status QueryService::CommitEditLocked(CatalogEdit&& edit, uint64_t txn_id,
-                                      uint64_t request_id) {
+Status QueryService::CommitLocked(SnapshotPtr next, uint64_t txn_id,
+                                  uint64_t request_id) {
   commit_mu_.AssertHeld();
-  std::shared_ptr<CatalogSnapshot> candidate = edit.Build();
   DurableStore* store = store_.load(std::memory_order_acquire);
   if (store != nullptr) {
     // Durability before visibility: journal the candidate as one WAL
-    // batch tagged with the transaction and request ids. Reading through
-    // the view serializes the snapshot without deep-copying a relation.
-    SnapshotReadView view(candidate);
-    CCDB_RETURN_IF_ERROR(store->CommitCatalog(view, txn_id, request_id));
+    // batch tagged with the transaction and request ids.
+    CCDB_RETURN_IF_ERROR(store->CommitCatalog(*next, txn_id, request_id));
   }
-  catalog_.PublishSnapshot(std::move(candidate));
+  catalog_.PublishSnapshot(std::move(next));
   return Status::OK();
 }
 
@@ -805,6 +810,20 @@ std::optional<Status> QueryService::LookupRequestOutcome(
   return it->second;
 }
 
+Status QueryService::ApplyWrite(Database* db, WriteKind kind,
+                                const std::string& name, Relation relation) {
+  switch (kind) {
+    case WriteKind::kCreate:
+      return db->Create(name, std::move(relation));
+    case WriteKind::kReplace:
+      db->CreateOrReplace(name, std::move(relation));
+      return Status::OK();
+    case WriteKind::kDrop:
+      return db->Drop(name);
+  }
+  return Status::Internal("unreachable write kind");
+}
+
 Status QueryService::SessionWrite(SessionId id, WriteKind kind,
                                   const std::string& name, Relation relation) {
   std::shared_ptr<Session> session = FindSession(id);
@@ -813,50 +832,22 @@ Status QueryService::SessionWrite(SessionId id, WriteKind kind,
   if (!session->in_txn) {
     return AutocommitWrite(kind, name, std::move(relation));
   }
-  // Stage privately; visibility checks run against the transaction's own
-  // view (pinned snapshot + staged writes), so the transaction reads its
-  // writes and cannot be confused by concurrent commits.
-  SnapshotReadView view(session->txn_snap, &session->staged);
-  switch (kind) {
-    case WriteKind::kCreate:
-      if (view.Has(name)) {
-        return Status::AlreadyExists("relation '" + name +
-                                     "' already exists");
-      }
-      session->staged[name] =
-          std::make_shared<const Relation>(std::move(relation));
-      return Status::OK();
-    case WriteKind::kReplace:
-      session->staged[name] =
-          std::make_shared<const Relation>(std::move(relation));
-      return Status::OK();
-    case WriteKind::kDrop:
-      if (!view.Has(name)) {
-        return Status::NotFound("no relation named '" + name + "'");
-      }
-      session->staged[name] = nullptr;
-      return Status::OK();
-  }
-  return Status::Internal("unreachable write kind");
+  // Into the transaction's own copy, checked against it, so the
+  // transaction reads its writes and cannot be confused by concurrent
+  // commits. The first write of a name records its BEGIN-time counter.
+  const uint64_t counter = session->txn.VersionCounter(name);
+  CCDB_RETURN_IF_ERROR(
+      ApplyWrite(&session->txn, kind, name, std::move(relation)));
+  session->txn_writes.emplace(name, counter);
+  return Status::OK();
 }
 
 Status QueryService::AutocommitWrite(WriteKind kind, const std::string& name,
                                      Relation relation) {
   MutexLock commit_lock(commit_mu_);
-  CatalogEdit edit(catalog_.Snapshot());
-  switch (kind) {
-    case WriteKind::kCreate:
-      CCDB_RETURN_IF_ERROR(edit.Create(name, std::move(relation)));
-      break;
-    case WriteKind::kReplace:
-      edit.CreateOrReplace(
-          name, std::make_shared<const Relation>(std::move(relation)));
-      break;
-    case WriteKind::kDrop:
-      CCDB_RETURN_IF_ERROR(edit.Drop(name));
-      break;
-  }
-  return CommitEditLocked(std::move(edit), /*txn_id=*/0);
+  auto next = std::make_shared<Database>(*catalog_.Snapshot());
+  CCDB_RETURN_IF_ERROR(ApplyWrite(next.get(), kind, name, std::move(relation)));
+  return CommitLocked(std::move(next), /*txn_id=*/0);
 }
 
 Status QueryService::CreateRelation(SessionId id, const std::string& name,
@@ -911,10 +902,12 @@ Result<Relation> QueryService::GetRelation(SessionId id,
     return Status::NotFound("no session " + std::to_string(id));
   }
   MutexLock session_lock(session->mu);
-  auto step = session->steps.Get(name);
-  if (step.ok()) return **step;
-  SnapshotPtr snap = session->in_txn ? session->txn_snap : catalog_.Snapshot();
-  SnapshotReadView base(snap, session->in_txn ? &session->staged : nullptr);
+  if (std::shared_ptr<const Relation> step = session->steps.Find(name)) {
+    return *step;
+  }
+  // The pin keeps the relation alive until it is copied.
+  const SnapshotPtr pinned = catalog_.Snapshot();
+  const Database& base = session->in_txn ? session->txn : *pinned;
   CCDB_ASSIGN_OR_RETURN(const Relation* relation, base.Get(name));
   return *relation;
 }
@@ -924,10 +917,8 @@ std::vector<std::string> QueryService::VisibleNames(SessionId id) const {
   std::shared_ptr<Session> session = FindSession(id);
   if (session) {
     MutexLock session_lock(session->mu);
-    SnapshotPtr snap =
-        session->in_txn ? session->txn_snap : catalog_.Snapshot();
-    SnapshotReadView base(snap,
-                          session->in_txn ? &session->staged : nullptr);
+    const SnapshotPtr pinned = catalog_.Snapshot();
+    const Database& base = session->in_txn ? session->txn : *pinned;
     for (const std::string& name : base.Names()) names.insert(name);
     for (const std::string& name : session->steps.Names()) {
       names.insert(name);
@@ -939,10 +930,7 @@ std::vector<std::string> QueryService::VisibleNames(SessionId id) const {
   return std::vector<std::string>(names.begin(), names.end());
 }
 
-Database QueryService::CloneBase() const {
-  SnapshotPtr snap = catalog_.Snapshot();
-  return MaterializeSnapshot(*snap);
-}
+Database QueryService::CloneBase() const { return *catalog_.Snapshot(); }
 
 uint64_t QueryService::CatalogEpoch() const { return catalog_.epoch(); }
 

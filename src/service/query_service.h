@@ -12,23 +12,27 @@
 /// Threading model (lock order: session mutex -> commit mutex -> store
 /// mutex; the snapshot cell, queue, and metrics locks are leaves, never
 /// held across execution):
-///  - The *base catalog* is MVCC: an immutable `CatalogSnapshot` chain
-///    (see data/snapshot.h). Every query pins the current snapshot at
-///    Submit and executes against frozen state — readers never block
-///    behind a committing writer, and a writer never waits for readers
-///    to drain. Writers serialize on the commit mutex only against each
-///    other: build a copy-on-write candidate, journal it through the
-///    store's WAL, then publish with one pointer swap.
+///  - The *base catalog* is MVCC: a chain of immutable `Database`
+///    snapshots published through an `MvccCatalog` (see data/snapshot.h).
+///    Every query pins the current snapshot at Submit and executes
+///    against frozen state — readers never block behind a committing
+///    writer, and a writer never waits for readers to drain. Writers
+///    serialize on the commit mutex only against each other: write into
+///    a copy of the current snapshot (the copy shares every relation),
+///    journal it through the store's WAL, then publish with one pointer
+///    swap.
 ///  - *Transactions*: `Begin`/`Commit`/`Rollback` (also reachable as
 ///    `BEGIN`/`COMMIT`/`ROLLBACK` statements through Execute, locally or
-///    over the wire). A transaction pins its snapshot at BEGIN, stages
-///    catalog writes privately (queries inside the transaction read
-///    their own staged writes), and commits everything as ONE WAL batch
-///    carrying the transaction id — recovery and WAL-shipping replicas
-///    apply it all-or-nothing. Conflict rule: first committer wins; a
-///    commit that would overwrite a concurrently-committed name fails
-///    with kUnavailable (retry hint attached) and the transaction is
-///    rolled back.
+///    over the wire). BEGIN copies the current snapshot into the
+///    session's own `Database`; the transaction's writes go into that
+///    copy and its queries read it. COMMIT rebases the names it wrote
+///    onto a copy of the then-current snapshot and publishes that through
+///    the autocommit writes' path, as ONE WAL batch carrying the
+///    transaction id — recovery and WAL-shipping replicas apply it
+///    all-or-nothing. Conflict rule: first committer wins; a commit that
+///    would overwrite a concurrently-committed name fails with
+///    kUnavailable (retry hint attached) and the transaction is rolled
+///    back.
 ///  - *Dispatch*: the queue is FIFO and `num_workers` bounds how many
 ///    tasks run at once. Each worker waits on its own condition variable,
 ///    and idle workers form a stack: Enqueue wakes the most recently idle
@@ -198,11 +202,12 @@ struct TraceReport {
 /// All public methods are thread-safe.
 class QueryService {
  public:
-  /// Serves queries over a catalog seeded with a deep copy of `*base`
-  /// (pass an empty `Database` — or null — for a fresh catalog). The
-  /// service owns its catalog from here on: later mutations of `*base`
-  /// are not observed, and service writes do not touch `*base` (read the
-  /// current state back with `CloneBase()`).
+  /// Serves queries over a catalog seeded with a copy of `*base`, version
+  /// counters kept (pass an empty `Database` — or null — for a fresh
+  /// catalog). The copy shares `*base`'s relation objects, which no
+  /// catalog changes in place, so later writes to `*base` are not
+  /// observed, and service writes do not touch `*base` (read the current
+  /// state back with `CloneBase()`).
   explicit QueryService(Database* base, ServiceOptions options = {});
 
   /// Drains and joins (equivalent to Shutdown()).
@@ -261,11 +266,11 @@ class QueryService {
 
   // --- Transactions ---
   //
-  // A session holds at most one open transaction (no nesting). BEGIN pins
-  // the current catalog snapshot; session-scoped writes then stage
-  // privately (queries in the session read their own staged writes on top
-  // of the pinned snapshot, uncached); COMMIT publishes everything as one
-  // WAL batch carrying the transaction id. The same controls are
+  // A session holds at most one open transaction (no nesting). BEGIN
+  // copies the current catalog snapshot into the session; session-scoped
+  // writes then go into that copy (queries in the session read it,
+  // uncached); COMMIT publishes everything as one WAL batch carrying the
+  // transaction id. The same controls are
   // reachable as `BEGIN` / `COMMIT` / `ROLLBACK` statements through
   // Submit/Execute — which is how remote clients get them.
 
@@ -275,13 +280,13 @@ class QueryService {
   /// Commits the open transaction: first-committer-wins conflict check,
   /// one durable WAL batch (when a store is attached), one atomic
   /// snapshot publication. ANY failure — conflict (kUnavailable with a
-  /// retry hint) or commit error — rolls the transaction back: staged
+  /// retry hint) or commit error — rolls the transaction back: its
   /// writes are discarded and per-name versions are exactly as if the
   /// transaction never happened. kInvalidArgument if none is open.
   Status Commit(SessionId id);
 
-  /// Discards the open transaction's staged writes. kInvalidArgument if
-  /// none is open.
+  /// Discards the open transaction's writes. kInvalidArgument if none is
+  /// open.
   Status Rollback(SessionId id);
 
   /// Point-in-time view of a session's transaction (the shell's `\txn`).
@@ -289,13 +294,13 @@ class QueryService {
     bool active = false;
     uint64_t txn_id = 0;          ///< 0 when inactive
     uint64_t snapshot_epoch = 0;  ///< epoch pinned at BEGIN
-    std::vector<std::string> staged_writes;  ///< names staged, sorted
+    std::vector<std::string> staged_writes;  ///< names written, sorted
   };
   Result<TxnInfo> TransactionInfo(SessionId id) const;
 
   // --- Base-catalog writes ---
   //
-  // Session-scoped writes stage into the session's open transaction when
+  // Session-scoped writes go into the session's open transaction when
   // one is active, and autocommit otherwise. The session-less overloads
   // always autocommit (an internally serialized single-write commit).
   // For an autocommit write with a DurableStore attached, OK means the
@@ -339,11 +344,11 @@ class QueryService {
   Result<Relation> GetRelation(SessionId id, const std::string& name) const;
 
   /// Sorted names visible to a session (its steps + base relations; an
-  /// open transaction's staged writes included).
+  /// open transaction's writes included).
   std::vector<std::string> VisibleNames(SessionId id) const;
 
-  /// Deep copy of the current catalog snapshot (e.g. for `save`). Version
-  /// counters restart in the copy — it is a new lineage.
+  /// Copy of the current catalog snapshot (e.g. for `save`), version
+  /// counters kept. It shares the snapshot's relation objects.
   Database CloneBase() const;
 
   /// Epoch of the currently published catalog snapshot (starts at 1;
@@ -381,8 +386,7 @@ class QueryService {
   void WorkerLoop(size_t self);
 
   /// Executes one task's script against the snapshot pinned at Submit (a
-  /// session with an open transaction reads its BEGIN-time snapshot plus
-  /// staged writes instead). Transaction-control statements are
+  /// session with an open transaction reads its own copy instead). Transaction-control statements are
   /// dispatched here, before parsing. When `trace` is non-null the plan
   /// runs with operator spans recorded into it (the slow-query log and
   /// Trace; cache hits leave the trace empty).
@@ -399,13 +403,12 @@ class QueryService {
   /// journaling, and publication.
   Status CommitTxnImpl(Session* session, uint64_t request_id);
 
-  /// The one committed-write path: applies `edit` — conflict-checked
-  /// staged transaction writes or a single autocommit mutation — as one
-  /// WAL batch and one atomic snapshot publication. On any failure the
-  /// candidate is discarded unpublished (version counters never move).
-  Status CommitEditLocked(CatalogEdit&& edit, uint64_t txn_id,
-                          uint64_t request_id = 0)
-      CCDB_REQUIRES(commit_mu_);
+  /// The one committed-write path: journals `next` — a copy of the current
+  /// snapshot with a transaction's rebased writes or a single autocommit
+  /// write applied — as one WAL batch, then publishes it. On any failure
+  /// `next` is discarded unpublished (version counters never move).
+  Status CommitLocked(SnapshotPtr next, uint64_t txn_id,
+                      uint64_t request_id = 0) CCDB_REQUIRES(commit_mu_);
 
   /// Dedup-table internals (leaf mutex; never held across commits).
   void RecordRequestOutcome(uint64_t request_id, const Status& outcome)
@@ -413,9 +416,11 @@ class QueryService {
   std::optional<Status> LookupRequestOutcome(uint64_t request_id) const
       CCDB_EXCLUDES(dedup_mu_);
 
-  /// A session-scoped write: stages into the open transaction, or
-  /// autocommits when none is open.
+  /// A session-scoped write: goes into the open transaction's copy, or
+  /// autocommits when none is open. Both apply it with `ApplyWrite`.
   enum class WriteKind { kCreate, kReplace, kDrop };
+  static Status ApplyWrite(Database* db, WriteKind kind,
+                           const std::string& name, Relation relation);
   Status SessionWrite(SessionId id, WriteKind kind, const std::string& name,
                       Relation relation);
   Status AutocommitWrite(WriteKind kind, const std::string& name,

@@ -1,8 +1,8 @@
 // MVCC catalog and transaction tests.
 //
-// Covers the snapshot layer (immutable `CatalogSnapshot` chain, copy-on-
-// write `CatalogEdit`, `MvccCatalog` publication, `SnapshotReadView`
-// overlays), the query service's BEGIN/COMMIT/ROLLBACK transactions
+// Covers the snapshot layer (immutable `Database` snapshots published
+// through `MvccCatalog`, copies that share untouched relations), the
+// query service's BEGIN/COMMIT/ROLLBACK transactions
 // (read-your-writes, isolation, first-committer-wins conflicts, atomic
 // WAL-batch commits), the regression pins for the failed-commit version
 // restore and the result-cache version-stamp TOCTOU, a service-level
@@ -44,8 +44,10 @@ std::shared_ptr<const Relation> SharedBoxes(size_t count, uint64_t seed) {
 // ---------------------------------------------------------------------
 
 TEST(SnapshotTest, EmptyAndFromDatabasePreserveVersions) {
-  SnapshotPtr empty = CatalogSnapshot::Empty();
-  EXPECT_EQ(empty->epoch(), 1u);
+  MvccCatalog catalog;
+  uint64_t epoch = 0;
+  SnapshotPtr empty = catalog.Snapshot(&epoch);
+  EXPECT_EQ(epoch, 1u);
   EXPECT_EQ(empty->size(), 0u);
   EXPECT_EQ(empty->Version("A"), 0u);
   EXPECT_EQ(empty->Find("A"), nullptr);
@@ -54,38 +56,42 @@ TEST(SnapshotTest, EmptyAndFromDatabasePreserveVersions) {
   ASSERT_TRUE(db.Create("A", BoxRelation(5, 1)).ok());
   db.CreateOrReplace("A", BoxRelation(6, 2));  // version 2
   ASSERT_TRUE(db.Create("B", BoxRelation(4, 3)).ok());
-  SnapshotPtr snap = CatalogSnapshot::FromDatabase(db);
-  EXPECT_EQ(snap->epoch(), 1u);
+  catalog.Seed(db);
+  SnapshotPtr snap = catalog.Snapshot(&epoch);
+  EXPECT_EQ(epoch, 1u);
   EXPECT_EQ(snap->size(), 2u);
   EXPECT_EQ(snap->Version("A"), 2u);
   EXPECT_EQ(snap->Version("B"), 1u);
   EXPECT_EQ(snap->Names(), (std::vector<std::string>{"A", "B"}));
-  ASSERT_NE(snap->Find("A"), nullptr);
-  EXPECT_EQ(snap->Find("A")->ToString(), (*db.Get("A"))->ToString());
+  // Seeding copies the catalog, not its relations.
+  EXPECT_EQ(snap->Find("A"), db.Find("A"));
+  EXPECT_EQ((*snap->Get("A"))->ToString(), (*db.Get("A"))->ToString());
 }
 
 TEST(SnapshotTest, EditsShareUntouchedRelationsAndBumpTouched) {
   Database seed;
   ASSERT_TRUE(seed.Create("A", BoxRelation(5, 1)).ok());
   ASSERT_TRUE(seed.Create("B", BoxRelation(5, 2)).ok());
-  SnapshotPtr base = CatalogSnapshot::FromDatabase(seed);
+  MvccCatalog catalog;
+  catalog.Seed(seed);
+  SnapshotPtr base = catalog.Snapshot();
 
-  CatalogEdit edit(base);
-  edit.CreateOrReplace("B", SharedBoxes(9, 9));
-  ASSERT_TRUE(edit.Create("C", BoxRelation(3, 4)).ok());
-  EXPECT_EQ(edit.Create("A", BoxRelation(1, 1)).code(),
+  Database next = *base;
+  next.Bind("B", SharedBoxes(9, 9));
+  ASSERT_TRUE(next.Create("C", BoxRelation(3, 4)).ok());
+  EXPECT_EQ(next.Create("A", BoxRelation(1, 1)).code(),
             StatusCode::kAlreadyExists);
-  EXPECT_TRUE(edit.dirty());
-  EXPECT_EQ(edit.touched(), (std::set<std::string>{"B", "C"}));
 
-  std::shared_ptr<CatalogSnapshot> next = edit.Build();
-  EXPECT_EQ(next->epoch(), 0u) << "unpublished candidates carry epoch 0";
   // Untouched relation: the same object, not a copy.
-  EXPECT_EQ(next->Find("A"), base->Find("A"));
-  EXPECT_NE(next->Find("B"), base->Find("B"));
-  EXPECT_EQ(next->Version("A"), base->Version("A"));
-  EXPECT_EQ(next->Version("B"), base->Version("B") + 1);
-  EXPECT_EQ(next->Version("C"), 1u);
+  ASSERT_NE(next.Find("A"), nullptr);
+  EXPECT_EQ(next.Find("A"), base->Find("A"));
+  EXPECT_NE(next.Find("B"), base->Find("B"));
+  EXPECT_EQ(next.Version("A"), base->Version("A"));
+  EXPECT_EQ(next.Version("B"), base->Version("B") + 1);
+  EXPECT_EQ(next.Version("C"), 1u);
+  // The snapshot the copy came from is unchanged.
+  EXPECT_EQ(base->Version("B"), 1u);
+  EXPECT_FALSE(base->Has("C"));
 }
 
 TEST(SnapshotTest, DiscardedEditLeavesNoTrace) {
@@ -95,16 +101,18 @@ TEST(SnapshotTest, DiscardedEditLeavesNoTrace) {
   catalog.Seed(seed);
   SnapshotPtr before = catalog.Snapshot();
   {
-    CatalogEdit edit(before);
-    edit.CreateOrReplace("R", SharedBoxes(7, 2));
-    ASSERT_TRUE(edit.Create("S", BoxRelation(3, 3)).ok());
-    std::shared_ptr<CatalogSnapshot> built = edit.Build();
-    EXPECT_EQ(built->Version("R"), 2u);
+    auto copy = std::make_shared<Database>(*before);
+    copy->Bind("R", SharedBoxes(7, 2));
+    ASSERT_TRUE(copy->Create("S", BoxRelation(3, 3)).ok());
+    ASSERT_TRUE(copy->Drop("S").ok());
+    EXPECT_EQ(copy->Version("R"), 2u);
+    EXPECT_EQ(copy->VersionCounter("S"), 2u);
     // ...and the candidate dies here, unpublished.
   }
   EXPECT_EQ(catalog.Snapshot().get(), before.get());
   EXPECT_EQ(before->Version("R"), 1u);
   EXPECT_FALSE(before->Has("S"));
+  EXPECT_EQ(before->VersionCounter("S"), 0u);
   EXPECT_EQ(catalog.epoch(), 1u);
 }
 
@@ -113,75 +121,46 @@ TEST(SnapshotTest, PublicationStampsStrictlyIncreasingEpochs) {
   EXPECT_EQ(catalog.epoch(), 1u);
   SnapshotPtr pinned = catalog.Snapshot();
 
-  CatalogEdit create(pinned);
-  ASSERT_TRUE(create.Create("A", BoxRelation(3, 1)).ok());
-  SnapshotPtr p1 = catalog.PublishSnapshot(create.Build());
-  EXPECT_EQ(p1->epoch(), 2u);
+  auto create = std::make_shared<Database>(*pinned);
+  ASSERT_TRUE(create->Create("A", BoxRelation(3, 1)).ok());
+  EXPECT_EQ(catalog.PublishSnapshot(create), 2u);
   EXPECT_EQ(catalog.epoch(), 2u);
+  uint64_t epoch = 0;
+  SnapshotPtr p1 = catalog.Snapshot(&epoch);
+  EXPECT_EQ(p1.get(), create.get());
+  EXPECT_EQ(epoch, 2u);
 
   // The pin taken before the publish is frozen at the old state.
-  EXPECT_EQ(pinned->epoch(), 1u);
   EXPECT_EQ(pinned->size(), 0u);
 
-  CatalogEdit drop(p1);
-  ASSERT_TRUE(drop.Drop("A").ok());
-  EXPECT_EQ(drop.Drop("A").code(), StatusCode::kNotFound);
-  EXPECT_EQ(catalog.PublishSnapshot(drop.Build())->epoch(), 3u);
+  auto drop = std::make_shared<Database>(*p1);
+  ASSERT_TRUE(drop->Drop("A").ok());
+  EXPECT_EQ(drop->Drop("A").code(), StatusCode::kNotFound);
+  EXPECT_EQ(catalog.PublishSnapshot(drop), 3u);
 
   // The version counter survives the drop (never repeats on recreate).
   SnapshotPtr now = catalog.Snapshot();
   EXPECT_FALSE(now->Has("A"));
   EXPECT_EQ(now->Version("A"), 0u);
   EXPECT_EQ(now->VersionCounter("A"), 2u);
+  auto recreate = std::make_shared<Database>(*now);
+  ASSERT_TRUE(recreate->Create("A", BoxRelation(2, 5)).ok());
+  EXPECT_EQ(recreate->Version("A"), 3u);
+  EXPECT_EQ(catalog.PublishSnapshot(recreate), 4u);
 }
 
-TEST(SnapshotTest, ReadViewOverlaysStagedWrites) {
-  Database seed;
-  ASSERT_TRUE(seed.Create("A", BoxRelation(5, 1)).ok());
-  ASSERT_TRUE(seed.Create("B", BoxRelation(5, 2)).ok());
-  SnapshotPtr snap = CatalogSnapshot::FromDatabase(seed);
+TEST(SnapshotTest, CloneBaseKeepsVersionCounters) {
+  service::QueryService service(nullptr);
+  ASSERT_TRUE(service.CreateRelation("A", BoxRelation(4, 1)).ok());
+  ASSERT_TRUE(service.ReplaceRelation("A", BoxRelation(6, 2)).ok());
+  ASSERT_TRUE(service.CreateRelation("B", BoxRelation(3, 3)).ok());
+  ASSERT_TRUE(service.DropRelation("B").ok());
 
-  StagedWrites staged;
-  staged["B"] = nullptr;  // dropped in this transaction
-  staged["C"] = SharedBoxes(7, 3);
-
-  SnapshotReadView view(snap, &staged);
-  EXPECT_TRUE(view.Has("A"));
-  EXPECT_FALSE(view.Has("B"));
-  EXPECT_TRUE(view.Has("C"));
-  EXPECT_EQ(view.Names(), (std::vector<std::string>{"A", "C"}));
-  EXPECT_EQ(view.size(), 2u);
-  EXPECT_EQ(view.Version("A"), 1u);
-  EXPECT_EQ(view.Version("B"), 0u) << "a staged drop reads as unbound";
-  EXPECT_EQ(view.Version("C"), 1u) << "one ahead of the (absent) counter";
-
-  auto dropped = view.Get("B");
-  ASSERT_FALSE(dropped.ok());
-  EXPECT_EQ(dropped.status().code(), StatusCode::kNotFound);
-  auto created = view.Get("C");
-  ASSERT_TRUE(created.ok());
-  EXPECT_EQ(*created, staged["C"].get());
-
-  // The Database write interface is sealed on a read view.
-  EXPECT_EQ(view.Create("X", BoxRelation(1, 1)).code(), StatusCode::kInternal);
-  EXPECT_EQ(view.Drop("A").code(), StatusCode::kInternal);
-}
-
-TEST(SnapshotTest, MaterializeRestartsVersionCounters) {
-  MvccCatalog catalog;
-  CatalogEdit e1(catalog.Snapshot());
-  ASSERT_TRUE(e1.Create("A", BoxRelation(4, 1)).ok());
-  catalog.PublishSnapshot(e1.Build());
-  CatalogEdit e2(catalog.Snapshot());
-  e2.CreateOrReplace("A", SharedBoxes(6, 2));
-  catalog.PublishSnapshot(e2.Build());
-  SnapshotPtr snap = catalog.Snapshot();
-  ASSERT_EQ(snap->Version("A"), 2u);
-
-  Database copy = MaterializeSnapshot(*snap);
-  EXPECT_EQ(copy.Names(), snap->Names());
-  EXPECT_EQ((*copy.Get("A"))->ToString(), snap->Find("A")->ToString());
-  EXPECT_EQ(copy.Version("A"), 1u) << "a materialized copy is a new lineage";
+  Database copy = service.CloneBase();
+  EXPECT_EQ(copy.Names(), (std::vector<std::string>{"A"}));
+  EXPECT_EQ((*copy.Get("A"))->size(), BoxRelation(6, 2).size());
+  EXPECT_EQ(copy.Version("A"), 2u) << "a copy keeps the catalog's counters";
+  EXPECT_EQ(copy.VersionCounter("B"), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -387,6 +366,31 @@ TEST(TxnTest, NoNestingAndConflictIsFirstCommitterWins) {
   EXPECT_TRUE(service.Commit(s2).ok());
   EXPECT_TRUE(service.GetRelation(s1, "C").ok());
   EXPECT_TRUE(service.GetRelation(s1, "D").ok());
+}
+
+// First committer wins on the raw counter, not on the binding: a name
+// created and dropped by others since BEGIN is unbound at both ends, yet
+// its counter moved, so a transaction that writes it loses.
+TEST(TxnTest, ConflictOnACounterThatMovedWhileUnbound) {
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(10, 1)).ok());
+  service::QueryService service(&base, OneWorker());
+  const auto s1 = service.OpenSession();
+  const auto s2 = service.OpenSession();
+
+  ASSERT_TRUE(service.Begin(s1).ok());
+  ASSERT_TRUE(service.CreateRelation(s2, "X", BoxRelation(3, 2)).ok());
+  ASSERT_TRUE(service.DropRelation(s2, "X").ok());
+  const uint64_t epoch = service.CatalogEpoch();
+
+  ASSERT_TRUE(service.CreateRelation(s1, "X", BoxRelation(4, 3)).ok());
+  Status lost = service.Commit(s1);
+  EXPECT_EQ(lost.code(), StatusCode::kUnavailable) << lost.ToString();
+  EXPECT_EQ(service.CatalogEpoch(), epoch) << "a conflict publishes nothing";
+  EXPECT_EQ(service.GetRelation(s2, "X").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(service.TransactionInfo(s1)->active);
+  EXPECT_EQ(service.Metrics().txn_conflicts, 1u);
 }
 
 TEST(TxnTest, EmptyAndNetNoopCommitsDoNotPublish) {

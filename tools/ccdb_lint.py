@@ -35,12 +35,14 @@ Enforces the repo's documented contracts that the compiler cannot:
                   Status-returning Socket/Listener wrappers, so error
                   handling, SIGPIPE suppression, and shutdown semantics
                   live in exactly one place.
-  mvcc-publish    direct catalog mutation (`CatalogEdit`, `PublishSnapshot`)
-                  appears only in src/data/snapshot.{h,cc} and the query
-                  service's commit path — every other layer reads pinned
-                  snapshots or writes through the service's transactional
-                  API, so conflict detection and WAL-before-visibility
-                  cannot be bypassed.
+  mvcc-publish    catalog publication (`PublishSnapshot`) appears only in
+                  src/data/snapshot.{h,cc} and the query service's commit
+                  path — every other layer reads pinned snapshots or
+                  writes through the service's transactional API, so
+                  conflict detection and WAL-before-visibility cannot be
+                  bypassed. (A commit candidate is a plain `Database`
+                  copy: building one changes nothing until it is
+                  published.)
   net-retries     src/net/ never calls a raw sleep primitive
                   (std::this_thread::sleep_for, usleep, nanosleep, ...) —
                   waiting goes through ccdb::SleepForMs under a Backoff
@@ -298,11 +300,12 @@ def check_net_socket(path: Path, clean: str) -> None:
 
 # --- Rule: mvcc-publish -----------------------------------------------------
 
-# Direct mutable-catalog access: building a commit candidate or publishing
-# one. Everything outside the allowlist goes through the service's write
-# API (autocommit or BEGIN/COMMIT), which owns conflict detection and
+# Publishing a catalog snapshot. A candidate is a plain `Database` copy,
+# invisible until published, so publication is the one step to confine.
+# Everything outside the allowlist goes through the service's write API
+# (autocommit or BEGIN/COMMIT), which owns conflict detection and
 # WAL-before-visibility ordering.
-MVCC_TOKEN_RE = re.compile(r"\bCatalogEdit\b|\bPublishSnapshot\s*\(")
+MVCC_TOKEN_RE = re.compile(r"\bPublishSnapshot\s*\(")
 MVCC_ALLOWED = (
     SRC / "data" / "snapshot.h",
     SRC / "data" / "snapshot.cc",
@@ -318,7 +321,7 @@ def check_mvcc_publish(path: Path, clean: str) -> None:
         m = MVCC_TOKEN_RE.search(line)
         if m:
             report("mvcc-publish", path, lineno,
-                   f"direct mutable-catalog access `{m.group(0)}` outside "
+                   f"catalog publication `{m.group(0)}` outside "
                    "the commit path — go through QueryService's "
                    "transactional write API")
 

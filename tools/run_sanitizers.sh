@@ -12,7 +12,9 @@
 #   tools/run_sanitizers.sh thread address  # TSan then ASan
 #
 # CCDB_SANITIZE is the repo's CMake knob (see CMakeLists.txt); this
-# script is just the loop around it. See DESIGN.md "Static analysis".
+# script is just the loop around it. Under `undefined` the knob makes
+# every report fatal, so a report fails its test and this run. See
+# DESIGN.md "Static analysis".
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
