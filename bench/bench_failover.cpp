@@ -50,7 +50,7 @@ Relation BoxRelation(size_t count, uint64_t seed) {
   return BoxesToConstraintRelation(GenerateDataBoxes(seed, params));
 }
 
-/// The bench_net read-only shapes, varied per query to defeat the cache.
+/// The bench_net read-only shapes, varied per query.
 std::string ScriptFor(size_t q) {
   const size_t i = q * 7919;
   const int lo = static_cast<int>((i * 157) % 2400);

@@ -59,7 +59,7 @@ Relation BoxRelation(size_t count, uint64_t seed) {
 }
 
 /// The same mixed read-only shapes bench_service uses, varied per client
-/// and per query so the result cache does not collapse the workload.
+/// and per query.
 std::string ScriptFor(int client_id, size_t q) {
   const size_t i = static_cast<size_t>(client_id) * 7919 + q;
   const int lo = static_cast<int>((i * 157) % 2400);

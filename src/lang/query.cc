@@ -39,7 +39,7 @@ Result<ScriptRun> EvaluateScript(const std::vector<Statement>& statements,
   // that iteration's check-point — via a charge. FM helpers bail early
   // once aborting is latched and return semantically wrong partial
   // values, so the trip becomes its typed error here, before the result
-  // could be registered, returned as OK, or seed a cache.
+  // could be registered or returned as OK.
   CCDB_RETURN_IF_ERROR(obs::CheckGovernance());
   return run;
 }
@@ -57,7 +57,8 @@ Result<Relation> RunQuery(const std::string& script, Database* db) {
   return *rel;
 }
 
-std::string CanonicalizeScript(const std::vector<Statement>& statements) {
+Result<std::string> CanonicalizeScript(const std::string& script) {
+  CCDB_ASSIGN_OR_RETURN(auto statements, TokenizeScript(script));
   std::string out;
   for (const Statement& statement : statements) {
     if (!out.empty()) out += '\n';
@@ -73,13 +74,8 @@ std::string CanonicalizeScript(const std::vector<Statement>& statements) {
   return out;
 }
 
-Result<std::string> CanonicalizeScript(const std::string& script) {
+Result<std::vector<std::string>> ScriptInputs(const std::string& script) {
   CCDB_ASSIGN_OR_RETURN(auto statements, TokenizeScript(script));
-  return CanonicalizeScript(statements);
-}
-
-std::vector<std::string> ScriptInputs(
-    const std::vector<Statement>& statements) {
   std::set<std::string> defined;
   std::set<std::string> inputs;
   for (const Statement& statement : statements) {
@@ -95,11 +91,6 @@ std::vector<std::string> ScriptInputs(
     if (ts[0].Is(TokenKind::kIdentifier)) defined.insert(ts[0].text);
   }
   return std::vector<std::string>(inputs.begin(), inputs.end());
-}
-
-Result<std::vector<std::string>> ScriptInputs(const std::string& script) {
-  CCDB_ASSIGN_OR_RETURN(auto statements, TokenizeScript(script));
-  return ScriptInputs(statements);
 }
 
 TxnStatement ClassifyTxnStatement(const std::vector<Statement>& statements) {

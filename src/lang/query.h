@@ -4,8 +4,9 @@
 /// \file query.h
 /// The step-based CQA query language: execution, canonical text, inputs.
 ///
-/// Each function reads a script's statement list (`TokenizeScript`), so a
-/// served script is tokenized once; the string forms tokenize first.
+/// `EvaluateScript` and `ClassifyTxnStatement` read a script's statement
+/// list (`TokenizeScript`), so a served script is tokenized once; the
+/// string forms tokenize first.
 ///
 /// Queries are sequences of named steps, exactly the style of the paper's
 /// §3.3 Hurricane case study ("CQA/CDB queries are broken up into multiple
@@ -80,18 +81,15 @@ Result<Relation> RunQuery(const std::string& script, Database* db);
 /// the grammar reads touching (number and `/`, `/` and number, number and
 /// identifier) touch where they did: `3/2` is a fraction, `3 / 2` a parse
 /// error. Two scripts with equal canonical text parse alike and execute
-/// identically against equal catalogs — the service layer's result-cache
-/// key. Identifier case is preserved, so `SELECT` vs `select` only costs a
-/// cache miss, never a wrong hit.
-std::string CanonicalizeScript(const std::vector<Statement>& statements);
+/// identically against equal catalogs. Identifier case is preserved.
+/// Not on the served path: perfbench still times it.
 Result<std::string> CanonicalizeScript(const std::string& script);
 
 /// Over-approximation of the catalog names a script reads but does not
 /// itself define: every identifier after a statement's step name that no
 /// earlier statement defined, sorted and deduplicated. The list includes
-/// attribute names and keywords — callers filter by catalog membership;
-/// over-inclusion only widens a cache key, under-inclusion cannot happen.
-std::vector<std::string> ScriptInputs(const std::vector<Statement>& statements);
+/// attribute names and keywords; callers filter by catalog membership.
+/// Not on the served path: perfbench still times it.
 Result<std::vector<std::string>> ScriptInputs(const std::string& script);
 
 /// Transaction-control statements, recognized before a script reaches the

@@ -62,9 +62,6 @@ inline constexpr char kTxnAbortsOnDisconnect[] = "txn.aborts_on_disconnect";
 inline constexpr char kQueueDepth[] = "queue.depth";
 inline constexpr char kQueueHighWater[] = "queue.high_water";
 inline constexpr char kSessionsOpen[] = "sessions.open";
-inline constexpr char kCacheHits[] = "cache.hits";
-inline constexpr char kCacheMisses[] = "cache.misses";
-inline constexpr char kCacheEntries[] = "cache.entries";
 inline constexpr char kWalBytes[] = "wal.bytes";
 inline constexpr char kWalBatches[] = "wal.batches";
 inline constexpr char kWalFsyncs[] = "wal.fsyncs";
@@ -131,7 +128,6 @@ inline std::vector<const char*> AllMetricNames() {
       kTxnConflicts,      kCatalogEpoch,       kTxnConflictRate,
       kTxnDedupHits,      kTxnAbortsOnDisconnect,
       kQueueDepth,        kQueueHighWater,     kSessionsOpen,
-      kCacheHits,         kCacheMisses,        kCacheEntries,
       kWalBytes,          kWalBatches,         kWalFsyncs,
       kWalCheckpoints,    kWalRelationsWritten, kWalRelationsReused,
       kWalLsn,            kReplicaLagBatches,

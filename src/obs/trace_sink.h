@@ -24,7 +24,7 @@ namespace ccdb::obs {
 /// (zero means "not assigned") so lines join against the `EventLog`
 /// stream on `trace_id` and against `\jobs` output on `query_id`.
 struct TraceEvent {
-  std::string query;          ///< canonical script text
+  std::string query;          ///< the script as submitted
   double latency_us = 0;      ///< end-to-end latency
   bool slow = false;          ///< crossed the slow-query threshold
   uint64_t query_id = 0;      ///< service-assigned submission id

@@ -86,16 +86,6 @@ std::string ServiceMetrics::ToString() const {
                 static_cast<unsigned long long>(traced_queries));
   out += buf;
   out += "engine:   " + engine.ToString() + "\n";
-  const uint64_t lookups = cache_hits + cache_misses;
-  std::snprintf(buf, sizeof(buf),
-                "cache:    %llu hits / %llu lookups (%.1f%%), %llu entries\n",
-                static_cast<unsigned long long>(cache_hits),
-                static_cast<unsigned long long>(lookups),
-                lookups ? 100.0 * static_cast<double>(cache_hits) /
-                              static_cast<double>(lookups)
-                        : 0.0,
-                static_cast<unsigned long long>(cache_entries));
-  out += buf;
   std::snprintf(buf, sizeof(buf),
                 "txn:      %llu begun, %llu committed, %llu rolled back, "
                 "%llu conflicts, epoch %llu\n",

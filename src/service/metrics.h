@@ -36,10 +36,8 @@ struct ServiceMetrics {
   uint64_t queue_high_water = 0;  ///< max depth ever observed
   uint64_t sessions = 0;        ///< currently open sessions
   uint64_t workers = 0;         ///< worker threads
-  // Result cache.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_entries = 0;
+  uint64_t cache_hits = 0;      ///< always 0: the service caches no results
+  uint64_t cache_misses = 0;    ///< always 0: the service caches no results
   // Engine work totals over all executed queries (drained from per-query
   // trace contexts; see obs/trace.h).
   obs::LayerCounters engine;

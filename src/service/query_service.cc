@@ -59,8 +59,7 @@ struct QueryService::Session {
   /// Serializes the session's queries; held across execution, so it sits
   /// above the whole commit path in the lock order.
   Mutex mu CCDB_LOCK_ORDER(
-      "service.commit", "catalog.cell", "service.result_cache",
-      "obs.event_log", "obs.trace_sink")
+      "service.commit", "catalog.cell", "obs.event_log", "obs.trace_sink")
       {"service.session"};
   Database steps CCDB_GUARDED_BY(mu);
   bool in_txn CCDB_GUARDED_BY(mu) = false;
@@ -111,7 +110,6 @@ struct QueryService::Task {
 QueryService::QueryService(Database* base, ServiceOptions options)
     : options_(options),
       store_(options.store),
-      cache_(options.cache_capacity),
       paused_(options.start_paused),
       submitted_(registry_.GetCounter(obs::names::kQueriesSubmitted)),
       rejected_(registry_.GetCounter(obs::names::kQueriesRejected)),
@@ -229,7 +227,7 @@ Result<Submission> QueryService::Enqueue(SessionId id, std::string script,
   task->query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
   task->script = std::move(script);
   // Pin the catalog NOW: whatever commits after this point, the query
-  // executes against this frozen snapshot (and is cache-keyed by it).
+  // executes against this frozen snapshot.
   task->snapshot = catalog_.Snapshot();
   task->enqueued = std::chrono::steady_clock::now();
   task->limits = ResolveLimits(opts);
@@ -467,9 +465,9 @@ void QueryService::WorkerLoop(size_t self) {
     // The slow-query log doubles as the governance post-mortem: a query
     // that tripped (deadline, budget, cancel) emits its trace alongside
     // genuinely slow ones, so "why did this die?" has the same answer
-    // path as "why was this slow?". Every Trace is emitted too. Cache
-    // hits and scripts that never reached the executor leave the trace
-    // unlabelled — the latency is still reported.
+    // path as "why was this slow?". Every Trace is emitted too. Scripts
+    // that never reached the executor leave the trace unlabelled — the
+    // latency is still reported.
     if ((slow || exec.tripped() || task->report != nullptr) &&
         options_.trace_sink != nullptr) {
       obs::TraceEvent event;
@@ -521,7 +519,7 @@ void QueryService::DrainCounters(const obs::LayerCounters& counters) {
 Result<QueryResponse> QueryService::RunScript(Task* task,
                                               obs::TraceNode* trace) {
   Session* session = task->session.get();
-  // Tokenized once: dispatch, the cache key and the compiler read these.
+  // Tokenized once: dispatch and the compiler read these.
   CCDB_ASSIGN_OR_RETURN(auto statements, lang::TokenizeScript(task->script));
   // Transaction controls are whole-statement keywords, dispatched before
   // the step-statement parser ever sees them. Routing them through the
@@ -557,65 +555,17 @@ Result<QueryResponse> QueryService::RunScript(Task* task,
   // The base: inside a transaction, its own copy of the BEGIN-time
   // snapshot with its writes applied (read-your-writes); outside, the
   // snapshot pinned at Submit. Either way no concurrent commit can tear it.
-  const bool in_txn = session->in_txn;
-  const Database& base = in_txn ? session->txn : *task->snapshot;
-
-  // Cache key: canonical text + versioned base inputs, with the versions
-  // read from the SAME snapshot the script executes against — so what the
-  // key claims and what execution saw cannot diverge (the pre-MVCC
-  // version-stamp/insert TOCTOU). A script that reads a session step is
-  // uncacheable (its inputs are not versioned catalog state shared
-  // between sessions); so is any query inside a transaction (its inputs
-  // include uncommitted writes). A Trace always executes.
-  bool cacheable = cache_.enabled() && !in_txn && task->report == nullptr;
-  std::string key;
-  if (cacheable) {
-    key = lang::CanonicalizeScript(statements);
-    for (const std::string& name : lang::ScriptInputs(statements)) {
-      if (session->steps.Has(name)) {
-        cacheable = false;
-        break;
-      }
-      if (base.Has(name)) {
-        key += "\n@";
-        key += name;
-        key += '#';
-        key += std::to_string(base.Version(name));
-      }
-    }
-  }
-
-  QueryResponse response;
-  if (cacheable) {
-    if (std::shared_ptr<const CachedResult> hit = cache_.Lookup(key)) {
-      // Register the final step, exactly as execution would have. The
-      // copies happen here, on the shared immutable entry, outside the
-      // cache's critical section.
-      session->steps.CreateOrReplace(hit->step, hit->relation);
-      response.step = hit->step;
-      response.relation = hit->relation;
-      response.cache_hit = true;
-      return response;
-    }
-  }
-
+  const Database& base = session->in_txn ? session->txn : *task->snapshot;
   SessionView view(&base, &session->steps);
   CCDB_ASSIGN_OR_RETURN(lang::ScriptRun run,
                         lang::EvaluateScript(statements, view, trace));
   if (task->report != nullptr) {
     task->report->plan_text = std::move(run.plan_text);
   }
+  QueryResponse response;
   response.step = run.final_step;
   response.relation = run.relation;
   session->steps.CreateOrReplace(run.final_step, std::move(run.relation));
-
-  // A truncated (partial) result is a sound answer for *this* governed
-  // query, but it must never satisfy a future ungoverned one — skip the
-  // cache when any budget tripped under allow_partial.
-  if (cacheable && !obs::GovernanceTruncating()) {
-    if (options_.post_execute_hook) options_.post_execute_hook();
-    cache_.Insert(key, CachedResult{response.step, response.relation});
-  }
   return response;
 }
 
@@ -999,10 +949,6 @@ ServiceMetrics QueryService::Metrics() const {
     m.sessions = sessions_.size();
   }
   m.workers = workers_.size();
-  ResultCache::Stats cache = cache_.stats();
-  m.cache_hits = cache.hits;
-  m.cache_misses = cache.misses;
-  m.cache_entries = cache.entries;
   if (options_.disk != nullptr) m.pages_read = options_.disk->stats().reads;
   if (DurableStore* store = store_.load(std::memory_order_acquire)) {
     WalStats wal = store->stats();
@@ -1024,9 +970,6 @@ ServiceMetrics QueryService::Metrics() const {
   registry_.SetGauge(obs::names::kQueueDepth, m.queue_depth);
   registry_.SetGauge(obs::names::kQueueHighWater, m.queue_high_water);
   registry_.SetGauge(obs::names::kSessionsOpen, m.sessions);
-  registry_.SetGauge(obs::names::kCacheHits, m.cache_hits);
-  registry_.SetGauge(obs::names::kCacheMisses, m.cache_misses);
-  registry_.SetGauge(obs::names::kCacheEntries, m.cache_entries);
   registry_.SetGauge(obs::names::kWalBytes, m.wal_bytes);
   registry_.SetGauge(obs::names::kWalBatches, m.wal_batches);
   registry_.SetGauge(obs::names::kWalFsyncs, m.wal_fsyncs);

@@ -42,23 +42,17 @@
 ///    last query warmed, instead of the next worker in turn.
 ///  - *Execution*: every script — Execute/Submit and Trace alike — runs on
 ///    a worker under its governance context. The worker tokenizes it once
-///    (`lang::TokenizeScript`); transaction dispatch, the cache key and
-///    `lang::EvaluateScript` all read that statement list: compiled to one
+///    (`lang::TokenizeScript`); transaction dispatch and
+///    `lang::EvaluateScript` both read that statement list: compiled to one
 ///    plan (lang/compile.h), optimized, and run by the one plan executor,
-///    with operator spans when it is traced.
+///    with operator spans when it is traced. Nothing memoizes results: a
+///    script repeated against an unchanged catalog runs again.
 ///  - *Step results* never touch the base catalog: each session owns a
 ///    private step `Database`, and queries execute against an overlay view
 ///    (steps first, snapshot second). A script's intermediate steps are
 ///    local to it; only its final step is registered in the session.
 ///    Queries within one session serialize on the session's mutex;
 ///    different sessions run fully in parallel.
-///  - The *result cache* keys on canonical script text plus the
-///    (name, version) of every base relation the script reads — with both
-///    the versions and the executed-against state taken from the SAME
-///    pinned snapshot, so a write committing mid-execution can never
-///    cache a stale result under new versions (the pre-MVCC TOCTOU).
-///    Scripts that read session-local steps, and any query inside a
-///    transaction, are executed uncached.
 
 #include <array>
 #include <atomic>
@@ -82,7 +76,6 @@
 #include "obs/trace.h"
 #include "obs/trace_sink.h"
 #include "service/metrics.h"
-#include "service/result_cache.h"
 #include "storage/pager.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -99,7 +92,6 @@ using SessionId = uint64_t;
 struct ServiceOptions {
   size_t num_workers = 4;       ///< worker threads (min 1)
   size_t max_queue_depth = 64;  ///< queued (not yet running) task bound
-  size_t cache_capacity = 128;  ///< result-cache entries; 0 disables
   bool start_paused = false;    ///< workers wait for Resume() (tests)
   PageManager* disk = nullptr;  ///< optional: pages-read in metrics
   /// Optional durable catalog. When set, every base-catalog write is
@@ -134,11 +126,6 @@ struct ServiceOptions {
   /// how tests exercise the worker's exception barrier now that execution
   /// reads immutable snapshots instead of a caller-subclassable Database.
   std::function<void(const std::string& script)> execution_hook;
-  /// Test-only: invoked on the worker between a script's execution and
-  /// its result-cache insert — the window the pre-MVCC result-cache
-  /// TOCTOU lived in. Interleaving tests commit writes here and assert
-  /// the cached entry can never be served under post-commit versions.
-  std::function<void()> post_execute_hook;
 };
 
 /// Per-query overrides of the service-level governance defaults, plus an
@@ -175,9 +162,9 @@ struct QueryOptions {
 struct QueryResponse {
   std::string step;        ///< name of the final step
   Relation relation;       ///< the final step's relation
-  bool cache_hit = false;  ///< served from the result cache
+  bool cache_hit = false;  ///< always false: the service caches no results
   bool truncated = false;  ///< partial result: a budget tripped under
-                           ///< allow_partial (sound subset, never cached)
+                           ///< allow_partial (a sound subset)
   double latency_us = 0;   ///< execution latency (queue wait included)
 };
 
@@ -190,14 +177,13 @@ struct Submission {
 
 /// The result of an explicit Trace() call — the EXPLAIN ANALYZE view.
 struct TraceReport {
-  QueryResponse response;  ///< the query result (never a cache hit)
+  QueryResponse response;  ///< the query result
   obs::TraceNode root;     ///< per-operator span tree of the plan that ran
   std::string plan_text;   ///< optimized plan rendering
   uint64_t trace_id = 0;   ///< the caller's trace id, echoed back
 };
 
-/// A concurrent, cached, metered, transactional executor of CQA
-/// step-scripts.
+/// A concurrent, metered, transactional executor of CQA step-scripts.
 ///
 /// All public methods are thread-safe.
 class QueryService {
@@ -254,13 +240,12 @@ class QueryService {
 
   /// Execute with operator spans on (the shell's `\trace`): the same
   /// queue, admission control, governance (`opts`) and plan as Execute,
-  /// reported with the optimized plan's text and its span tree. Bypasses
-  /// the result cache. The trace is also emitted to
-  /// `ServiceOptions::trace_sink` when one is attached, stamped with
-  /// `opts.trace_id` — including the partial span tree of a query that a
-  /// deadline, budget or cancellation stopped mid-plan. A transaction
-  /// control (`BEGIN`, `COMMIT`, `ROLLBACK`) has no plan to trace and
-  /// fails with kInvalidArgument without running.
+  /// reported with the optimized plan's text and its span tree. The trace
+  /// is also emitted to `ServiceOptions::trace_sink` when one is
+  /// attached, stamped with `opts.trace_id` — including the partial span
+  /// tree of a query that a deadline, budget or cancellation stopped
+  /// mid-plan. A transaction control (`BEGIN`, `COMMIT`, `ROLLBACK`) has
+  /// no plan to trace and fails with kInvalidArgument without running.
   Result<TraceReport> Trace(SessionId id, const std::string& script,
                             QueryOptions opts = {});
 
@@ -268,11 +253,11 @@ class QueryService {
   //
   // A session holds at most one open transaction (no nesting). BEGIN
   // copies the current catalog snapshot into the session; session-scoped
-  // writes then go into that copy (queries in the session read it,
-  // uncached); COMMIT publishes everything as one WAL batch carrying the
-  // transaction id. The same controls are
-  // reachable as `BEGIN` / `COMMIT` / `ROLLBACK` statements through
-  // Submit/Execute — which is how remote clients get them.
+  // writes then go into that copy (queries in the session read it);
+  // COMMIT publishes everything as one WAL batch carrying the transaction
+  // id. The same controls are reachable as `BEGIN` / `COMMIT` /
+  // `ROLLBACK` statements through Submit/Execute — which is how remote
+  // clients get them.
 
   /// Opens a transaction. kInvalidArgument if one is already open.
   Status Begin(SessionId id);
@@ -389,7 +374,7 @@ class QueryService {
   /// session with an open transaction reads its own copy instead). Transaction-control statements are
   /// dispatched here, before parsing. When `trace` is non-null the plan
   /// runs with operator spans recorded into it (the slow-query log and
-  /// Trace; cache hits leave the trace empty).
+  /// Trace).
   Result<QueryResponse> RunScript(Task* task, obs::TraceNode* trace);
   std::shared_ptr<Session> FindSession(SessionId id) const;
 
@@ -455,7 +440,6 @@ class QueryService {
   /// commit-path readers hold commit_mu_, so a commit never straddles a
   /// swap.
   std::atomic<DurableStore*> store_;
-  ResultCache cache_;
 
   /// COMMIT idempotency: the outcomes of the most recent request-id
   /// carrying commits, FIFO-bounded at kDedupCapacity so a chatty client

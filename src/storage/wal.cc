@@ -563,16 +563,16 @@ Status WalPager::ApplyUnapplied() {
 // --- DurableStore -----------------------------------------------------------------
 
 Result<std::unique_ptr<DurableStore>> DurableStore::Create(
-    PageManager* disk, size_t cache_capacity) {
-  std::unique_ptr<DurableStore> store(new DurableStore(disk, cache_capacity));
+    PageManager* disk, size_t pool_capacity) {
+  std::unique_ptr<DurableStore> store(new DurableStore(disk, pool_capacity));
   MutexLock lock(store->mu_);
   CCDB_RETURN_IF_ERROR(store->wal_.Create());
   return store;
 }
 
 Result<std::unique_ptr<DurableStore>> DurableStore::Open(
-    PageManager* disk, PageId wal_root, size_t cache_capacity) {
-  std::unique_ptr<DurableStore> store(new DurableStore(disk, cache_capacity));
+    PageManager* disk, PageId wal_root, size_t pool_capacity) {
+  std::unique_ptr<DurableStore> store(new DurableStore(disk, pool_capacity));
   MutexLock lock(store->mu_);
   CCDB_RETURN_IF_ERROR(store->wal_.Open(wal_root));
   store->catalog_root_ = store->wal_.recovered_catalog_root();
@@ -580,8 +580,8 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
 }
 
 Result<std::unique_ptr<DurableStore>> DurableStore::CreateAtRoot(
-    PageManager* disk, PageId catalog_root, size_t cache_capacity) {
-  std::unique_ptr<DurableStore> store(new DurableStore(disk, cache_capacity));
+    PageManager* disk, PageId catalog_root, size_t pool_capacity) {
+  std::unique_ptr<DurableStore> store(new DurableStore(disk, pool_capacity));
   MutexLock lock(store->mu_);
   // A fresh log on the adopted disk; the existing pages (including the
   // catalog at `catalog_root`) are untouched and become the new leader's

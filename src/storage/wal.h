@@ -271,13 +271,13 @@ class DurableStore {
  public:
   /// Formats a fresh store on `disk` (not owned; must outlive the store).
   static Result<std::unique_ptr<DurableStore>> Create(
-      PageManager* disk, size_t cache_capacity = 64);
+      PageManager* disk, size_t pool_capacity = 64);
 
   /// Reopens a store: runs WAL recovery, replaying committed batches and
   /// discarding the torn tail. `wal_root` is a previous store's
   /// `wal_root()`.
   static Result<std::unique_ptr<DurableStore>> Open(
-      PageManager* disk, PageId wal_root, size_t cache_capacity = 64);
+      PageManager* disk, PageId wal_root, size_t pool_capacity = 64);
 
   /// Promotion path: adopts an existing disk whose pages already hold a
   /// consistent catalog at `catalog_root` (a caught-up replica's state)
@@ -286,7 +286,7 @@ class DurableStore {
   /// batch before calling this. The next commit starts at LSN 1 of the
   /// new leader's log.
   static Result<std::unique_ptr<DurableStore>> CreateAtRoot(
-      PageManager* disk, PageId catalog_root, size_t cache_capacity = 64);
+      PageManager* disk, PageId catalog_root, size_t pool_capacity = 64);
 
   /// Saves `db` as one logged atomic batch (a snapshot read view works —
   /// `db` is only read through its virtual interface). Only relations
@@ -358,9 +358,9 @@ class DurableStore {
   BufferPool* pool() { return &pool_; }
 
  private:
-  DurableStore(PageManager* disk, size_t cache_capacity)
+  DurableStore(PageManager* disk, size_t pool_capacity)
       : disk_(disk), wal_(disk), wal_pager_(disk, &wal_),
-        pool_(&wal_pager_, cache_capacity) {}
+        pool_(&wal_pager_, pool_capacity) {}
 
   PageManager* disk_;
   /// Serializes commits, checkpoints, and loads against each other: the

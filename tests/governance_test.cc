@@ -269,7 +269,6 @@ TEST(GovernanceServiceTest, DeadlineOnExplosiveJoinReturnsTyped) {
   ASSERT_TRUE(base.Create("Boxes", OverlappingStoreRelation(400, 7)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
 
@@ -307,7 +306,6 @@ TEST(GovernanceServiceTest, TraceHonorsTheDeadlineOnExplosiveJoin) {
   obs::TraceSink sink(&jsonl);
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;
   options.trace_sink = &sink;
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
@@ -344,7 +342,6 @@ TEST(GovernanceServiceTest, SelfUnionChainCostsItsStepsNotItsPaths) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 7)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
 
@@ -380,7 +377,6 @@ TEST(GovernanceServiceTest, TupleBudgetFailsWithResourceExhausted) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(100, 3)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
 
@@ -399,7 +395,6 @@ TEST(GovernanceServiceTest, BudgetTripOnFinalChargeStillFails) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(100, 3)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 16;
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
 
@@ -417,12 +412,9 @@ TEST(GovernanceServiceTest, BudgetTripOnFinalChargeStillFails) {
       << response.status().ToString();
   EXPECT_EQ(service.Metrics().budget_trips, 1u);
 
-  // ... and the tripped run must not have seeded the result cache: the
-  // ungoverned rerun misses and computes the full answer.
+  // ... and the ungoverned rerun computes the full answer.
   auto full = service.Execute(id, script);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
-  EXPECT_FALSE(full->cache_hit)
-      << "a tripped run must never seed the result cache";
   EXPECT_EQ(full->relation.size(), 100u);
 }
 
@@ -433,7 +425,6 @@ TEST(GovernanceServiceTest, TrippedGovernedQueryEmitsTraceWithoutSlowLog) {
   obs::TraceSink sink(&jsonl);
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;
   options.trace_sink = &sink;
   options.slow_query_us = 0;  // a governance trip is the only emit path
   service::QueryService service(&base, options);
@@ -465,7 +456,6 @@ TEST(GovernanceServiceTest, AllowPartialReturnsTruncatedSubsetUncached) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(100, 3)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 16;
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
 
@@ -480,12 +470,9 @@ TEST(GovernanceServiceTest, AllowPartialReturnsTruncatedSubsetUncached) {
   EXPECT_LT(partial->relation.size(), 100u)
       << "the budget must actually have cut the result short";
 
-  // The truncated result must not have been cached: the ungoverned rerun
-  // misses and returns the full relation.
+  // The ungoverned rerun returns the full relation.
   auto full = service.Execute(id, script);
   ASSERT_TRUE(full.ok());
-  EXPECT_FALSE(full->cache_hit)
-      << "a partial result must never seed the result cache";
   EXPECT_FALSE(full->truncated);
   EXPECT_EQ(full->relation.size(), 100u);
 
@@ -500,7 +487,6 @@ TEST(GovernanceServiceTest, CancellationMatrixUnwindsCleanlyAtEveryCheck) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(8, 2)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;  // every run must execute for real
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
 
@@ -543,7 +529,6 @@ TEST(GovernanceServiceTest, ExternalCancelFlagAbortsPromptly) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(300, 5)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
 
@@ -593,7 +578,6 @@ TEST(GovernanceServiceTest, CancelRunningQueryUnwinds) {
   ASSERT_TRUE(base.Create("Boxes", OverlappingStoreRelation(400, 9)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
 
@@ -650,7 +634,6 @@ TEST(GovernanceServiceTest, ServiceDefaultsApplyWithoutPerQueryOptions) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(100, 3)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;
   options.governance.max_tuples = 10;  // every query inherits this
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
@@ -671,7 +654,6 @@ TEST(GovernanceServiceTest, MetricsRenderGovernanceLine) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(30, 3)).ok());
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;
   service::QueryService service(&base, options);
   service::SessionId id = service.OpenSession();
 

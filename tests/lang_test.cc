@@ -484,7 +484,7 @@ TEST_F(QueryTest, StepsCanBeRedefined) {
             {"y", Rational(2)}}}));
 }
 
-// --- Canonicalization & input analysis (service cache-key support) ---------------
+// --- Canonicalization & input analysis ---------------------------------------------
 
 TEST(CanonicalizeTest, NormalizesWhitespaceCommentsAndSymbols) {
   auto canon = CanonicalizeScript(

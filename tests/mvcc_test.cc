@@ -4,10 +4,10 @@
 // through `MvccCatalog`, copies that share untouched relations), the
 // query service's BEGIN/COMMIT/ROLLBACK transactions
 // (read-your-writes, isolation, first-committer-wins conflicts, atomic
-// WAL-batch commits), the regression pins for the failed-commit version
-// restore and the result-cache version-stamp TOCTOU, a service-level
-// crash matrix (transaction atomicity at every I/O fault point), and an
-// N-writers x M-readers stress with a torn-snapshot detector.
+// WAL-batch commits), the regression pin for the failed-commit version
+// restore, a service-level crash matrix (transaction atomicity at every
+// I/O fault point), and an N-writers x M-readers stress with a
+// torn-snapshot detector.
 
 #include <gtest/gtest.h>
 
@@ -415,65 +415,6 @@ TEST(TxnTest, EmptyAndNetNoopCommitsDoNotPublish) {
   EXPECT_EQ(service.GetRelation(id, "Temp").status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(service.Metrics().txn_commits, 2u);
-}
-
-TEST(TxnTest, InTxnQueriesBypassTheResultCache) {
-  Database base;
-  ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 1)).ok());
-  service::QueryService service(&base, OneWorker());
-  const auto id = service.OpenSession();
-  const std::string script = "R0 = select x >= 0 from Boxes";
-
-  ASSERT_TRUE(service.Execute(id, script).ok());  // miss + insert
-  ASSERT_TRUE(service.Execute(id, script).ok());  // hit
-  EXPECT_EQ(service.Metrics().cache_hits, 1u);
-
-  ASSERT_TRUE(service.Begin(id).ok());
-  ASSERT_TRUE(service.Execute(id, script).ok());
-  ASSERT_TRUE(service.Execute(id, script).ok());
-  EXPECT_EQ(service.Metrics().cache_hits, 1u)
-      << "queries inside a transaction must not read the shared cache";
-  ASSERT_TRUE(service.Rollback(id).ok());
-
-  ASSERT_TRUE(service.Execute(id, script).ok());
-  EXPECT_EQ(service.Metrics().cache_hits, 2u);
-}
-
-// Regression (pre-MVCC TOCTOU): the result-cache key used to stamp
-// versions at insert time, so a commit landing between execution and
-// insert registered stale results under post-commit versions. Keys now
-// come from the pinned snapshot, so the staled entry stays keyed under
-// the version it was computed from.
-TEST(TxnTest, CacheInsertCannotBePoisonedByConcurrentCommit) {
-  Database base;
-  ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 1)).ok());
-  service::ServiceOptions options = OneWorker();
-  service::QueryService* svc = nullptr;
-  std::atomic<int> hook_fires{0};
-  options.post_execute_hook = [&] {
-    // Runs on the worker between execution and the cache insert — the
-    // historical race window. Commit a replacement right there.
-    if (hook_fires.fetch_add(1) == 0) {
-      ASSERT_TRUE(svc->ReplaceRelation("Boxes", BoxRelation(7, 2)).ok());
-    }
-  };
-  service::QueryService service(&base, options);
-  svc = &service;
-  const auto id = service.OpenSession();
-  const std::string script = "R0 = select x >= 0 from Boxes";
-
-  auto stale = service.Execute(id, script);
-  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
-  ASSERT_GE(hook_fires.load(), 1);
-  EXPECT_EQ(stale->relation.size(), BoxRelation(20, 1).size())
-      << "first run executed against the pinned pre-commit snapshot";
-
-  // The re-run keys on the *new* version: it must recompute against the
-  // replacement, not replay the stale insert.
-  auto fresh = service.Execute(id, script);
-  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  EXPECT_EQ(fresh->relation.size(), BoxRelation(7, 2).size());
-  EXPECT_EQ(service.Metrics().cache_hits, 0u);
 }
 
 TEST(TxnTest, CommitIsOneAtomicWalBatch) {

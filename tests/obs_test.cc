@@ -583,7 +583,6 @@ TEST(ServiceTraceTest, ConcurrentQueriesPublishExactEngineTotals) {
   Database db = BoxDatabase(40);
   service::ServiceOptions options;
   options.num_workers = 4;
-  options.cache_capacity = 0;  // no cache: every query runs the engine
   service::QueryService svc(&db, options);
 
   constexpr int kClients = 4;

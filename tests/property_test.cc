@@ -1329,7 +1329,7 @@ INSTANTIATE_TEST_SUITE_P(SeedSweep, ScriptPlanProperty,
                            return "seed" + std::to_string(info.param);
                          });
 
-// --- The result-cache key's canonical text parses like its script ------------
+// --- Canonical text parses like its script ------------------------------------
 
 class CanonicalTextProperty : public ::testing::TestWithParam<uint64_t> {};
 

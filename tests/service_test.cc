@@ -20,7 +20,6 @@
 #include "lang/query.h"
 #include "obs/exposition.h"
 #include "obs/metric_names.h"
-#include "service/result_cache.h"
 #include "storage/fault.h"
 #include "storage/wal.h"
 
@@ -84,7 +83,7 @@ std::vector<std::string> SerialResults(const Relation& boxes,
   return rendered;
 }
 
-void RunStress(size_t cache_capacity) {
+TEST(QueryServiceStressTest, ParallelMatchesSerial) {
   const Relation boxes = BoxRelation(150, 7);
   Database base;
   ASSERT_TRUE(base.Create("Boxes", boxes).ok());
@@ -92,13 +91,12 @@ void RunStress(size_t cache_capacity) {
   ServiceOptions options;
   options.num_workers = 4;
   options.max_queue_depth = 256;
-  options.cache_capacity = cache_capacity;
   QueryService service(&base, options);
 
   const size_t kSessions = 4;
   const size_t kQueriesPerSession = 12;
-  // Sessions share most scripts (so the cache can hit across sessions)
-  // but start at different offsets.
+  // Sessions share most scripts but start at different offsets, so the
+  // same script runs in several sessions at once.
   const std::vector<std::string> scripts = MakeScripts(16);
 
   std::vector<std::vector<std::string>> sequences(kSessions);
@@ -136,11 +134,6 @@ void RunStress(size_t cache_capacity) {
   EXPECT_EQ(m.completed, kSessions * kQueriesPerSession);
   EXPECT_EQ(m.failed, 0u);
   EXPECT_EQ(m.rejected, 0u);
-  if (cache_capacity > 0) {
-    EXPECT_GT(m.cache_hits, 0u) << "shared scripts should hit the cache";
-  } else {
-    EXPECT_EQ(m.cache_hits + m.cache_misses, 0u);
-  }
 }
 
 /// Holds each caller until `expected` callers are inside at once. A
@@ -164,10 +157,6 @@ class Rendezvous {
   std::condition_variable cv_;
   size_t arrived_ = 0;
 };
-
-TEST(QueryServiceStressTest, ParallelMatchesSerialCacheOff) { RunStress(0); }
-
-TEST(QueryServiceStressTest, ParallelMatchesSerialCacheOn) { RunStress(64); }
 
 TEST(QueryServiceTest, QueueOverflowRejectsWithUnavailable) {
   Database base;
@@ -242,7 +231,6 @@ TEST(QueryServiceTest, SequentialQueriesRunOnOneWorker) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
   ServiceOptions options;
   options.num_workers = 4;
-  options.cache_capacity = 0;
   Rendezvous warmup(options.num_workers);
   std::atomic<bool> warm{false};
   std::atomic<size_t> warmup_timeouts{0};
@@ -291,7 +279,6 @@ TEST(QueryServiceTest, ConcurrentQueriesUseEveryWorker) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
   ServiceOptions options;
   options.num_workers = 4;
-  options.cache_capacity = 0;
   // The four queries and the test thread.
   Rendezvous all_inside(options.num_workers + 1);
   std::atomic<size_t> timeouts{0};
@@ -365,39 +352,6 @@ TEST(QueryServiceTest, QueueWaitIsRecordedPerQuery) {
       << text;
 }
 
-TEST(QueryServiceTest, CacheHitSkipsExecutionAndReplayRegistersSteps) {
-  Database base;
-  ASSERT_TRUE(base.Create("Boxes", BoxRelation(30, 5)).ok());
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.cache_capacity = 16;
-  QueryService service(&base, options);
-
-  const std::string script =
-      "R0 = select x >= 100, x <= 900 from Boxes\nR1 = project R0 on y";
-  SessionId a = service.OpenSession();
-  auto first = service.Execute(a, script);
-  ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first->cache_hit);
-
-  SessionId b = service.OpenSession();
-  auto second = service.Execute(b, script);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->cache_hit);
-  EXPECT_EQ(second->relation.ToString(), first->relation.ToString());
-
-  // The hit registered the final step in session b, exactly as execution
-  // does in session a; the intermediate step is local to the script in
-  // both.
-  for (SessionId session : {a, b}) {
-    auto followup = service.Execute(session, "R2 = select y >= 0 from R1");
-    ASSERT_TRUE(followup.ok()) << followup.status().ToString();
-    auto intermediate = service.Execute(session, "R3 = project R0 on x");
-    EXPECT_EQ(intermediate.status().code(), StatusCode::kNotFound)
-        << intermediate.status().ToString();
-  }
-}
-
 TEST(QueryServiceTest, FailedScriptRegistersNoStep) {
   Database base;
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(30, 5)).ok());
@@ -447,66 +401,17 @@ TEST(QueryServiceTest, FractionsAndCoefficientsAnswerLikeRunQuery) {
     ASSERT_TRUE(served.ok()) << script << ": " << served.status().ToString();
     EXPECT_EQ(served->relation.ToString(), want->ToString()) << script;
   }
-}
-
-TEST(QueryServiceTest, CacheKeyKeepsTheTokenPairsTheGrammarReads) {
-  Database base;
-  ASSERT_TRUE(base.Create("Boxes", BoxRelation(30, 5)).ok());
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.cache_capacity = 16;
-  QueryService service(&base, options);
-  SessionId id = service.OpenSession();
-
-  // Each pair differs only in the space the grammar reads: the first is
-  // a fraction or a coefficient, the second a parse error.
-  const std::pair<const char*, const char*> pairs[] = {
-      {"R0 = select x <= 3/2 from Boxes", "R0 = select x <= 3 / 2 from Boxes"},
-      {"R0 = select 2x <= 1000 from Boxes",
-       "R0 = select 2 x <= 1000 from Boxes"},
-  };
-  for (const auto& [touching, spaced] : pairs) {
-    auto served = service.Execute(id, touching);
-    ASSERT_TRUE(served.ok()) << touching << ": "
-                             << served.status().ToString();
-    auto again = service.Execute(id, touching);
-    ASSERT_TRUE(again.ok()) << again.status().ToString();
-    EXPECT_TRUE(again->cache_hit) << touching;
-
-    const uint64_t hits = service.Metrics().cache_hits;
+  // The same tokens spaced apart are parse errors, served as locally.
+  for (const char* spaced : {"R0 = select x <= 3 / 2 from Boxes",
+                             "R0 = select 2 x <= 1000 from Boxes"}) {
     Database local = base;
     auto want = lang::RunQuery(spaced, &local);
     ASSERT_FALSE(want.ok()) << spaced;
-    EXPECT_EQ(want.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(want.status().code(), StatusCode::kParseError) << spaced;
     auto refused = service.Execute(id, spaced);
-    ASSERT_FALSE(refused.ok()) << spaced << " was answered from the cache";
+    ASSERT_FALSE(refused.ok()) << spaced;
     EXPECT_EQ(refused.status().ToString(), want.status().ToString());
-    EXPECT_EQ(service.Metrics().cache_hits, hits) << spaced;
   }
-}
-
-TEST(QueryServiceTest, ReplacingInputRelationInvalidatesCache) {
-  Database base;
-  ASSERT_TRUE(base.Create("Boxes", BoxRelation(30, 5)).ok());
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.cache_capacity = 16;
-  QueryService service(&base, options);
-  SessionId id = service.OpenSession();
-
-  const std::string script = "R0 = select x >= 0 from Boxes";
-  auto v1 = service.Execute(id, script);
-  ASSERT_TRUE(v1.ok());
-  EXPECT_FALSE(v1->cache_hit);
-  auto v2 = service.Execute(id, script);
-  ASSERT_TRUE(v2.ok());
-  EXPECT_TRUE(v2->cache_hit);
-
-  ASSERT_TRUE(service.ReplaceRelation("Boxes", BoxRelation(10, 11)).ok());
-  auto v3 = service.Execute(id, script);
-  ASSERT_TRUE(v3.ok());
-  EXPECT_FALSE(v3->cache_hit) << "version bump must invalidate the entry";
-  EXPECT_NE(v3->relation.ToString(), v2->relation.ToString());
 }
 
 TEST(QueryServiceTest, SessionStepsAreIsolatedAndUncached) {
@@ -514,7 +419,6 @@ TEST(QueryServiceTest, SessionStepsAreIsolatedAndUncached) {
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(30, 5)).ok());
   ServiceOptions options;
   options.num_workers = 2;
-  options.cache_capacity = 16;
   QueryService service(&base, options);
 
   SessionId a = service.OpenSession();
@@ -524,18 +428,26 @@ TEST(QueryServiceTest, SessionStepsAreIsolatedAndUncached) {
   ASSERT_TRUE(
       service.Execute(b, "S0 = select x >= 2000, x <= 2900 from Boxes").ok());
 
-  const uint64_t lookups_before =
-      service.Metrics().cache_hits + service.Metrics().cache_misses;
   auto in_a = service.Execute(a, "S1 = project S0 on x");
   auto in_b = service.Execute(b, "S1 = project S0 on x");
   ASSERT_TRUE(in_a.ok());
   ASSERT_TRUE(in_b.ok());
   EXPECT_NE(in_a->relation.ToString(), in_b->relation.ToString())
       << "sessions must not see each other's steps";
-  const uint64_t lookups_after =
-      service.Metrics().cache_hits + service.Metrics().cache_misses;
-  EXPECT_EQ(lookups_before, lookups_after)
-      << "step-reading scripts must bypass the cache";
+
+  // A script registers its final step in its session; its intermediate
+  // step stays local to the script.
+  ASSERT_TRUE(service
+                  .Execute(a, "R0 = select x >= 100, x <= 900 from Boxes\n"
+                              "R1 = project R0 on y")
+                  .ok());
+  auto followup = service.Execute(a, "R2 = select y >= 0 from R1");
+  EXPECT_TRUE(followup.ok()) << followup.status().ToString();
+  auto intermediate = service.Execute(a, "R3 = project R0 on x");
+  EXPECT_EQ(intermediate.status().code(), StatusCode::kNotFound)
+      << intermediate.status().ToString();
+  EXPECT_EQ(service.GetRelation(b, "R1").status().code(),
+            StatusCode::kNotFound);
 
   // Step results are visible to the owning session's front-end reads only.
   EXPECT_TRUE(service.GetRelation(a, "S1").ok());
@@ -557,36 +469,6 @@ TEST(QueryServiceTest, UnknownSessionAndBadScriptFail) {
   auto bad_script = service.Execute(id, "R0 = frobnicate Boxes");
   ASSERT_FALSE(bad_script.ok());
   EXPECT_EQ(service.Metrics().failed, 1u);
-}
-
-TEST(ResultCacheTest, LruEvictionAndStats) {
-  ResultCache cache(2);
-  CachedResult value;
-  value.step = "R0";
-  cache.Insert("k1", value);
-  cache.Insert("k2", value);
-
-  EXPECT_NE(cache.Lookup("k1"), nullptr);  // k1 most recent now
-  cache.Insert("k3", value);               // evicts k2
-  EXPECT_EQ(cache.Lookup("k2"), nullptr);
-  EXPECT_NE(cache.Lookup("k1"), nullptr);
-  auto hit = cache.Lookup("k3");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->step, "R0");
-
-  ResultCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-}
-
-TEST(ResultCacheTest, ZeroCapacityDisables) {
-  ResultCache cache(0);
-  EXPECT_FALSE(cache.enabled());
-  CachedResult value;
-  cache.Insert("k", value);
-  EXPECT_EQ(cache.Lookup("k"), nullptr);
-  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(LatencyRecorderTest, SummaryOverSamples) {
@@ -629,7 +511,7 @@ TEST(ServiceMetricsTest, ToStringMentionsEveryGroup) {
   m.workers = 4;
   std::string text = m.ToString();
   EXPECT_NE(text.find("queries:"), std::string::npos);
-  EXPECT_NE(text.find("cache:"), std::string::npos);
+  EXPECT_NE(text.find("txn:"), std::string::npos);
   EXPECT_NE(text.find("latency:"), std::string::npos);
   EXPECT_NE(text.find("storage:"), std::string::npos);
   EXPECT_NE(text.find("wal:"), std::string::npos);
@@ -764,9 +646,7 @@ TEST(QueryServiceTest, FailedCommitRollsBackCatalogInMemory) {
   // Regression: a WAL-failed commit must leave the published catalog —
   // epoch AND per-name version counters — exactly as it found them. The
   // candidate snapshot (with its bumped counters) is discarded unpublished;
-  // nothing needs un-doing. The version probe is the result cache: its
-  // keys embed relation versions, so a counter that moved would turn the
-  // re-run below into a miss.
+  // nothing needs un-doing.
   FaultInjectingPager disk;
   auto store = DurableStore::Create(&disk);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -789,32 +669,34 @@ TEST(QueryServiceTest, FailedCommitRollsBackCatalogInMemory) {
   EXPECT_TRUE(service.CloneBase().Has("Boxes"));
   EXPECT_EQ(service.CatalogEpoch(), 2u);
 
-  // Warm the result cache under the committed version of Boxes.
+  // Failed replace keeps the committed relation, which the next query
+  // reads...
   SessionId id = service.OpenSession();
-  ASSERT_TRUE(service.Execute(id, "R0 = select x >= 0 from Boxes").ok());
-  const uint64_t hits_before = service.Metrics().cache_hits;
-
-  // Failed replace keeps the committed relation...
-  auto kept = service.GetRelation(id, "Boxes");
-  ASSERT_TRUE(kept.ok());
-  const std::string before = kept->ToString();
+  const std::string script = "R0 = select x >= 0 from Boxes";
+  auto before = service.Execute(id, script);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  const uint64_t version = service.CloneBase().Version("Boxes");
   disk.Arm(FaultInjectingPager::Fault::kFail, 0);
   ASSERT_FALSE(service.ReplaceRelation("Boxes", BoxRelation(3, 7)).ok());
-  auto after = service.GetRelation(id, "Boxes");
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->ToString(), before);
+  auto after = service.Execute(id, script);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->relation.ToString(), before->relation.ToString());
   EXPECT_EQ(service.CatalogEpoch(), 2u);
-
-  // ...and restores its version counter exactly: the cached entry keyed
-  // on the pre-commit version is still valid, so the re-run is a hit.
-  ASSERT_TRUE(service.Execute(id, "R0 = select x >= 0 from Boxes").ok());
-  EXPECT_EQ(service.Metrics().cache_hits, hits_before + 1);
+  // ...and its version counter exactly.
+  EXPECT_EQ(service.CloneBase().Version("Boxes"), version);
 
   // Failed drop keeps it too (kFail is transient: no ClearFault needed).
   disk.Arm(FaultInjectingPager::Fault::kFail, 0);
   ASSERT_FALSE(service.DropRelation("Boxes").ok());
   EXPECT_TRUE(service.CloneBase().Has("Boxes"));
   EXPECT_EQ(service.CatalogEpoch(), 2u);
+
+  // A replace that commits is read by the next query.
+  ASSERT_TRUE(service.ReplaceRelation("Boxes", BoxRelation(3, 7)).ok());
+  EXPECT_EQ(service.CloneBase().Version("Boxes"), version + 1);
+  auto replaced = service.Execute(id, script);
+  ASSERT_TRUE(replaced.ok()) << replaced.status().ToString();
+  EXPECT_NE(replaced->relation.ToString(), before->relation.ToString());
 }
 
 TEST(QueryServiceTest, CheckpointRequiresStoreAndCounts) {
@@ -863,7 +745,6 @@ TEST(QueryServiceTest, ConcurrentFirstReadersOfOneVersionAgree) {
   ASSERT_TRUE(base.Create("Shapes", MultiVariableRelation(kTuples)).ok());
   ServiceOptions options;
   options.num_workers = kReaders;
-  options.cache_capacity = 0;  // every query executes
   options.start_paused = true;
   QueryService service(&base, options);
   const std::string script = "R0 = select x >= 40 from Shapes";
@@ -901,39 +782,6 @@ TEST(QueryServiceTest, ConcurrentFirstReadersOfOneVersionAgree) {
       EXPECT_EQ(built, built_cold);
     }
   }
-}
-
-TEST(ResultCacheTest, ConcurrentHitsShareOneEntry) {
-  ResultCache cache(8);
-  CachedResult value;
-  value.step = "R0";
-  value.relation = BoxRelation(200, 9);
-  cache.Insert("big", value);
-
-  constexpr size_t kThreads = 8;
-  constexpr size_t kLookups = 200;
-  std::vector<std::shared_ptr<const CachedResult>> first(kThreads);
-  std::vector<std::thread> readers;
-  readers.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    readers.emplace_back([&, t] {
-      for (size_t i = 0; i < kLookups; ++i) {
-        auto hit = cache.Lookup("big");
-        ASSERT_NE(hit, nullptr);
-        ASSERT_EQ(hit->relation.size(), 200u);
-        if (i == 0) first[t] = hit;
-      }
-    });
-  }
-  for (std::thread& t : readers) t.join();
-
-  // Every thread got the same shared entry — no per-hit deep copies.
-  for (size_t t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(first[t].get(), first[0].get());
-  }
-  ResultCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, kThreads * kLookups);
-  EXPECT_EQ(stats.misses, 0u);
 }
 
 }  // namespace
