@@ -178,7 +178,10 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<std::string> scripts = bench::MakeScripts(32);
-  const size_t kPerReader = 96;
+  // Enough queries that every storm run spans 50 or more writer commits
+  // (1,000 gave a 1-reader run of ~70 us queries only 31), and that even
+  // the 1-reader p99 has 10 samples beyond it.
+  const size_t kPerReader = 3000;
 
   if (!JsonOutputEnabled()) {
     std::printf("MVCC reader latency — %zu queries/reader, 200 data boxes, "

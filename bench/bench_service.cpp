@@ -3,10 +3,15 @@
 // Measures end-to-end queries/second of `service::QueryService` on a mixed
 // read-only CQA workload (selections, projections, small joins over the
 // §5.4 box data):
-//   1. worker-pool scaling at 1/2/4/8 workers, and
+//   1. scaling at 1/2/4/8 workers (`throughput_wN`): N sessions, each on
+//      its own client thread calling Execute. A slot is free for every
+//      session, so each script runs on its client's thread and the
+//      workers stay idle. One saturated row (`throughput_w4_s8`) runs 8
+//      sessions on 4 workers, so scripts also queue and run on workers,
+//      and
 //   2. one closed-loop session at 1 and 4 workers: process CPU per query
 //      when each query waits for the previous reply, which shows what
-//      the pool's dispatch costs a single client.
+//      dispatch costs a single client.
 //
 // Every row is the median of kRepetitions runs, with the quartiles.
 //
@@ -20,6 +25,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -76,17 +82,16 @@ struct RunResult {
   double q3_qps = 0;
 };
 
-/// `total_queries` spread over one client thread (= session) per worker,
-/// each executing synchronously; returns wall-clock throughput.
-RunResult RunWorkload(Database* base, size_t workers,
+/// `total_queries` spread over `clients` client threads (one session
+/// each), each executing synchronously; returns wall-clock throughput.
+RunResult RunWorkload(Database* base, size_t workers, size_t clients,
                       const std::vector<std::string>& scripts,
                       size_t total_queries) {
   service::ServiceOptions options;
   options.num_workers = workers;
-  options.max_queue_depth = 2 * workers + 8;
+  options.max_queue_depth = 2 * clients + 8;
   service::QueryService service(base, options);
 
-  const size_t clients = workers;
   const size_t per_client = total_queries / clients;
   std::vector<std::thread> threads;
   threads.reserve(clients);
@@ -185,17 +190,22 @@ int main(int argc, char** argv) {
 
   // One unmeasured run, so the first row does not pay the process's cold
   // start (page faults, allocator growth).
-  RunWorkload(&base, /*workers=*/4, scripts, kTotalQueries);
+  RunWorkload(&base, /*workers=*/4, /*clients=*/4, scripts, kTotalQueries);
 
-  // 1. Worker scaling.
+  // 1. Scaling, one session per worker, then 8 sessions on 4 workers.
   double qps_1w = 0;
-  for (size_t workers : {1u, 2u, 4u, 8u}) {
-    RunResult r = MedianRun(
-        [&] { return RunWorkload(&base, workers, scripts, kTotalQueries); });
+  const std::pair<size_t, size_t> kScaling[] = {
+      {1, 1}, {2, 2}, {4, 4}, {8, 8}, {4, 8}};
+  for (const auto& [workers, sessions] : kScaling) {
+    RunResult r = MedianRun([&] {
+      return RunWorkload(&base, workers, sessions, scripts, kTotalQueries);
+    });
     if (workers == 1) qps_1w = r.qps;
-    const std::string name = "throughput_w" + std::to_string(workers);
+    std::string name = "throughput_w" + std::to_string(workers);
+    if (sessions != workers) name += "_s" + std::to_string(sessions);
     EmitResult(kBench, name.c_str(), r.qps, "qps",
                {{"workers", static_cast<double>(workers)},
+                {"sessions", static_cast<double>(sessions)},
                 {"speedup_vs_1w", qps_1w > 0 ? r.qps / qps_1w : 1.0},
                 {"q1_qps", r.q1_qps},
                 {"q3_qps", r.q3_qps},

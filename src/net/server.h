@@ -5,11 +5,12 @@
 /// The wire-protocol front door: a TCP server over a QueryService.
 ///
 /// `Server` binds a listening socket and maps each accepted connection
-/// onto one `QueryService` session served by a dedicated thread (the
-/// service's worker pool — not the connection thread — executes the
-/// queries, so a slow query never blocks the protocol loop of another
-/// connection). The connection thread parses frames (`net/wire.h`),
-/// dispatches them, and streams responses back; every service-level
+/// onto one `QueryService` session served by a dedicated thread. The
+/// connection thread parses frames (`net/wire.h`), dispatches them, and
+/// streams responses back. A QUERY or FETCH_TRACE runs on the connection
+/// thread itself when the service has a slot free and waits for a worker
+/// otherwise; a SUBMIT always goes to a worker. Either way a slow query
+/// holds only its own connection's protocol loop. Every service-level
 /// failure crosses the wire as a `kError` frame carrying the full
 /// `Status` — code, message, and `retry_after_ms()` — so a client sees
 /// governance shedding exactly as an in-process caller does.

@@ -90,7 +90,10 @@ struct QueryService::Task {
   /// The catalog snapshot pinned at Submit: the query reads this frozen
   /// state no matter what commits while it is queued or running.
   SnapshotPtr snapshot;
-  std::promise<Result<QueryResponse>> promise;
+  /// Made when the task is queued; the worker that runs it (or Cancel, or
+  /// Shutdown) resolves it. A caller-run has none: its caller takes the
+  /// result directly.
+  std::optional<std::promise<Result<QueryResponse>>> promise;
   std::chrono::steady_clock::time_point enqueued;
   obs::GovernanceLimits limits;
   std::shared_ptr<obs::CancelFlag> cancel;
@@ -102,8 +105,8 @@ struct QueryService::Task {
   /// Client-minted idempotency key; a COMMIT statement records/reads the
   /// dedup table under it (0 = no idempotency).
   uint64_t request_id = 0;
-  /// Set by Trace(): the worker records operator spans and the plan text
-  /// here before resolving the promise. Null for Submit.
+  /// Set by Trace(): the task records operator spans and the plan text
+  /// here before it returns. Null for Submit and Execute.
   TraceReport* report = nullptr;
 };
 
@@ -211,12 +214,13 @@ obs::GovernanceLimits QueryService::ResolveLimits(
 
 Result<Submission> QueryService::Submit(SessionId id, std::string script,
                                         QueryOptions opts) {
-  return Enqueue(id, std::move(script), std::move(opts), nullptr);
+  return Enqueue(id, std::move(script), std::move(opts), nullptr, nullptr);
 }
 
 Result<Submission> QueryService::Enqueue(SessionId id, std::string script,
                                          QueryOptions opts,
-                                         TraceReport* report) {
+                                         TraceReport* report,
+                                         std::unique_ptr<Task>* caller_run) {
   std::shared_ptr<Session> session = FindSession(id);
   if (!session) {
     return Status::NotFound("no session " + std::to_string(id));
@@ -241,7 +245,6 @@ Result<Submission> QueryService::Enqueue(SessionId id, std::string script,
   task->report = report;
   Submission submission;
   submission.query_id = task->query_id;
-  submission.future = task->promise.get_future();
   // The recent p50 prices the backlog and sizes a refusal's retry hint,
   // with a 1 ms prior until a query has finished: shedding the very first
   // query because we know nothing about it would be strictly worse than a
@@ -273,12 +276,24 @@ Result<Submission> QueryService::Enqueue(SessionId id, std::string script,
                static_cast<double>(queue_.size() + running_ + 1) * p50 >
                    options_.shed_inflight_us) {
       refusal = "estimated in-flight work exceeds shed threshold";
+    } else if (caller_run != nullptr && !paused_ && queue_.empty() &&
+               running_ < workers_.size()) {
+      // A free slot and nothing queued ahead: the synchronous caller runs
+      // the task itself rather than wake a worker and wait on it.
+      submitted_->Increment();
+      ++running_;
+      running_cancels_[task->query_id] = {task->owner, task->cancel};
+      *caller_run = std::move(task);
     } else {
+      submission.future = task->promise.emplace().get_future();
       queue_.push_back(std::move(task));
       queue_high_water_ =
           std::max<uint64_t>(queue_high_water_, queue_.size());
       submitted_->Increment();
-      if (!idle_.empty()) {
+      // Only a worker with a free slot may pop. With every slot busy, the
+      // task that finishes first hands its slot on: a worker pops the
+      // next task itself, a caller-run wakes an idle worker.
+      if (!paused_ && running_ < workers_.size() && !idle_.empty()) {
         wake = idle_.back();
         idle_.pop_back();
       }
@@ -310,9 +325,32 @@ Result<Submission> QueryService::Enqueue(SessionId id, std::string script,
 Result<QueryResponse> QueryService::Execute(SessionId id,
                                             const std::string& script,
                                             QueryOptions opts) {
-  CCDB_ASSIGN_OR_RETURN(Submission submission,
-                        Submit(id, script, std::move(opts)));
-  return submission.future.get();
+  return RunSynchronously(id, script, std::move(opts), nullptr);
+}
+
+Result<QueryResponse> QueryService::RunSynchronously(SessionId id,
+                                                     std::string script,
+                                                     QueryOptions opts,
+                                                     TraceReport* report) {
+  std::unique_ptr<Task> task;
+  CCDB_ASSIGN_OR_RETURN(
+      Submission queued,
+      Enqueue(id, std::move(script), std::move(opts), report, &task));
+  if (task == nullptr) return queued.future.get();
+  Result<QueryResponse> result = RunTask(task.get());
+  MutexLock lock(queue_mu_);
+  --running_;
+  running_cancels_.erase(task->query_id);
+  // The slot this run held is free: a task queued while every slot was
+  // busy goes to the most recently idle worker. Notified under the lock,
+  // as is drained_: once this lock is released, Shutdown may return and
+  // the service be destroyed.
+  if (!queue_.empty() && !idle_.empty()) {
+    wake_[idle_.back()]->NotifyOne();
+    idle_.pop_back();
+  }
+  if (stopping_ && running_ == 0) drained_.NotifyAll();
+  return result;
 }
 
 Status QueryService::Cancel(SessionId session, uint64_t query_id) {
@@ -335,8 +373,9 @@ Status QueryService::Cancel(SessionId session, uint64_t query_id) {
       if (it == running_cancels_.end() || it->second.first != session) {
         return Status::NotFound("no active query " + std::to_string(query_id));
       }
-      // Running: raise the flag; the worker unwinds at its next
-      // governance check-point and counts the cancellation itself.
+      // Running (on a worker or a caller's thread): raise the flag; the
+      // task unwinds at its next governance check-point and counts the
+      // cancellation itself.
       it->second.second->store(true, std::memory_order_relaxed);
       return Status::OK();
     }
@@ -344,7 +383,7 @@ Status QueryService::Cancel(SessionId session, uint64_t query_id) {
   // Queued: fail the future right here — the worker never sees the task.
   failed_->Increment();
   gov_cancels_->Increment();
-  queued->promise.set_value(Status::Cancelled(
+  queued->promise->set_value(Status::Cancelled(
       "query " + std::to_string(query_id) + " cancelled while queued"));
   return Status::OK();
 }
@@ -352,7 +391,7 @@ Status QueryService::Cancel(SessionId session, uint64_t query_id) {
 Result<TraceReport> QueryService::Trace(SessionId id,
                                         const std::string& script,
                                         QueryOptions opts) {
-  // A script that does not tokenize fails on the worker, like any query.
+  // A script that does not tokenize fails when it runs, like any query.
   auto statements = lang::TokenizeScript(script);
   if (statements.ok() &&
       lang::ClassifyTxnStatement(*statements) != lang::TxnStatement::kNone) {
@@ -361,9 +400,8 @@ Result<TraceReport> QueryService::Trace(SessionId id,
   }
   TraceReport report;
   report.trace_id = opts.trace_id;
-  CCDB_ASSIGN_OR_RETURN(Submission submission,
-                        Enqueue(id, script, std::move(opts), &report));
-  CCDB_ASSIGN_OR_RETURN(report.response, submission.future.get());
+  CCDB_ASSIGN_OR_RETURN(report.response,
+                        RunSynchronously(id, script, std::move(opts), &report));
   return report;
 }
 
@@ -376,7 +414,7 @@ void QueryService::WorkerLoop(size_t self) {
       // cv) so the guarded reads stay visible to the thread-safety
       // analysis. A waiting worker is always on the idle stack, unless an
       // Enqueue popped it to wake it.
-      while (!((!paused_ && !queue_.empty()) ||
+      while (!((!paused_ && !queue_.empty() && running_ < workers_.size()) ||
                (stopping_ && queue_.empty()))) {
         if (std::find(idle_.begin(), idle_.end(), self) == idle_.end()) {
           idle_.push_back(self);
@@ -390,96 +428,7 @@ void QueryService::WorkerLoop(size_t self) {
       ++running_;
       running_cancels_[task->query_id] = {task->owner, task->cancel};
     }
-    queue_wait_hist_->Record(
-        static_cast<uint64_t>(MicrosSince(task->enqueued)));
-    // Operator spans are worth recording if the sink could see them: via
-    // the slow-query log, or via a governance trip's trace. "Governed"
-    // means actual governance intent — limits or a caller-held
-    // cancellation flag — not the service-created flag every task carries,
-    // so ungoverned queries never pay the span-recording overhead. A
-    // Trace task always records, into its report.
-    const bool governed = task->limits.Any() || task->externally_cancellable;
-    const bool span_trace =
-        options_.trace_sink != nullptr &&
-        (options_.slow_query_us > 0 || governed);
-    obs::TraceNode local_trace;
-    obs::TraceNode* trace = task->report != nullptr ? &task->report->root
-                            : span_trace            ? &local_trace
-                                                    : nullptr;
-    obs::LayerCounters counters;
-    // The governance context: armed from the *enqueue* time, so queue
-    // wait counts against the deadline. Installed for every task (limits
-    // may be all-zero — then only the cancellation flag is live).
-    obs::ExecContext exec(task->limits, task->enqueued, task->cancel);
-    // Exception barrier: a throw out of execution (bad_alloc, a parser
-    // edge case, ...) must fail this one request, not terminate the
-    // process — the worker thread stays alive for the next task.
-    Result<QueryResponse> result = [&]() -> Result<QueryResponse> {
-      try {
-        obs::CounterScope scope;
-        obs::ExecContextScope governance(&exec);
-        // A task that spent its whole deadline in the queue fails before
-        // touching the engine.
-        exec.FullCheck();
-        if (exec.aborting()) return exec.trip_status();
-        auto r = RunScript(task.get(), trace);
-        counters = scope.counters();
-        // Backstop over RunScript's trailing check-point: once an abort
-        // has latched, FM helpers bail early and return semantically
-        // wrong partial values, so an OK result here must be discarded
-        // in favor of the typed trip status — it must never escape.
-        if (r.ok() && exec.aborting()) return exec.trip_status();
-        return r;
-      } catch (const std::exception& e) {
-        // Normalized for the wire: what() is unbounded attacker/library
-        // text, so clamp it to exactly what a remote client would see —
-        // in-process callers and network callers get the identical
-        // status.
-        return NormalizeStatusForWire(Status::Internal(
-            std::string("uncaught exception in worker: ") + e.what()));
-      } catch (...) {
-        return Status::Internal("uncaught non-standard exception in worker");
-      }
-    }();
-    const double latency_us = MicrosSince(task->enqueued);
-    latency_.Record(latency_us);
-    latency_hist_->Record(static_cast<uint64_t>(latency_us));
-    DrainCounters(counters);
-    fm_hist_->Record(counters.fm_eliminations);
-    const bool truncated =
-        result.ok() && exec.budget_tripped() && !exec.aborting();
-    if (result.ok()) {
-      result->latency_us = latency_us;
-      result->truncated = truncated;
-      completed_->Increment();
-      tuples_out_hist_->Record(result->relation.size());
-    } else {
-      failed_->Increment();
-    }
-    RecordGovernanceOutcome(exec, result.ok() ? Status::OK() : result.status(),
-                            truncated);
-    const bool slow =
-        options_.slow_query_us > 0 && latency_us >= options_.slow_query_us;
-    if (slow) slow_->Increment();
-    if (task->report != nullptr) traced_->Increment();
-    // The slow-query log doubles as the governance post-mortem: a query
-    // that tripped (deadline, budget, cancel) emits its trace alongside
-    // genuinely slow ones, so "why did this die?" has the same answer
-    // path as "why was this slow?". Every Trace is emitted too. Scripts
-    // that never reached the executor leave the trace unlabelled — the
-    // latency is still reported.
-    if ((slow || exec.tripped() || task->report != nullptr) &&
-        options_.trace_sink != nullptr) {
-      obs::TraceEvent event;
-      event.query = task->script;
-      event.latency_us = latency_us;
-      event.slow = slow;
-      event.query_id = task->query_id;
-      event.session = task->owner;
-      event.trace_id = task->trace_id;
-      event.root = trace != nullptr && !trace->label.empty() ? trace : nullptr;
-      options_.trace_sink->Emit(event);
-    }
+    Result<QueryResponse> result = RunTask(task.get());
     {
       MutexLock lock(queue_mu_);
       --running_;
@@ -488,8 +437,103 @@ void QueryService::WorkerLoop(size_t self) {
       // next request wakes this thread rather than a colder one.
       if (queue_.empty()) idle_.push_back(self);
     }
-    task->promise.set_value(std::move(result));
+    task->promise->set_value(std::move(result));
   }
+}
+
+Result<QueryResponse> QueryService::RunTask(Task* task) {
+  queue_wait_hist_->Record(
+      static_cast<uint64_t>(MicrosSince(task->enqueued)));
+  // Operator spans are worth recording if the sink could see them: via
+  // the slow-query log, or via a governance trip's trace. "Governed"
+  // means actual governance intent — limits or a caller-held
+  // cancellation flag — not the service-created flag every task carries,
+  // so ungoverned queries never pay the span-recording overhead. A
+  // Trace task always records, into its report.
+  const bool governed = task->limits.Any() || task->externally_cancellable;
+  const bool span_trace =
+      options_.trace_sink != nullptr &&
+      (options_.slow_query_us > 0 || governed);
+  obs::TraceNode local_trace;
+  obs::TraceNode* trace = task->report != nullptr ? &task->report->root
+                          : span_trace            ? &local_trace
+                                                  : nullptr;
+  obs::LayerCounters counters;
+  // The governance context: armed from the *enqueue* time, so queue
+  // wait counts against the deadline. Installed for every task (limits
+  // may be all-zero — then only the cancellation flag is live).
+  obs::ExecContext exec(task->limits, task->enqueued, task->cancel);
+  // Exception barrier: a throw out of execution (bad_alloc, a parser
+  // edge case, ...) must fail this one request, not terminate the
+  // process — a worker stays alive for the next task, and a caller-run's
+  // caller gets a status like any other.
+  Result<QueryResponse> result = [&]() -> Result<QueryResponse> {
+    try {
+      obs::CounterScope scope;
+      obs::ExecContextScope governance(&exec);
+      // A task that spent its whole deadline in the queue fails before
+      // touching the engine.
+      exec.FullCheck();
+      if (exec.aborting()) return exec.trip_status();
+      auto r = RunScript(task, trace);
+      counters = scope.counters();
+      // Backstop over RunScript's trailing check-point: once an abort
+      // has latched, FM helpers bail early and return semantically
+      // wrong partial values, so an OK result here must be discarded
+      // in favor of the typed trip status — it must never escape.
+      if (r.ok() && exec.aborting()) return exec.trip_status();
+      return r;
+    } catch (const std::exception& e) {
+      // Normalized for the wire: what() is unbounded attacker/library
+      // text, so clamp it to exactly what a remote client would see —
+      // in-process callers and network callers get the identical
+      // status.
+      return NormalizeStatusForWire(Status::Internal(
+          std::string("uncaught exception in query: ") + e.what()));
+    } catch (...) {
+      return Status::Internal("uncaught non-standard exception in query");
+    }
+  }();
+  const double latency_us = MicrosSince(task->enqueued);
+  latency_.Record(latency_us);
+  latency_hist_->Record(static_cast<uint64_t>(latency_us));
+  DrainCounters(counters);
+  fm_hist_->Record(counters.fm_eliminations);
+  const bool truncated =
+      result.ok() && exec.budget_tripped() && !exec.aborting();
+  if (result.ok()) {
+    result->latency_us = latency_us;
+    result->truncated = truncated;
+    completed_->Increment();
+    tuples_out_hist_->Record(result->relation.size());
+  } else {
+    failed_->Increment();
+  }
+  RecordGovernanceOutcome(exec, result.ok() ? Status::OK() : result.status(),
+                          truncated);
+  const bool slow =
+      options_.slow_query_us > 0 && latency_us >= options_.slow_query_us;
+  if (slow) slow_->Increment();
+  if (task->report != nullptr) traced_->Increment();
+  // The slow-query log doubles as the governance post-mortem: a query
+  // that tripped (deadline, budget, cancel) emits its trace alongside
+  // genuinely slow ones, so "why did this die?" has the same answer
+  // path as "why was this slow?". Every Trace is emitted too. Scripts
+  // that never reached the executor leave the trace unlabelled — the
+  // latency is still reported.
+  if ((slow || exec.tripped() || task->report != nullptr) &&
+      options_.trace_sink != nullptr) {
+    obs::TraceEvent event;
+    event.query = task->script;
+    event.latency_us = latency_us;
+    event.slow = slow;
+    event.query_id = task->query_id;
+    event.session = task->owner;
+    event.trace_id = task->trace_id;
+    event.root = trace != nullptr && !trace->label.empty() ? trace : nullptr;
+    options_.trace_sink->Emit(event);
+  }
+  return result;
 }
 
 void QueryService::RecordGovernanceOutcome(const obs::ExecContext& ctx,
@@ -523,7 +567,7 @@ Result<QueryResponse> QueryService::RunScript(Task* task,
   CCDB_ASSIGN_OR_RETURN(auto statements, lang::TokenizeScript(task->script));
   // Transaction controls are whole-statement keywords, dispatched before
   // the step-statement parser ever sees them. Routing them through the
-  // normal queue (not Submit) preserves program order with the session's
+  // normal dispatch preserves program order with the session's
   // in-flight queries, and makes BEGIN/COMMIT work identically through
   // the network edge — the server's QUERY opcode lands here too.
   switch (lang::ClassifyTxnStatement(statements)) {
@@ -908,13 +952,16 @@ void QueryService::Shutdown() {
     for (std::unique_ptr<Task>& task : orphaned) {
       failed_->Increment();
       gov_cancels_->Increment();
-      task->promise.set_value(Status::Cancelled(
+      task->promise->set_value(Status::Cancelled(
           "query " + std::to_string(task->query_id) +
           " cancelled: service shutting down"));
     }
     for (std::thread& worker : workers_) {
       if (worker.joinable()) worker.join();
     }
+    // Caller-runs hold slots but no worker: wait for the last to finish.
+    MutexLock lock(queue_mu_);
+    while (running_ > 0) drained_.Wait(queue_mu_);
   });
 }
 

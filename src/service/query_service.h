@@ -33,15 +33,23 @@
 ///    would overwrite a concurrently-committed name fails with
 ///    kUnavailable (retry hint attached) and the transaction is rolled
 ///    back.
-///  - *Dispatch*: the queue is FIFO and `num_workers` bounds how many
-///    tasks run at once. Each worker waits on its own condition variable,
-///    and idle workers form a stack: Enqueue wakes the most recently idle
-///    one. A worker that finds the queue empty after a task goes back on
-///    top of the stack before it resolves the task's promise, so a
-///    closed-loop client's next query wakes the thread whose caches its
-///    last query warmed, instead of the next worker in turn.
-///  - *Execution*: every script — Execute/Submit and Trace alike — runs on
-///    a worker under its governance context. The worker tokenizes it once
+///  - *Dispatch*: `num_workers` bounds how many tasks run at once, on
+///    workers and callers' threads together. Enqueue decides once, under
+///    the queue mutex: refuse the task, queue it, or — for a synchronous
+///    caller (Execute, Trace) when the service is not paused, the queue
+///    is empty and a slot is free — hand it back to run on the caller's
+///    own thread, which waits on nothing and wakes no one. Submit always
+///    queues. The queue is FIFO, and a worker pops only while a slot is
+///    free. Each worker waits on its own condition variable, and idle
+///    workers form a stack: Enqueue, or a caller-run that finishes while
+///    tasks are queued, wakes the most recently idle one. A worker that
+///    finds the queue empty after a task goes back on top of the stack
+///    before it resolves the task's promise, so a closed-loop Submit
+///    client's next query wakes the thread whose caches its last query
+///    warmed. Shutdown returns only once no caller-run is in flight.
+///  - *Execution*: every script — Execute/Submit and Trace alike — runs
+///    under its governance context, on a worker or on the caller's
+///    thread as Dispatch decided. The task tokenizes it once
 ///    (`lang::TokenizeScript`); transaction dispatch and
 ///    `lang::EvaluateScript` both read that statement list: compiled to one
 ///    plan (lang/compile.h), optimized, and run by the one plan executor,
@@ -121,10 +129,11 @@ struct ServiceOptions {
   /// yet) — exceeds this many microseconds. 0 disables cost-based
   /// shedding; a saturated queue always sheds.
   double shed_inflight_us = 0;
-  /// Test-only: invoked on the worker at the start of every script
-  /// execution (after transaction-control dispatch). May throw — this is
-  /// how tests exercise the worker's exception barrier now that execution
-  /// reads immutable snapshots instead of a caller-subclassable Database.
+  /// Test-only: invoked on the executing thread (a worker, or the caller
+  /// of a caller-run) at the start of every script execution (after
+  /// transaction-control dispatch). May throw — this is how tests
+  /// exercise the task's exception barrier now that execution reads
+  /// immutable snapshots instead of a caller-subclassable Database.
   std::function<void(const std::string& script)> execution_hook;
 };
 
@@ -225,8 +234,11 @@ class QueryService {
   Result<Submission> Submit(SessionId id, std::string script,
                             QueryOptions opts = {});
 
-  /// Submit + wait. Queries within one session are serialized, so a
-  /// client that alternates Execute calls sees strict program order.
+  /// Submit + wait, with Submit's admission control. When a slot is free
+  /// and nothing is queued, the script runs on the calling thread instead
+  /// of a worker (see "Dispatch"). Queries within one session are
+  /// serialized, so a client that alternates Execute calls sees strict
+  /// program order.
   Result<QueryResponse> Execute(SessionId id, const std::string& script,
                                 QueryOptions opts = {});
 
@@ -239,7 +251,7 @@ class QueryService {
   Status Cancel(SessionId session, uint64_t query_id);
 
   /// Execute with operator spans on (the shell's `\trace`): the same
-  /// queue, admission control, governance (`opts`) and plan as Execute,
+  /// dispatch, admission control, governance (`opts`) and plan as Execute,
   /// reported with the optimized plan's text and its span tree. The trace
   /// is also emitted to `ServiceOptions::trace_sink` when one is
   /// attached, stamped with `opts.trace_id` — including the partial span
@@ -346,8 +358,9 @@ class QueryService {
   void Resume();
 
   /// Graceful shutdown: stop accepting, fail every still-queued task with
-  /// kCancelled, let tasks already running finish, join the workers.
-  /// Idempotent; also run by the destructor.
+  /// kCancelled, let tasks already running finish, join the workers, and
+  /// wait until no caller-run is in flight. Idempotent; also run by the
+  /// destructor.
   void Shutdown();
 
   /// Point-in-time metrics snapshot.
@@ -363,12 +376,28 @@ class QueryService {
   struct Session;
   struct Task;
 
-  /// Submit, plus the report a Trace task fills in (null for Submit).
+  /// The one admission decision (see "Dispatch"): refuse the task, queue
+  /// it — the Submission's future resolves when a worker runs it — or,
+  /// when `caller_run` is non-null and a slot is free, hand it back
+  /// through `*caller_run`, holding a slot, for the caller to run (the
+  /// Submission then has no future). `report` is a Trace's report (null
+  /// otherwise).
   Result<Submission> Enqueue(SessionId id, std::string script,
-                             QueryOptions opts, TraceReport* report);
+                             QueryOptions opts, TraceReport* report,
+                             std::unique_ptr<Task>* caller_run);
+
+  /// Execute and Trace: Enqueue, then either run the handed-back task on
+  /// this thread and release its slot, or wait for the worker.
+  Result<QueryResponse> RunSynchronously(SessionId id, std::string script,
+                                         QueryOptions opts,
+                                         TraceReport* report);
 
   /// Worker `self`'s loop; it waits on `wake_[self]`.
   void WorkerLoop(size_t self);
+
+  /// One task's execution, on whichever thread holds its slot: governance,
+  /// the exception barrier, RunScript, and every metric and sink.
+  Result<QueryResponse> RunTask(Task* task);
 
   /// Executes one task's script against the snapshot pinned at Submit (a
   /// session with an open transaction reads its own copy instead). Transaction-control statements are
@@ -451,13 +480,17 @@ class QueryService {
   std::map<uint64_t, Status> dedup_results_ CCDB_GUARDED_BY(dedup_mu_);
   std::deque<uint64_t> dedup_fifo_ CCDB_GUARDED_BY(dedup_mu_);
 
-  // Task queue. `running_` counts tasks popped but not yet finished (for
-  // admission-control cost estimates); `running_cancels_` maps in-flight
-  // query ids to their cancellation flags so Cancel() can reach them.
+  // Task queue. `running_` counts tasks running on workers and callers'
+  // threads (the num_workers bound, and admission-control cost
+  // estimates); `running_cancels_` maps in-flight query ids to their
+  // cancellation flags so Cancel() can reach them.
   mutable Mutex queue_mu_{"service.queue"};
   /// One per worker, built before any worker starts; worker i waits only
   /// on wake_[i].
   std::vector<std::unique_ptr<CondVar>> wake_;
+  /// Shutdown waits on it, once the workers are joined, for the last
+  /// caller-run to finish.
+  CondVar drained_;
   /// Idle workers' indices, the most recently idle last (see "Dispatch").
   std::vector<size_t> idle_ CCDB_GUARDED_BY(queue_mu_);
   std::deque<std::unique_ptr<Task>> queue_ CCDB_GUARDED_BY(queue_mu_);

@@ -390,7 +390,7 @@ TEST(ServiceTraceTest, ExplicitTraceUsesOptimizedPlan) {
   EXPECT_GT(report->root.TotalCounters().box_solves, uint64_t{0});
   EXPECT_EQ(report->root.TotalCounters().fm_eliminations, uint64_t{0});
 
-  // A trace is a query: it went through the queue like Execute.
+  // A trace is a query: it went through the same dispatch as Execute.
   const service::ServiceMetrics m = svc.Metrics();
   EXPECT_EQ(m.traced_queries, uint64_t{1});
   EXPECT_EQ(m.submitted, uint64_t{1});

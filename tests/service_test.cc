@@ -6,9 +6,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <random>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "lang/query.h"
 #include "obs/exposition.h"
 #include "obs/metric_names.h"
+#include "obs/trace_sink.h"
 #include "storage/fault.h"
 #include "storage/wal.h"
 
@@ -224,9 +227,10 @@ TEST(QueryServiceTest, ShutdownCancelsQueuedQueriesWithTypedStatus) {
 }
 
 TEST(QueryServiceTest, SequentialQueriesRunOnOneWorker) {
-  // One closed-loop client: each query waits for the previous reply, so
-  // the worker that answered it is the most recently idle one and must
-  // take the next query too, on caches the last query warmed.
+  // One closed-loop Submit client: each query waits for the previous
+  // reply, so the worker that answered it is the most recently idle one
+  // and must take the next query too, on caches the last query warmed.
+  // (An Execute with a free slot runs on its caller's thread instead.)
   Database base;
   ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
   ServiceOptions options;
@@ -261,8 +265,10 @@ TEST(QueryServiceTest, SequentialQueriesRunOnOneWorker) {
 
   SessionId id = service.OpenSession();
   for (int i = 0; i < 500; ++i) {
-    auto response = service.Execute(
+    auto submitted = service.Submit(
         id, "R0 = select x >= " + std::to_string(i % 50) + " from Boxes");
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    auto response = submitted->future.get();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
   }
   std::lock_guard<std::mutex> lock(threads_mu);
@@ -321,6 +327,291 @@ TEST(QueryServiceTest, ConcurrentQueriesUseEveryWorker) {
   }
   EXPECT_EQ(timeouts.load(), 0u);
   EXPECT_EQ(service.Metrics().completed, 5u);
+}
+
+/// Holds every caller of Pass() until Open(). Waits are bounded (10 s),
+/// so a test whose callers never arrive, or that never opens, fails
+/// instead of hanging.
+class Gate {
+ public:
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++arrived_;
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::seconds(10), [&] { return open_; });
+  }
+
+  /// False when fewer than `n` callers have arrived within 10 s.
+  bool AwaitArrivals(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return arrived_ >= n; });
+  }
+
+  size_t arrived() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return arrived_;
+  }
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t arrived_ = 0;
+  bool open_ = false;
+};
+
+/// Polls `done` every millisecond; false when it is still false after 10 s.
+bool Eventually(const std::function<bool()>& done) {
+  for (int i = 0; i < 10000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(QueryServiceTest, ExecuteRunsOnTheCallersThread) {
+  // With a slot free and nothing queued, Execute runs the script on the
+  // thread that called it; Submit always hands its script to a worker.
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
+  ServiceOptions options;
+  options.num_workers = 2;
+  std::mutex ran_on_mu;
+  std::thread::id ran_on;
+  options.execution_hook = [&](const std::string&) {
+    std::lock_guard<std::mutex> lock(ran_on_mu);
+    ran_on = std::this_thread::get_id();
+  };
+  QueryService service(&base, options);
+  SessionId id = service.OpenSession();
+
+  auto executed = service.Execute(id, "R0 = select x >= 0 from Boxes");
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_GT(executed->relation.size(), 0u);
+  {
+    std::lock_guard<std::mutex> lock(ran_on_mu);
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+  }
+
+  auto submitted = service.Submit(id, "R1 = select x >= 1 from Boxes");
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  ASSERT_TRUE(submitted->future.get().ok());
+  {
+    std::lock_guard<std::mutex> lock(ran_on_mu);
+    EXPECT_NE(ran_on, std::this_thread::get_id());
+  }
+  const ServiceMetrics m = service.Metrics();
+  EXPECT_EQ(m.submitted, 2u);
+  EXPECT_EQ(m.completed, 2u);
+  EXPECT_EQ(m.queue_high_water, 1u) << "only the Submit was queued";
+}
+
+TEST(QueryServiceTest, CallerRunsAndWorkersShareTheWorkerBound) {
+  // Twelve clients mix Execute and Submit on four workers: however the
+  // scripts are split between callers' threads and workers, no more than
+  // four are ever inside execution at once.
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
+  ServiceOptions options;
+  options.num_workers = 4;
+  std::atomic<size_t> inside{0};
+  std::atomic<size_t> most{0};
+  options.execution_hook = [&](const std::string&) {
+    const size_t now = inside.fetch_add(1) + 1;
+    size_t seen = most.load();
+    while (now > seen && !most.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    inside.fetch_sub(1);
+  };
+  QueryService service(&base, options);
+
+  constexpr size_t kClients = 12;
+  constexpr size_t kQueriesPerClient = 20;
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const SessionId id = service.OpenSession();
+      for (size_t q = 0; q < kQueriesPerClient; ++q) {
+        const std::string script =
+            "R0 = select x >= " + std::to_string(q) + " from Boxes";
+        Result<QueryResponse> response = Status::Internal("unset");
+        if ((c + q) % 2 == 0) {
+          response = service.Execute(id, script);
+        } else if (auto submitted = service.Submit(id, script);
+                   submitted.ok()) {
+          response = submitted->future.get();
+        } else {
+          response = submitted.status();
+        }
+        if (!response.ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_LE(most.load(), options.num_workers);
+  EXPECT_EQ(service.Metrics().completed, kClients * kQueriesPerClient);
+}
+
+TEST(QueryServiceTest, ExecuteQueuesWhenCallerRunsHoldEverySlot) {
+  // Four Executes run on their callers' threads and are held there. With
+  // every slot taken, a fifth Execute and a Submit queue; they run once
+  // the callers are released and free their slots.
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
+  ServiceOptions options;
+  options.num_workers = 4;
+  Gate gate;
+  options.execution_hook = [&](const std::string&) { gate.Pass(); };
+  QueryService service(&base, options);
+
+  std::vector<std::thread> callers;
+  std::atomic<size_t> caller_failures{0};
+  for (size_t s = 0; s < options.num_workers; ++s) {
+    callers.emplace_back([&, s] {
+      auto response = service.Execute(
+          service.OpenSession(),
+          "R0 = select x >= " + std::to_string(s) + " from Boxes");
+      if (!response.ok()) ++caller_failures;
+    });
+  }
+  ASSERT_TRUE(gate.AwaitArrivals(options.num_workers));
+
+  std::atomic<bool> fifth_ok{false};
+  std::thread fifth([&] {
+    fifth_ok = service.Execute(service.OpenSession(),
+                               "R0 = select x >= 9 from Boxes")
+                   .ok();
+  });
+  auto submitted =
+      service.Submit(service.OpenSession(), "R0 = select x >= 8 from Boxes");
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  EXPECT_TRUE(Eventually([&] { return service.Metrics().queue_depth == 2; }))
+      << "queue depth " << service.Metrics().queue_depth;
+  EXPECT_EQ(gate.arrived(), options.num_workers)
+      << "a fifth script started while four held every slot";
+
+  gate.Open();
+  for (std::thread& t : callers) t.join();
+  fifth.join();
+  ASSERT_EQ(submitted->future.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_TRUE(submitted->future.get().ok());
+  EXPECT_TRUE(fifth_ok.load());
+  EXPECT_EQ(caller_failures.load(), 0u);
+  const ServiceMetrics m = service.Metrics();
+  EXPECT_EQ(m.completed, options.num_workers + 2);
+  EXPECT_EQ(m.queue_depth, 0u);
+  EXPECT_EQ(m.queue_high_water, 2u);
+}
+
+TEST(QueryServiceTest, PausedServiceQueuesExecuteUntilResume) {
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.start_paused = true;
+  std::atomic<bool> ran{false};
+  options.execution_hook = [&](const std::string&) { ran = true; };
+  QueryService service(&base, options);
+
+  std::atomic<bool> done{false};
+  bool ok = false;
+  std::thread caller([&] {
+    ok = service.Execute(service.OpenSession(), "R0 = select x >= 0 from Boxes")
+             .ok();
+    done = true;
+  });
+  EXPECT_TRUE(Eventually([&] { return service.Metrics().queue_depth == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(ran.load()) << "a paused service ran a script";
+  EXPECT_FALSE(done.load());
+
+  service.Resume();
+  caller.join();
+  EXPECT_TRUE(ok);
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(service.Metrics().completed, 1u);
+}
+
+TEST(QueryServiceTest, ShutdownWaitsForCallerRuns) {
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(20, 3)).ok());
+  ServiceOptions options;
+  options.num_workers = 2;
+  Gate gate;
+  options.execution_hook = [&](const std::string&) { gate.Pass(); };
+  QueryService service(&base, options);
+  const SessionId id = service.OpenSession();
+
+  Result<QueryResponse> response = Status::Internal("unset");
+  std::thread caller([&] {
+    response = service.Execute(id, "R0 = select x >= 0 from Boxes");
+  });
+  ASSERT_TRUE(gate.AwaitArrivals(1));
+
+  std::atomic<bool> shut_down{false};
+  std::thread stopper([&] {
+    service.Shutdown();
+    shut_down = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(shut_down.load())
+      << "Shutdown returned while a caller-run was still running";
+
+  gate.Open();
+  stopper.join();
+  EXPECT_TRUE(shut_down.load());
+  caller.join();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_GT(response->relation.size(), 0u);
+  EXPECT_EQ(service.Execute(id, "R1 = select x >= 1 from Boxes")
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+}
+
+TEST(QueryServiceTest, TraceOnTheCallersThreadFillsItsReport) {
+  Database base;
+  ASSERT_TRUE(base.Create("Boxes", BoxRelation(30, 5)).ok());
+  std::ostringstream jsonl;
+  obs::TraceSink sink(&jsonl);
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.trace_sink = &sink;
+  std::thread::id ran_on;
+  options.execution_hook = [&](const std::string&) {
+    ran_on = std::this_thread::get_id();
+  };
+  QueryService service(&base, options);
+
+  QueryOptions opts;
+  opts.trace_id = 77;
+  auto report = service.Trace(service.OpenSession(),
+                              "R0 = select x >= 0, x <= 900 from Boxes", opts);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_FALSE(report->plan_text.empty());
+  EXPECT_EQ(report->root.label.rfind("Select", 0), 0u) << report->root.label;
+  EXPECT_EQ(report->root.tuples_out, report->response.relation.size());
+  EXPECT_GT(report->response.relation.size(), 0u);
+  EXPECT_EQ(report->response.step, "R0");
+  EXPECT_EQ(report->trace_id, 77u);
+  EXPECT_EQ(sink.events(), 1u);
+  const ServiceMetrics m = service.Metrics();
+  EXPECT_EQ(m.traced_queries, 1u);
+  EXPECT_EQ(m.completed, 1u);
 }
 
 TEST(QueryServiceTest, QueueWaitIsRecordedPerQuery) {

@@ -4,7 +4,11 @@
 # Boots a real ccdb_serve leader and a WAL-shipping ccdb_serve replica as
 # separate daemons on ephemeral ports, populates the leader over the wire,
 # waits for the replica to serve the replicated relation, then hammers
-# BOTH daemons with concurrent bench_net --client processes. When curl is
+# BOTH daemons with concurrent bench_net --client processes. The leader
+# runs 2 workers against its 4 clients, so its worker bound is saturated:
+# a query runs on its connection thread while a slot is free and queues
+# for a worker while both are taken, and the two paths interleave under
+# load. When curl is
 # available the daemons also get --status-port listeners that are scraped
 # (/metrics + /healthz) continuously DURING the storm — an HTTP scrape
 # must never fail or block while the query path is saturated — and the
@@ -86,7 +90,8 @@ command -v curl >/dev/null 2>&1 && have_curl=1
 leader_log="$workdir/leader.log"
 replica_log="$workdir/replica.log"
 
-"$serve_bin" --port 0 --status-port 0 </dev/null >"$leader_log" 2>&1 &
+"$serve_bin" --port 0 --status-port 0 --workers 2 \
+  </dev/null >"$leader_log" 2>&1 &
 daemon_pids+=($!)
 leader_port=$(wait_port "$leader_log")
 leader_status_port=$(wait_status_port "$leader_log")
@@ -146,8 +151,8 @@ if [[ "$have_curl" == 1 ]]; then
   scrape_pids+=($!)
 fi
 
-# The storm: 4 clients on the leader and 2 on the replica, concurrently,
-# 200 queries each over one connection apiece.
+# The storm: 4 clients on the leader (2 workers) and 2 on the replica,
+# concurrently, 200 queries each over one connection apiece.
 client_pids=()
 for id in 0 1 2 3; do
   "$bench_bin" --client "$leader_port" "$id" 200 \
